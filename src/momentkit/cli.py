@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    BracketExhausted,
     DegreeTooHigh,
     EigFailure,
     IoError,
@@ -83,7 +82,6 @@ class Command:
     grid: int = 200
     bins: int = 64
     rule: str = "midpoint"
-    output: str | None = None
     schema_check_only: bool = False
 
 
@@ -117,7 +115,7 @@ def run(cmd: Command) -> RunResult:
     except (SchemaError, IoError, DegreeTooHigh) as exc:
         log.error("input error: %s", exc)
         return RunResult("input-error", EXIT_INPUT, {"verb": cmd.verb, "error": str(exc)})
-    except (LpFailure, LpUnbounded, EigFailure, RankDetectionAmbiguous, BracketExhausted) as exc:
+    except (LpFailure, LpUnbounded, EigFailure, RankDetectionAmbiguous) as exc:
         log.error("numerical failure: %s", exc)
         return RunResult(
             "numerical-failure", EXIT_NUMERICAL,
@@ -451,12 +449,13 @@ def main(argv=None) -> int:
             grid=args.grid,
             bins=args.bins,
             rule=args.rule,
-            output=args.output,
             schema_check_only=args.schema_check_only,
         ))
 
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The fork start method launches every worker up front, so cap the pool.
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))
     else:
         results = [_worker(j) for j in jobs]

@@ -91,10 +91,6 @@ class RankDetectionAmbiguous(MomentkitError):
         )
 
 
-class BracketExhausted(MomentkitError):
-    """Bracket expansion hit its cap while the objective kept improving."""
-
-
 # --- CLI / IO ----------------------------------------------------------------
 
 class SchemaError(MomentkitError):

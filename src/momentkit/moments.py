@@ -19,7 +19,6 @@ import numpy as np
 
 from .eig import jacobi_eigh, lambda_min
 from .errors import (
-    BracketExhausted,
     DegreeTooHigh,
     LpFailure,
     NotPSD,
@@ -30,7 +29,6 @@ from .simplex import solve_lp
 PSD_TOL = 1e-8
 RANK_PIVOT_KEEP = 1e-10
 RANK_PIVOT_DROP = 1e-12
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -262,6 +260,21 @@ def _support_matrices(m: MomentSequence) -> list[HankelMatrix]:
     return mats
 
 
+def _support_violation(m: MomentSequence, tol: float) -> str | None:
+    """Why a support matrix fails positivity, or None when all pass.
+
+    A matrix fails when its smallest eigenvalue is below
+    ``-tol * max(1, ||H||_F)``; atom recovery and the extension share
+    this rule.
+    """
+    for H in _support_matrices(m):
+        scale = max(1.0, float(np.sqrt(np.sum(H.matrix * H.matrix))))
+        lam = lambda_min(H.matrix)
+        if lam < -tol * scale:
+            return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}"
+    return None
+
+
 def _eigvec_witness(H: HankelMatrix) -> Poly:
     """Square of the minimizing eigenvector polynomial, times the weight.
 
@@ -398,11 +411,9 @@ def recover_atoms(m: MomentSequence) -> AtomicMeasure:
     arr = m.array()
     if np.abs(arr).max() == 0.0:
         return AtomicMeasure((), (), m.support)
-    for H in _support_matrices(m):
-        scale = max(1.0, float(np.sqrt(np.sum(H.matrix * H.matrix))))
-        lam = lambda_min(H.matrix)
-        if lam < -PSD_TOL * scale:
-            raise NotPSD(f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}")
+    violation = _support_violation(m, PSD_TOL)
+    if violation is not None:
+        raise NotPSD(violation)
 
     H_full = _hankel_array(arr, m.d + 1)
     rank, _ = _scaled_cholesky_rank(H_full)
@@ -461,92 +472,33 @@ def verify_truncated(m: MomentSequence, mu: AtomicMeasure,
     )
 
 
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-9, max_iter: int = 200):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * max(1.0, abs(lo), abs(hi)):
-            break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _ladder_bracket(f, center: float, step: float, rel_tol: float = 1e-9,
-                    max_expand: int = 48):
-    """Geometric probe ladder around ``center`` for a concave objective.
-
-    Returns ``(best_x, spacing)`` such that the maximizer lies within
-    ``best_x +- spacing``; expansion in a direction stops once its marginal
-    gain falls under the tolerance.  Exhausting the expansion budget while
-    gains persist raises :class:`BracketExhausted`.
-    """
-    best_x, best_v = center, f(center)
-    for sign in (1.0, -1.0):
-        step_k = step
-        x_prev, v_prev = center, best_v
-        for k in range(max_expand):
-            x = center + sign * step_k
-            v = f(x)
-            if v > best_v:
-                best_x, best_v = x, v
-            gain = v - v_prev
-            if v < v_prev or gain <= rel_tol * max(1.0, abs(best_v)):
-                break
-            x_prev, v_prev = x, v
-            step_k *= 2.0
-        else:
-            raise BracketExhausted(
-                f"objective kept improving after {max_expand} doublings toward {sign:+g}"
-            )
-    spacing = max(step, 2.0 * abs(best_x - center))
-    return best_x, spacing
-
-
 def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate | None:
-    """Search for two more moments keeping the bigger moment matrix PSD.
+    """Two more moments m_{2d+1}, m_{2d+2} keeping the bigger moment matrix PSD.
 
-    Maximizes the smallest eigenvalue of the (d+2)-sized moment matrix over
-    the two unknowns (the matrix is affine in them, so the objective is
-    concave) by nested golden-section search with ladder-expanded brackets.
-    Returns the best pair when the optimum clears ``-tol`` relative to the
-    sequence scale, and None otherwise.  The principal-submatrix bound is
-    checked first: a non-PSD base matrix cannot be repaired by any extension.
+    Decided by the truncated moment theorem on the line (Curto & Fialkow
+    1991): a support matrix below the shared gate has no extension; a
+    positive definite H_d has the flat extension m_{2d+1} = 0,
+    m_{2d+2} = b^T H_d^{-1} b (zero Schur complement); a singular H_d
+    extends only by the moments of its unique rank-r atomic measure, which
+    must reproduce the sequence through degree 2d inside the support.
+    Returns None when no extension exists.  A ``tol`` looser than
+    ``PSD_TOL`` can let the gate pass where :func:`recover_atoms` raises
+    :class:`NotPSD`.
     """
+    if _support_violation(m, tol) is not None:
+        return None
     arr = m.array()
     d = m.d
-    scale = m.scale
-    base = _hankel_array(arr, d + 1)
-    base_scale = max(1.0, float(np.sqrt(np.sum(base * base))))
-    if lambda_min(base) < -tol * base_scale:
-        return None
-
-    ext = np.concatenate([arr, [0.0, 0.0]])
-
-    def lam(s: float, t: float) -> float:
-        ext[-2] = s
-        ext[-1] = t
-        return lambda_min(_hankel_array(ext, d + 2))
-
-    def inner(s: float):
-        t0, spacing = _ladder_bracket(lambda t: lam(s, t), 0.0, 2.0 * scale)
-        return _golden_max(lambda t: lam(s, t), t0 - spacing, t0 + spacing)
-
-    s0, s_spacing = _ladder_bracket(lambda s: inner(s)[1], 0.0, 2.0 * scale)
-    s_best, _ = _golden_max(lambda s: inner(s)[1], s0 - s_spacing, s0 + s_spacing)
-    t_best, value = inner(s_best)
-
-    # The eigensolver resolves lambda_min only relative to the matrix scale,
-    # so the acceptance threshold is taken relative to that same scale.
-    decision_scale = max(1.0, scale, abs(s_best), abs(t_best))
-    if value < -tol * decision_scale:
-        return None
-    return ExtensionCandidate(float(s_best), float(t_best), float(value))
+    rank, R = _scaled_cholesky_rank(_hankel_array(arr, d + 1))
+    if rank == d + 1:
+        b = np.append(arr[d + 1:], 0.0)
+        y = np.linalg.solve(R.T, b)  # H_d = R^T R, so b^T H_d^{-1} b = |y|^2
+        ext = np.array([0.0, y @ y])
+    else:
+        mu = recover_atoms(m)
+        if not (verify_truncated(m, mu, through_degree=2 * d, tol=tol).passed
+                and mu.within_support()):
+            return None
+        ext = np.asarray(mu.moments_to(2 * d + 2)[-2:])
+    lam = lambda_min(_hankel_array(np.concatenate([arr, ext]), d + 2))
+    return ExtensionCandidate(float(ext[0]), float(ext[1]), float(lam))

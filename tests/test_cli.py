@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import momentkit as mk
+from momentkit import cli
 from momentkit.cli import main
 from momentkit.jsonio import dumps_canonical, parse_input
 
@@ -224,6 +225,42 @@ def test_jobs_fan_out(tmp_path):
     doc1 = json.loads((out_dir / "a.out.json").read_text())
     doc2 = json.loads((out_dir / "b.out.json").read_text())
     assert doc1["exit_code"] == 0 and doc2["exit_code"] == 1
+
+
+@pytest.mark.parametrize("moments, support", [
+    ([1, 0, 0, 0, 1], {"type": "line"}),
+    ([1, 0, 1, 0, 1], {"type": "halfline"}),
+])
+def test_extend_moments_refuses_unrepresentable(tmp_path, capsys, moments, support):
+    path = write(tmp_path, "m.json", {"moments": moments, "support": support})
+    assert main(["extend-moments", path]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "no-positive-extension" and doc["extension"] is None
+
+
+def test_jobs_capped_by_inputs_and_cores(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    paths = [write(tmp_path, f"{i}.json", {"moments": [1, 0, 1]}) for i in range(4)]
+    out_dir = str(tmp_path / "out")
+    assert main(["check", *paths[:2], "--jobs", "5000", "--output", out_dir]) == 0
+    assert main(["check", *paths, "--jobs", "5000", "--output", out_dir]) == 0
+    assert sizes == [2, 3]
 
 
 def test_exit_code_totality(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import momentkit as mk
 
 from conftest import atomic_moments
+from test_acceptance import _known_measure
 
 
 def seq(*moments, support=None):
@@ -329,6 +330,34 @@ def test_extend_search_flat_truncation():
     assert found is not None
     scale = max(1.0, max(abs(x) for x in full[:5]), abs(found.m_next), abs(found.m_next_next))
     assert found.lambda_min >= -1e-8 * scale
+
+
+@pytest.mark.parametrize("moments, support", [
+    ((1, 0, 0, 0, 1), mk.Support.line()),  # PSD but not recursively generated
+    ((1, 0, 1, 0, 1), mk.Support.halfline()),  # localizing matrix indefinite
+])
+def test_extend_search_refuses_unrepresentable(moments, support):
+    assert mk.extend_search(seq(*moments, support=support)) is None
+
+
+def test_extend_search_agrees_with_certificate():
+    # Criterion 6's sequences: 3 supports x 200 known measures plus their defects.
+    rng = np.random.default_rng(6)
+    disagreements = []
+    for kind in ("line", "halfline", "interval"):
+        for trial in range(200):
+            m = _known_measure(rng, kind)
+            mom = list(m.moments)
+            if kind == "halfline":
+                mom[1] = -abs(mom[1]) - 0.3
+            else:
+                mom[2] = -abs(mom[2]) - 0.3
+            for s in (m, mk.MomentSequence(tuple(mom), m.support)):
+                verdict = mk.positivity_certificate(s, 1e-8).verdict
+                extended = mk.extend_search(s, 1e-8) is not None
+                if verdict != "inconclusive" and extended != (verdict == "representable"):
+                    disagreements.append((kind, trial, verdict, s.moments))
+    assert not disagreements, disagreements[:3]
 
 
 def test_lambda_min_concavity_spot_check():
