@@ -73,4 +73,19 @@ def scipy_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
         return "infeasible", None
     if res.status == 3:
         return "unbounded", None
+    if res.status == 4:
+        # HiGHS can stop with model status "Unknown" on a feasible LP that has
+        # an improving recession direction. Decide such a case by two solves
+        # that HiGHS does finish: a feasibility probe, and a search for a ray
+        # d in the unit box with a_ub d <= 0, a_eq d = 0 and c.d < 0.
+        n = len(c)
+        feas = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                       bounds=(None, None), method="highs")
+        if feas.status == 2:
+            return "infeasible", None
+        ray = linprog(c, A_ub=a_ub, b_ub=None if a_ub is None else np.zeros(len(a_ub)),
+                      A_eq=a_eq, b_eq=None if a_eq is None else np.zeros(len(a_eq)),
+                      bounds=(-1.0, 1.0), method="highs")
+        if feas.status == 0 and ray.status == 0 and ray.fun < -1e-9:
+            return "unbounded", None
     raise RuntimeError(f"scipy linprog status {res.status}")
