@@ -34,7 +34,7 @@ from .errors import (
     RankDetectionAmbiguous,
     SchemaError,
 )
-from .extend import Functional, hb_extend_step, verify_positive
+from .extend import hb_extend, verify_positive
 from .funcspace import FunctionVec, Subspace
 from .jsonio import (
     FiniteSpaceInput,
@@ -50,7 +50,7 @@ from .measure import (
     BinningSpec,
     RepresentOptions,
     approx_below,
-    integrate,
+    gap_T,
     represent_via_adapted,
     seminorm_rho,
 )
@@ -255,25 +255,16 @@ def _run_extend_moments(cmd: Command, inp: MomentInput) -> RunResult:
 def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
     if fs.functional is None:
         raise SchemaError("functional", "hb-extend requires functional values")
-    current = fs.functional
-    names = list(fs.basis_names)
-    trace = []
-    for name, target in fs.targets:
-        if current.domain.contains(target):
-            continue
-        current, step = hb_extend_step(current, target, cmd.rule)
-        names.append(name)
-        trace.append({
-            "target": name,
-            "interval_lo": step.interval_lo,
-            "interval_hi": step.interval_hi,
-            "chosen": step.chosen,
-        })
+    current, trace = hb_extend(fs.functional, [t for _, t in fs.targets], cmd.rule)
+    step_names = [fs.targets[step.target_index][0] for step in trace.steps]
+    names = list(fs.basis_names) + step_names
     ok, worst = verify_positive(current, cmd.tol)
     payload = {
         "verb": "hb-extend",
         "rule": cmd.rule,
-        "trace": trace,
+        "trace": [{"target": name, "interval_lo": step.interval_lo,
+                   "interval_hi": step.interval_hi, "chosen": step.chosen}
+                  for name, step in zip(step_names, trace.steps)],
         "functional": {name: float(c) for name, c in zip(names, current.coeffs)},
         "positivity": {"ok": ok, "worst_value": worst, "tol": cmd.tol},
     }
@@ -309,18 +300,13 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
 
     binning = []
     if cmd.bins >= 1 and fs.domain.dim:
-        one = FunctionVec(fs.ground, np.ones(fs.ground.size))
-        # Replay the recorded extension steps to evaluate rho diagnostics.
-        Lt = fs.functional
-        for step in report.trace.steps:
-            Lt = Functional(Lt.domain.extended_by(step.target), np.append(Lt.coeffs, step.chosen))
-        Lt_one = Lt(one)
+        Lt_one = report.extended(FunctionVec(fs.ground, np.ones(fs.ground.size)))
         for name, g in zip(fs.basis_names, fs.domain.basis):
             lo = float(g.values.min())
             hi = float(g.values.max())
             spec = BinningSpec(lo, hi + max(1.0, hi - lo) * 1e-9, cmd.bins)
             phi = approx_below(g, spec)
-            rho = seminorm_rho(Lt, g - phi.as_vec())
+            rho = seminorm_rho(report.extended, g - phi.as_vec())
             bound = Lt_one * spec.width
             binning.append({
                 "name": name,
@@ -349,7 +335,7 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
             }
             for e in report.adaptedness.entries
         ],
-        "t_decay_ok": all(e.ok for e in report.t_decay if e.t_target == e.t_target),
+        "t_decay_ok": all(e.ok for e in report.t_decay),
         "binning": binning,
         "notes": list(report.notes),
         "certified": report.certified,
@@ -382,12 +368,9 @@ def _run_verify_moments(cmd: Command, inp: MomentInput) -> RunResult:
 def _run_verify_finite(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
     if fs.functional is None or fs.algebra is None or fs.measure is None:
         raise SchemaError("measure", "finite-space verify requires functional, sigma_algebra and measure")
-    residuals = {}
-    worst = 0.0
-    for name, g in zip(fs.basis_names, fs.domain.basis):
-        r = fs.functional(g) - integrate(g, fs.measure, fs.algebra)
-        residuals[name] = r
-        worst = max(worst, abs(r))
+    residuals = {name: gap_T(fs.functional, fs.measure, fs.algebra, g)
+                 for name, g in zip(fs.basis_names, fs.domain.basis)}
+    worst = max((abs(r) for r in residuals.values()), default=0.0)
     payload = {"verb": "verify", "residuals": residuals, "max_residual": worst, "tol": cmd.tol}
     if worst <= cmd.tol:
         return RunResult("verified", EXIT_OK, payload)
@@ -438,6 +421,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.tol <= 0:
         print("momentkit: --tol must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    if args.grid < 2:
+        print("momentkit: --grid must be at least 2", file=sys.stderr)
         return EXIT_INPUT
 
     jobs = []

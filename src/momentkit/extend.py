@@ -16,7 +16,7 @@ non-degenerate in most cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class ExtensionStep:
     interval_lo: float
     interval_hi: float
     chosen: float
+    target_index: int | None = None  # position in the target list of hb_extend
 
     def __post_init__(self):
         if not (self.interval_lo - 1e-12 <= self.chosen <= self.interval_hi + 1e-12):
@@ -101,9 +102,9 @@ def wc_contains(v: FunctionVec, W: Subspace) -> bool:
 def sublinear_p(v: FunctionVec, L: Functional) -> float:
     """The Hahn-Banach bound ``-sup { L(w) : w in span, w <= v pointwise }``.
 
-    Finite exactly when ``v`` passes :func:`wc_contains` for a cone-positive
-    ``L``; an unbounded or empty inner problem raises :class:`LpUnbounded`,
-    which signals a violated precondition.
+    Finite exactly when :func:`in_cone_plus_subspace` holds for ``v`` (this
+    LP's phase 1 decides it) and ``L`` is cone-positive; an empty or
+    unbounded inner problem raises :class:`LpUnbounded`.
     """
     W = L.domain
     if v.ground.labels != W.ground.labels:
@@ -126,17 +127,21 @@ def hb_extend_step(L: Functional, v: FunctionVec, rule: str = "midpoint"):
     Returns ``(extended functional, step record)``.  The admissible value
     interval is ``[-p(v), p(-v)]``; a reversed interval beyond 1e-9 raises
     :class:`EmptyInterval`, while a merely degenerate one collapses to its
-    common endpoint.
+    common endpoint.  Both bounds are finite exactly when ``v`` is
+    sandwiched, so :func:`wc_contains` runs only after a bound LP fails, to
+    tell :class:`TargetNotInWC` from a genuine :class:`LpUnbounded`.
     """
     if rule not in RULES:
         raise ValueError(f"unknown extension rule {rule!r}")
     if L.domain.contains(v):
         raise ValueError("target already lies in the span; nothing to extend")
-    if not wc_contains(v, L.domain):
-        raise TargetNotInWC(None, "target is not sandwiched by the current domain")
-
-    lo = -sublinear_p(v, L)
-    hi = sublinear_p(-v, L)
+    try:
+        lo = -sublinear_p(v, L)
+        hi = sublinear_p(-v, L)
+    except LpUnbounded:
+        if not wc_contains(v, L.domain):
+            raise TargetNotInWC(None, "target is not sandwiched by the current domain") from None
+        raise
     if hi < lo - INTERVAL_TOL:
         raise EmptyInterval(f"admissible interval is empty: [{lo:.17g}, {hi:.17g}]")
     if hi < lo:  # degenerate within tolerance: the value is forced
@@ -157,8 +162,9 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
     """Iterate :func:`hb_extend_step` over ``targets``.
 
     Targets already inside the (growing) span are skipped, so feeding the
-    current domain back in is the identity.  A target failing the sandwich
-    test raises :class:`TargetNotInWC` carrying its index.
+    current domain back in is the identity.  Each step records its target's
+    index; a target failing the sandwich test raises :class:`TargetNotInWC`
+    carrying its index.
     """
     current = L
     steps = []
@@ -169,7 +175,7 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
             current, step = hb_extend_step(current, v, rule)
         except TargetNotInWC as exc:
             raise TargetNotInWC(idx) from exc
-        steps.append(step)
+        steps.append(replace(step, target_index=idx))
     return current, ExtensionTrace(tuple(steps))
 
 

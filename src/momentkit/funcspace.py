@@ -241,7 +241,10 @@ def check_adapted(
     with ``|g| <= eps*|f| + h`` solvable for every ``eps`` in the schedule.
 
     The per-candidate, per-eps feasibility rows are kept in the report so a
-    feasibility threshold inside the schedule stays visible.
+    feasibility threshold inside the schedule stays visible.  An ``h`` that
+    works at ``eps`` works at every larger one, so the schedule is walked up
+    from its smallest ``eps`` and the rows above the first feasible one are
+    inferred: a passing candidate costs one LP.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
@@ -259,7 +262,10 @@ def check_adapted(
         trials = []
         witness = None
         for ci, f in enumerate(candidates):
-            results = tuple((eps, dominates(g, f, B, eps)) for eps in eps_schedule)
+            k = len(eps_schedule)  # rows [0, k) are feasible
+            while k and not dominates(g, f, B, eps_schedule[k - 1]):
+                k -= 1
+            results = tuple((eps, i < k) for i, eps in enumerate(eps_schedule))
             trials.append(CandidateTrial(ci, results))
             if all(ok for _, ok in results):
                 witness = ci

@@ -300,14 +300,12 @@ class RepresentOptions:
 
 @dataclass(frozen=True)
 class TDecayEntry:
+    """``ok`` when ``T(g) <= eps*T(f) + 1e-8`` for every eps of the schedule;
+    a witness that is not block-constant has a NaN gap and is never ok."""
     target_index: int
-    eps: float
     t_target: float
     t_witness: float
-
-    @property
-    def ok(self) -> bool:
-        return self.t_target <= self.eps * self.t_witness + 1e-8
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -320,6 +318,7 @@ class RepresentationReport:
     positive_ok: bool
     worst_positive_value: float
     trace: ExtensionTrace
+    extended: Functional  # the functional the measure was built from
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -381,10 +380,10 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
 
     t_decay = []
     for gi, witness in sorted(witness_map.items()):
-        t_g = gap_T(Lt, mu, alg, A.basis[gi]) if alg.is_measurable(A.basis[gi]) else float("nan")
+        t_g = residuals[gi]
         t_f = gap_T(Lt, mu, alg, witness) if alg.is_measurable(witness) else float("nan")
-        for eps in opts.eps_schedule:
-            t_decay.append(TDecayEntry(gi, eps, t_g, t_f))
+        ok = all(t_g <= eps * t_f + 1e-8 for eps in opts.eps_schedule)
+        t_decay.append(TDecayEntry(gi, t_g, t_f, ok))
 
     positive_ok, worst = verify_positive(Lt, opts.tol)
 
@@ -397,6 +396,7 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
         positive_ok=positive_ok,
         worst_positive_value=worst,
         trace=trace,
+        extended=Lt,
         notes=tuple(notes + (["density hypothesis violated"] if not density.dense else [])),
         residual_tol_used=opts.residual_tol,
     )

@@ -400,18 +400,19 @@ def _scaled_cholesky_rank(H: np.ndarray):
     return rank, Rs * scale[None, :]
 
 
-def recover_atoms(m: MomentSequence) -> AtomicMeasure:
+def recover_atoms(m: MomentSequence, tol: float = PSD_TOL) -> AtomicMeasure:
     """Atomic measure matching the sequence through degree ``2r - 1``.
 
     The atom count ``r`` is the leading-chain numerical rank of the moment
     matrix (capped at d: recovering d+1 atoms would need moments beyond the
     truncation).  Atoms and weights come from the symmetric tridiagonal
-    recurrence matrix built out of Cholesky factor ratios.
+    recurrence matrix built out of Cholesky factor ratios.  A support matrix
+    failing the gate at ``tol`` raises :class:`NotPSD`.
     """
     arr = m.array()
     if np.abs(arr).max() == 0.0:
         return AtomicMeasure((), (), m.support)
-    violation = _support_violation(m, PSD_TOL)
+    violation = _support_violation(m, tol)
     if violation is not None:
         raise NotPSD(violation)
 
@@ -481,9 +482,7 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
     m_{2d+2} = b^T H_d^{-1} b (zero Schur complement); a singular H_d
     extends only by the moments of its unique rank-r atomic measure, which
     must reproduce the sequence through degree 2d inside the support.
-    Returns None when no extension exists.  A ``tol`` looser than
-    ``PSD_TOL`` can let the gate pass where :func:`recover_atoms` raises
-    :class:`NotPSD`.
+    Returns None when no extension exists.
     """
     if _support_violation(m, tol) is not None:
         return None
@@ -495,7 +494,7 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
         y = np.linalg.solve(R.T, b)  # H_d = R^T R, so b^T H_d^{-1} b = |y|^2
         ext = np.array([0.0, y @ y])
     else:
-        mu = recover_atoms(m)
+        mu = recover_atoms(m, tol)
         if not (verify_truncated(m, mu, through_degree=2 * d, tol=tol).passed
                 and mu.within_support()):
             return None

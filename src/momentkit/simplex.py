@@ -209,7 +209,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
     # Lexicographic scan order: per-row identity columns first (the
     # right-hand side is always compared before this order kicks in), then
     # the remaining columns by index.
-    rest = [j for j in range(n_total) if j not in set(identity_col.tolist())]
+    rest = sorted(set(range(n_total)) - set(identity_col.tolist()))
     scan_order = np.array(identity_col.tolist() + rest, dtype=int)
 
     iterations = 0

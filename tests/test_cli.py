@@ -157,6 +157,21 @@ def test_hb_extend_trace(tmp_path, capsys):
     assert out["functional"] == {"one": 1.0, "t0": 1.0}
 
 
+def test_hb_extend_reports_unsandwiched_target(tmp_path, capsys):
+    doc = {
+        "schema": "1",
+        "points": ["p0", "p1"],
+        "basis": {"e0": [1, 0]},
+        "functional": {"e0": 1.0},
+        "targets": {"t0": [2, 0], "t1": [0, 1]},
+    }
+    path = write(tmp_path, "hb.json", doc)
+    assert main(["hb-extend", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error_kind"] == "TargetNotInWC"
+    assert out["error"] == "target 1 fails the sandwich membership test"  # index in targets
+
+
 def test_hb_extend_rules(tmp_path, capsys):
     doc = {
         "schema": "1",
@@ -186,6 +201,14 @@ def test_build_measure_happy_and_counterexample(tmp_path, capsys):
     assert doc["verdict"] == "density-failed"
     assert doc["density"]["distances"] == pytest.approx([1.0, 1.0], abs=1e-9)
     assert doc["measure"]["mass"] == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+def test_build_measure_nonmeasurable_witness(tmp_path, capsys):
+    doc = dict(FS_DOC, points=["p0", "p1", "p2", "p3"], basis={"one": [1, 1, 1, 1]},
+               sigma_algebra=[[0, 1], [2, 3]], targets={"ramp": [0, 1, 2, 3]},
+               options={"subspace_variant": True}, witnesses={"one": "ramp"})
+    assert main(["build-measure", write(tmp_path, "w.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["t_decay_ok"] is False
 
 
 def test_verify_finite_space_measure(tmp_path, capsys):
@@ -280,3 +303,20 @@ def test_exit_code_totality(tmp_path):
 def test_tol_must_be_positive(tmp_path):
     path = write(tmp_path, "m.json", {"moments": [1, 0, 1]})
     assert main(["check", path, "--tol", "-1"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_grid_must_be_at_least_two(tmp_path, capsys, grid):
+    support = {"type": "interval", "a": -1, "b": 1}
+    path = write(tmp_path, "m.json", {"moments": [1, 0, 0.5], "support": support})
+    assert main(["check", path, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--grid must be at least 2" in captured.err
+
+
+def test_extend_moments_loose_tol(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"moments": [1, 0, -1e-6]})
+    assert main(["extend-moments", path, "--tol", "1e-5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "extended"
+    assert (doc["extension"]["m_next"], doc["extension"]["m_next_next"]) == (0, 0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
 import momentkit.extend
+from momentkit.simplex import collect_lp_stats
 
 from conftest import density_functional, ground, ones, random_subspace_with_one, scipy_lp, vec
 
@@ -156,6 +157,23 @@ def test_step_rejects_unsandwiched_target():
         mk.hb_extend_step(L, vec(g, [0, 1]))
 
 
+def test_step_solves_only_the_two_bound_lps():
+    g = ground(3)
+    L = mk.Functional(span_one(g), [1.0])
+    with collect_lp_stats() as stats:
+        mk.hb_extend_step(L, vec(g, [0, 1, 2]))
+    assert stats["solves"] == 2
+
+
+def test_step_unbounded_bound_is_not_a_sandwich_failure():
+    # The constants sandwich every target, so an unbounded bound LP means a
+    # non-positive functional, not a missing sandwich.
+    g = ground(2)
+    L = mk.Functional(span_one(g), [-1.0])
+    with pytest.raises(mk.LpUnbounded):
+        mk.hb_extend_step(L, vec(g, [0, 2]))
+
+
 def test_step_rules_stay_admissible():
     g = ground(3)
     L = mk.Functional(span_one(g), [1.0])
@@ -185,6 +203,14 @@ def test_extend_identity_on_in_span_targets():
     L2, trace = mk.hb_extend(L, [vec(g, [2, 2]), vec(g, [-1, -1])])
     assert trace.steps == ()
     assert L2 is L or np.allclose(L2.coeffs, L.coeffs)
+
+
+def test_extend_records_target_indices():
+    g = ground(3)
+    L = mk.Functional(span_one(g), [1.0])
+    targets = [vec(g, [2, 2, 2]), vec(g, [1, 0, 0]), vec(g, [3, 0, 0]), vec(g, [0, 1, 0])]
+    _, trace = mk.hb_extend(L, targets)
+    assert [step.target_index for step in trace.steps] == [1, 3]
 
 
 def test_extend_reports_failing_index():

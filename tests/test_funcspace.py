@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
+from momentkit.simplex import collect_lp_stats
 
 from conftest import ground, ones, random_subspace_with_one, vec
 
@@ -218,6 +219,38 @@ def test_adapted_threshold_at_eps_one():
     assert results[1.0] is True and results[0.1] is False  # threshold exposed
     # at eps >= 1 alone the candidate passes
     assert mk.check_adapted(A, B0, eps_schedule=(1.0,), candidates=[f]).passed
+
+
+def test_adapted_passing_candidate_costs_one_lp():
+    g = ground(3)
+    A = mk.Subspace(g, [ones(g), vec(g, [0, 1, 2])])
+    with collect_lp_stats() as stats:
+        report = mk.check_adapted(A, A, candidates=[ones(g)])
+    assert report.passed
+    assert stats["solves"] == A.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_adapted_rows_match_every_eps(seed):
+    # Rows above the first feasible eps are inferred, never solved; they must
+    # equal a direct domination test at that eps.
+    rng = np.random.default_rng(seed)
+    g = ground(int(rng.integers(2, 7)))
+    A = mk.Subspace(g, [vec(g, rng.normal(size=g.size))])
+    B = mk.Subspace(g, [vec(g, rng.normal(size=g.size)) for _ in range(rng.integers(0, g.size))])
+    candidates = [vec(g, rng.normal(size=g.size) * 10.0 ** rng.uniform(-1, 1))
+                  for _ in range(rng.integers(1, 4))]
+    schedule = tuple(sorted(set(10.0 ** rng.uniform(-2, 2, int(rng.integers(1, 7)))), reverse=True))
+    report = mk.check_adapted(A, B, eps_schedule=schedule, candidates=candidates)
+    (entry,) = report.entries
+    for trial in entry.trials:
+        f = candidates[trial.candidate_index]
+        assert trial.results == tuple((eps, mk.dominates(A.basis[0], f, B, eps))
+                                      for eps in schedule)
+    assert [t.candidate_index for t in entry.trials] == list(range(len(entry.trials)))
+    passing = [t.candidate_index for t in entry.trials if t.passed]
+    assert passing == ([] if entry.witness_index is None else [entry.witness_index])
 
 
 def test_adapted_empty_domain_vacuous():

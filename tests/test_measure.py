@@ -315,7 +315,20 @@ def test_pipeline_subspace_variant_with_witnesses():
     opts = mk.RepresentOptions(subspace_variant=True, witnesses={0: one, 1: one})
     mu, report = mk.represent_via_adapted(A, B, L, alg, opts)
     assert report.density_ok and report.max_residual <= 1e-9
+    assert [e.target_index for e in report.t_decay] == [0, 1]  # one entry per target
     assert all(e.ok for e in report.t_decay)
+
+
+def test_t_decay_nonmeasurable_witness_is_not_ok():
+    g = ground(4)
+    alg = mk.SigmaAlgebra(g, ((0, 1), (2, 3)))
+    A = mk.Subspace(g, [ones(g)])
+    L = mk.Functional(A, [4.0])
+    ramp = vec(g, [0, 1, 2, 3])  # not constant on the blocks: its gap is NaN
+    opts = mk.RepresentOptions(subspace_variant=True, witnesses={0: ramp})
+    _, report = mk.represent_via_adapted(A, full_simple_domain(g, alg), L, alg, opts)
+    (entry,) = report.t_decay
+    assert np.isnan(entry.t_witness) and not entry.ok
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,6 +346,7 @@ def test_gap_nonnegative_on_cone(seed):
     Lt = L
     for step in report.trace.steps:
         Lt = mk.Functional(Lt.domain.extended_by(step.target), np.append(Lt.coeffs, step.chosen))
+    assert np.array_equal(report.extended.coeffs, Lt.coeffs)  # the report's own functional
     f = mk.SimpleFunction(alg, np.abs(rng.normal(size=alg.n_blocks))).as_vec()
     assert mk.gap_T(Lt, mu, alg, f) >= -1e-9
 

@@ -340,6 +340,17 @@ def test_extend_search_refuses_unrepresentable(moments, support):
     assert mk.extend_search(seq(*moments, support=support)) is None
 
 
+def test_extend_search_loose_tol_reaches_recovery():
+    # A gate looser than PSD_TOL passes (1, 0, -1e-6); atom recovery must use
+    # the same gate instead of raising NotPSD at the default one.
+    m = seq(1, 0, -1e-6)
+    with pytest.raises(mk.NotPSD):
+        mk.recover_atoms(m)
+    assert mk.recover_atoms(m, tol=1e-5).atoms == (0.0,)
+    found = mk.extend_search(m, tol=1e-5)
+    assert found is not None and (found.m_next, found.m_next_next) == (0.0, 0.0)
+
+
 def test_extend_search_agrees_with_certificate():
     # Criterion 6's sequences: 3 supports x 200 known measures plus their defects.
     rng = np.random.default_rng(6)
