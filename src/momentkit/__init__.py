@@ -25,7 +25,6 @@ from .errors import (
 from .funcspace import (
     DEFAULT_EPS_SCHEDULE,
     AdaptednessReport,
-    ConeSpec,
     FunctionVec,
     GroundSet,
     Subspace,
@@ -48,7 +47,6 @@ from .extend import (
     wc_contains,
 )
 from .measure import (
-    BinnedApproximation,
     BinningSpec,
     DensityReport,
     Measure,

@@ -6,10 +6,6 @@ numerical path fully under our control.  Convergence is declared when the
 off-diagonal Frobenius mass drops below 1e-14 of the full Frobenius mass of
 the matrix (an absolute threshold would be unreachable in float64 once
 entries grow large, and a looser one would poison small eigenvalues).
-
-The rotation kernel is JIT-compiled with numba when it is installed
-(pure-Python fallback otherwise; both paths execute the same statements, so
-results are bit-identical).
 """
 
 from __future__ import annotations
@@ -74,14 +70,6 @@ def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
     if off <= threshold:
         return max_sweeps
     return -1
-
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _jacobi_kernel = njit(cache=True)(_jacobi_kernel)
-except Exception:  # numba missing or broken: same kernel, interpreted
-    pass
 
 
 def jacobi_eigh(matrix, need_vectors: bool = True):

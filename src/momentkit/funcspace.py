@@ -85,20 +85,6 @@ def _same_ground(*objs) -> GroundSet:
     return objs[0].ground
 
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """The only cone in scope: functions that are pointwise nonnegative."""
-
-    kind: str = "pointwise-nonneg"
-
-    def __post_init__(self):
-        if self.kind != "pointwise-nonneg":
-            raise ValueError(f"unsupported cone kind: {self.kind!r}")
-
-
-POINTWISE_NONNEG = ConeSpec()
-
-
 class Subspace:
     """Span of finitely many function vectors (possibly empty).
 
@@ -160,7 +146,7 @@ class Subspace:
         return Subspace(self.ground, self.basis + (v,))
 
 
-def cone_contains(f: FunctionVec, tol: float = 0.0, cone: ConeSpec = POINTWISE_NONNEG) -> bool:
+def cone_contains(f: FunctionVec, tol: float = 0.0) -> bool:
     """Is ``f`` pointwise nonnegative, allowing dips down to ``-tol``?"""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -223,12 +209,6 @@ class AdaptednessReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def witness_for(self, target_index: int) -> int | None:
-        for e in self.entries:
-            if e.target_index == target_index:
-                return e.witness_index
-        return None
 
 
 def check_adapted(

@@ -124,7 +124,6 @@ class FiniteSpaceInput:
     functional: Functional | None
     algebra: SigmaAlgebra | None
     designated: Subspace | None          # optional "b_basis" subspace
-    designated_names: tuple[str, ...]
     targets: tuple[tuple[str, FunctionVec], ...]
     witnesses: dict[int, FunctionVec]
     subspace_variant: bool
@@ -227,9 +226,8 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
             raise SchemaError("sigma_algebra", str(exc)) from exc
 
     designated = None
-    designated_names: tuple[str, ...] = ()
     if "b_basis" in doc:
-        designated_names, vecs = _parse_named_vectors(doc["b_basis"], ground, "b_basis")
+        _, vecs = _parse_named_vectors(doc["b_basis"], ground, "b_basis")
         try:
             designated = Subspace(ground, vecs)
         except ValueError as exc:
@@ -271,7 +269,6 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         functional=functional,
         algebra=algebra,
         designated=designated,
-        designated_names=designated_names,
         targets=targets,
         witnesses=witnesses,
         subspace_variant=subspace_variant,

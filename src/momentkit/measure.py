@@ -37,6 +37,7 @@ from .simplex import solve_lp
 MEASURABLE_TOL = 1e-10
 MASS_ERROR_TOL = 1e-8
 DENSITY_TOL = 1e-8
+RESIDUAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -164,17 +165,7 @@ def seminorm_rho(L: Functional, f: FunctionVec) -> float:
     return L(f.abs())
 
 
-@dataclass(frozen=True)
-class BinnedApproximation:
-    algebra: SigmaAlgebra
-    simple: SimpleFunction
-    width: float
-
-    def as_vec(self) -> FunctionVec:
-        return self.simple.as_vec()
-
-
-def approx_below(f: FunctionVec, spec: BinningSpec) -> BinnedApproximation:
+def approx_below(f: FunctionVec, spec: BinningSpec) -> SimpleFunction:
     """Lower simple-function approximation on uniform value bins.
 
     The k-th bin collects points with value in ``[a+(k-1)w, a+kw)`` and is
@@ -203,8 +194,7 @@ def approx_below(f: FunctionVec, spec: BinningSpec) -> BinnedApproximation:
     order = sorted(set(k.tolist()))
     blocks = tuple(tuple(np.nonzero(k == kk)[0].tolist()) for kk in order)
     algebra = SigmaAlgebra(f.ground, blocks)
-    simple = SimpleFunction(algebra, np.array([spec.a + kk * w for kk in order]))
-    return BinnedApproximation(algebra, simple, w)
+    return SimpleFunction(algebra, np.array([spec.a + kk * w for kk in order]))
 
 
 def build_measure(Lbar: Functional, alg: SigmaAlgebra) -> Measure:
@@ -289,12 +279,9 @@ def gap_T(Ltilde: Functional, mu: Measure, alg: SigmaAlgebra, f: FunctionVec) ->
 @dataclass(frozen=True)
 class RepresentOptions:
     rule: str = "midpoint"
-    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     tol: float = DENSITY_TOL
-    residual_tol: float = 1e-7
     subspace_variant: bool = False
     witnesses: dict | None = None  # basis index -> FunctionVec, for the subspace variant
-    candidates: tuple[FunctionVec, ...] | None = None
     strict: bool = False
 
 
@@ -327,10 +314,7 @@ class RepresentationReport:
 
     @property
     def certified(self) -> bool:
-        return self.density_ok and self.positive_ok and self.max_residual <= self.residual_tol_used
-
-    # kept on the report so `certified` is self-contained
-    residual_tol_used: float = 1e-7
+        return self.density_ok and self.positive_ok and self.max_residual <= RESIDUAL_TOL
 
 
 def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
@@ -372,8 +356,8 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
         elif A.dim:
             notes.append("no domination witnesses supplied; gap decay not checked")
     else:
-        candidates = list(opts.candidates) if opts.candidates is not None else default_candidates(A)
-        adaptedness = check_adapted(A, B, opts.eps_schedule, candidates)
+        candidates = default_candidates(A)
+        adaptedness = check_adapted(A, B, candidates=candidates)
         for entry in adaptedness.entries:
             if entry.witness_index is not None:
                 witness_map[entry.target_index] = candidates[entry.witness_index]
@@ -382,7 +366,7 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
     for gi, witness in sorted(witness_map.items()):
         t_g = residuals[gi]
         t_f = gap_T(Lt, mu, alg, witness) if alg.is_measurable(witness) else float("nan")
-        ok = all(t_g <= eps * t_f + 1e-8 for eps in opts.eps_schedule)
+        ok = all(t_g <= eps * t_f + 1e-8 for eps in DEFAULT_EPS_SCHEDULE)
         t_decay.append(TDecayEntry(gi, t_g, t_f, ok))
 
     positive_ok, worst = verify_positive(Lt, opts.tol)
@@ -398,7 +382,6 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
         trace=trace,
         extended=Lt,
         notes=tuple(notes + (["density hypothesis violated"] if not density.dense else [])),
-        residual_tol_used=opts.residual_tol,
     )
     if opts.strict and not density.dense:
         raise DensityFailed(

@@ -409,22 +409,23 @@ def recover_atoms(m: MomentSequence, tol: float = PSD_TOL) -> AtomicMeasure:
     recurrence matrix built out of Cholesky factor ratios.  A support matrix
     failing the gate at ``tol`` raises :class:`NotPSD`.
     """
-    arr = m.array()
-    if np.abs(arr).max() == 0.0:
-        return AtomicMeasure((), (), m.support)
     violation = _support_violation(m, tol)
     if violation is not None:
         raise NotPSD(violation)
+    rank, _ = _scaled_cholesky_rank(_hankel_array(m.array(), m.d + 1))
+    return _atoms(m, rank)
 
-    H_full = _hankel_array(arr, m.d + 1)
-    rank, _ = _scaled_cholesky_rank(H_full)
+
+def _atoms(m: MomentSequence, rank: int) -> AtomicMeasure:
+    """The ``min(rank, d)``-atom measure of ``m``, given the numerical rank
+    of its moment matrix H_d; the support gate is the caller's."""
     r = min(rank, m.d)
     if r == 0:
         return AtomicMeasure((), (), m.support)
 
     # Recurrence coefficients from the Cholesky factor of the (r+1)-sized
     # leading moment matrix; only rows 0..r-1 are needed (and available).
-    _, R = _scaled_cholesky_rank(_hankel_array(arr, r + 1))
+    _, R = _scaled_cholesky_rank(_hankel_array(m.array(), r + 1))
     alpha = np.empty(r)
     beta = np.empty(max(r - 1, 0))
     for j in range(r):
@@ -476,13 +477,18 @@ def verify_truncated(m: MomentSequence, mu: AtomicMeasure,
 def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate | None:
     """Two more moments m_{2d+1}, m_{2d+2} keeping the bigger moment matrix PSD.
 
-    Decided by the truncated moment theorem on the line (Curto & Fialkow
-    1991): a support matrix below the shared gate has no extension; a
-    positive definite H_d has the flat extension m_{2d+1} = 0,
-    m_{2d+2} = b^T H_d^{-1} b (zero Schur complement); a singular H_d
-    extends only by the moments of its unique rank-r atomic measure, which
-    must reproduce the sequence through degree 2d inside the support.
-    Returns None when no extension exists.
+    Decided by the truncated moment theorems (Curto & Fialkow 1991): a
+    support matrix below the shared gate has no extension.  A positive
+    definite H_d has the flat extension m_{2d+2} = b^T H_d^{-1} b (zero
+    Schur complement), with m_{2d+1} = 0 on the line.  On support with a
+    left endpoint a, m_{2d+1} = a m_{2d} + c^T S^{-1} c instead, where S is
+    the d x d Hankel matrix of s_k = m_{k+1} - a m_k and c = (s_d..s_{2d-1}):
+    the flat extension is then the measure with d+1 atoms, all >= a (the
+    lower principal measure on an interval).  A singular S leaves no
+    measure on [a, inf), since a positive definite H_d needs d+1 atoms.
+    A singular H_d extends only by the moments of its unique rank-r atomic
+    measure, which must reproduce the sequence through degree 2d inside the
+    support.  Returns None when no extension exists.
     """
     if _support_violation(m, tol) is not None:
         return None
@@ -490,11 +496,20 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
     d = m.d
     rank, R = _scaled_cholesky_rank(_hankel_array(arr, d + 1))
     if rank == d + 1:
-        b = np.append(arr[d + 1:], 0.0)
+        m_odd = 0.0
+        a = {"halfline": 0.0, "interval": m.support.a}.get(m.support.kind)
+        if a is not None:
+            s = arr[1:] - a * arr[:-1]
+            rank_s, R_s = _scaled_cholesky_rank(_hankel_array(s, d))
+            if rank_s < d:
+                return None
+            y = np.linalg.solve(R_s.T, s[d:])
+            m_odd = a * arr[-1] + y @ y
+        b = np.append(arr[d + 1:], m_odd)
         y = np.linalg.solve(R.T, b)  # H_d = R^T R, so b^T H_d^{-1} b = |y|^2
-        ext = np.array([0.0, y @ y])
+        ext = np.array([m_odd, y @ y])
     else:
-        mu = recover_atoms(m, tol)
+        mu = _atoms(m, rank)
         if not (verify_truncated(m, mu, through_degree=2 * d, tol=tol).passed
                 and mu.within_support()):
             return None

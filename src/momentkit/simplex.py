@@ -88,6 +88,12 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
     if active.size == 1:
         return int(active[0])
     inv = 1.0 / column[active]
+    # The tie-break runs on most pivots (about 9 in 10 on the grid LPs, 2 in
+    # 3 on the finite-space LPs), and its first informative column is nearly
+    # always among the first 20 of the scan order, so one 64-column chunk
+    # usually settles it.  Gathering the whole scan order at once kept every
+    # pivot and was no faster: 7-12% fewer moment-check ops/s in two
+    # benchmark pairs, and finite-space within noise.
     chunk = 64
     for pos in range(0, scan_order.size, chunk):
         cols = scan_order[pos:pos + chunk]
@@ -265,14 +271,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
     return LpSolution("optimal", x, float(c @ x), iterations)
 
 
-def lp_feasible(a_ub=None, b_ub=None, a_eq=None, b_eq=None, n_vars=None) -> bool:
-    """Feasibility probe: is the polyhedron nonempty?"""
-    if n_vars is None:
-        if a_ub is not None:
-            n_vars = np.atleast_2d(np.asarray(a_ub, dtype=float)).shape[1]
-        elif a_eq is not None:
-            n_vars = np.atleast_2d(np.asarray(a_eq, dtype=float)).shape[1]
-        else:
-            return True
-    sol = solve_lp(np.zeros(n_vars), a_ub, b_ub, a_eq, b_eq)
-    return sol.optimal
+def lp_feasible(a_ub, b_ub) -> bool:
+    """Feasibility probe: is ``{x : a_ub @ x <= b_ub}`` nonempty?"""
+    n_vars = np.atleast_2d(np.asarray(a_ub, dtype=float)).shape[1]
+    return solve_lp(np.zeros(n_vars), a_ub, b_ub).optimal

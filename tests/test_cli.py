@@ -253,12 +253,22 @@ def test_jobs_fan_out(tmp_path):
 @pytest.mark.parametrize("moments, support", [
     ([1, 0, 0, 0, 1], {"type": "line"}),
     ([1, 0, 1, 0, 1], {"type": "halfline"}),
+    ([1, 0, 1], {"type": "halfline"}),
 ])
 def test_extend_moments_refuses_unrepresentable(tmp_path, capsys, moments, support):
     path = write(tmp_path, "m.json", {"moments": moments, "support": support})
     assert main(["extend-moments", path]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "no-positive-extension" and doc["extension"] is None
+
+
+def test_extend_moments_halfline_flat_extension(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"moments": [1, 1, 2], "support": {"type": "halfline"}})
+    assert main(["extend-moments", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "extended"
+    ext = doc["extension"]
+    assert (ext["m_next"], ext["m_next_next"]) == pytest.approx((4.0, 8.0), abs=1e-12)
 
 
 def test_jobs_capped_by_inputs_and_cores(tmp_path, monkeypatch):

@@ -42,11 +42,6 @@ def test_subspace_membership():
         W.coefficients_of(vec(g, [0, 1, 0]))
 
 
-def test_cone_spec_kind():
-    with pytest.raises(ValueError):
-        mk.ConeSpec("sums-of-squares")
-
-
 # --- cone_contains --------------------------------------------------------------
 
 def test_cone_zero_function():

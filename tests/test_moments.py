@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
+from momentkit import moments as moments_mod
 
 from conftest import atomic_moments
 from test_acceptance import _known_measure
@@ -335,9 +336,43 @@ def test_extend_search_flat_truncation():
 @pytest.mark.parametrize("moments, support", [
     ((1, 0, 0, 0, 1), mk.Support.line()),  # PSD but not recursively generated
     ((1, 0, 1, 0, 1), mk.Support.halfline()),  # localizing matrix indefinite
+    ((1, 0, 1), mk.Support.halfline()),  # H_1 definite, yet m_1 = 0 forces a Dirac at 0
 ])
 def test_extend_search_refuses_unrepresentable(moments, support):
     assert mk.extend_search(seq(*moments, support=support)) is None
+
+
+def _passes_gate(m, found, tol=1e-8):
+    ext = mk.MomentSequence(m.moments + (found.m_next, found.m_next_next), m.support)
+    return moments_mod._support_violation(ext, tol) is None
+
+
+def test_extend_search_halfline_keeps_localizing_psd():
+    # The line's m_3 = 0 would make the shifted matrix [[1, 2], [2, 0]];
+    # the flat extension is the measure (delta_0 + delta_2) / 2.
+    m = seq(1, 1, 2, support=mk.Support.halfline())
+    found = mk.extend_search(m)
+    assert (found.m_next, found.m_next_next) == pytest.approx((4.0, 8.0), abs=1e-12)
+    assert _passes_gate(m, found)
+
+
+def test_extend_search_zero_sequence():
+    found = mk.extend_search(seq(0, 0, 0))
+    assert (found.m_next, found.m_next_next) == (0.0, 0.0)
+
+
+def test_extend_search_singular_runs_the_gate_once(monkeypatch):
+    calls = []
+    gate = moments_mod._support_violation
+
+    def counting(m, tol):
+        calls.append(m)
+        return gate(m, tol)
+
+    monkeypatch.setattr(moments_mod, "_support_violation", counting)
+    found = mk.extend_search(seq(1, 0, 1, 0, 1))  # rank-2 H_2: atoms -1 and 1
+    assert (found.m_next, found.m_next_next) == pytest.approx((0.0, 1.0), abs=1e-12)
+    assert len(calls) == 1
 
 
 def test_extend_search_loose_tol_reaches_recovery():
@@ -354,7 +389,7 @@ def test_extend_search_loose_tol_reaches_recovery():
 def test_extend_search_agrees_with_certificate():
     # Criterion 6's sequences: 3 supports x 200 known measures plus their defects.
     rng = np.random.default_rng(6)
-    disagreements = []
+    disagreements, gate_failures = [], []
     for kind in ("line", "halfline", "interval"):
         for trial in range(200):
             m = _known_measure(rng, kind)
@@ -365,10 +400,14 @@ def test_extend_search_agrees_with_certificate():
                 mom[2] = -abs(mom[2]) - 0.3
             for s in (m, mk.MomentSequence(tuple(mom), m.support)):
                 verdict = mk.positivity_certificate(s, 1e-8).verdict
-                extended = mk.extend_search(s, 1e-8) is not None
+                found = mk.extend_search(s, 1e-8)
+                extended = found is not None
                 if verdict != "inconclusive" and extended != (verdict == "representable"):
                     disagreements.append((kind, trial, verdict, s.moments))
+                if extended and not _passes_gate(s, found):
+                    gate_failures.append((kind, trial, s.moments))
     assert not disagreements, disagreements[:3]
+    assert not gate_failures, gate_failures[:3]
 
 
 def test_lambda_min_concavity_spot_check():
