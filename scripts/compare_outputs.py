@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Dump and diff the outputs of the benchmark's workload inputs.
+
+``dump`` runs every operation of the given blocks (the inputs that
+``benchmark/run.py`` generates from each seed) once, in process, and writes
+one JSON line per operation: workload, seed, verb, input name, verdict,
+exit code and canonical JSON output.  ``diff`` compares two dumps, for
+example of two commits::
+
+    python3 scripts/compare_outputs.py dump --workload finite-space --seeds 7 8 \\
+        --blocks 2 --out new.jsonl
+    python3 scripts/compare_outputs.py dump --root ../old-checkout --workload finite-space \\
+        --seeds 7 8 --blocks 2 --out old.jsonl
+    python3 scripts/compare_outputs.py diff old.jsonl new.jsonl
+
+``diff`` prints, per workload, the operations whose verdict or exit code
+differ, how many outputs changed with and without their ``diagnostics``,
+and the largest float drift |a - b| / max(1, |a|).  It exits 1 when a
+verdict or an exit code differs or an operation is missing on one side.
+"""
+
+import argparse
+import importlib.util
+import json
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("moment-check", "moment-extend", "finite-space")
+
+
+def _load_runner(root: Path):
+    """``benchmark/run.py`` of ``root``, with ``root/src`` first on the path."""
+    sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
+    spec = importlib.util.spec_from_file_location("benchmark_run", root / "benchmark" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dump(args) -> int:
+    root = Path(args.root).resolve()
+    runner = _load_runner(root)
+    from momentkit import cli
+
+    runner.configure_logging()
+    with tempfile.TemporaryDirectory() as tmp, open(args.out, "w", encoding="utf-8") as out:
+        for workload in args.workload:
+            for seed in args.seeds:
+                for index in range(args.blocks):
+                    block = Path(tmp) / f"{workload}-s{seed}-b{index:03d}"
+                    block.mkdir()
+                    for verb, path in runner.block_ops(workload, seed, index, block):
+                        result = cli.run(cli.Command(verb, path))
+                        out.write(json.dumps({
+                            "workload": workload, "seed": seed, "verb": verb,
+                            "input": Path(path).name, "verdict": result.verdict,
+                            "exit_code": result.exit_code, "output": result.to_json(),
+                        }) + "\n")
+    return 0
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        rows = (json.loads(line) for line in fh if line.strip())
+        return {(r["workload"], r["seed"], r["verb"], r["input"]): r for r in rows}
+
+
+def _drift(a, b):
+    """Largest |a - b| / max(1, |a|) over the numbers of two JSON values,
+    or None when they differ in anything but numbers."""
+    if type(a) is not type(b) and not {type(a), type(b)} <= {int, float}:
+        return None
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return None
+        pairs = zip(a, b)
+    elif isinstance(a, (int, float)) and not isinstance(a, bool):
+        return abs(a - b) / max(1.0, abs(a))
+    else:
+        return 0.0 if a == b else None
+    drifts = [_drift(x, y) for x, y in pairs]
+    return None if None in drifts else max(drifts, default=0.0)
+
+
+def _without_diagnostics(text):
+    doc = json.loads(text)
+    doc.pop("diagnostics", None)
+    return doc
+
+
+def diff(args) -> int:
+    old, new = _read(args.a), _read(args.b)
+    bad = 0
+    for key in sorted(old.keys() ^ new.keys()):
+        print(f"only in {'A' if key in old else 'B'}: {' '.join(map(str, key))}")
+        bad += 1
+    stats = defaultdict(lambda: {"ops": 0, "changed": 0, "changed_without_diagnostics": 0,
+                                 "non_numeric": 0, "max_drift": 0.0})
+    for key in sorted(old.keys() & new.keys()):
+        a, b = old[key], new[key]
+        s = stats[key[0]]
+        s["ops"] += 1
+        if (a["verdict"], a["exit_code"]) != (b["verdict"], b["exit_code"]):
+            print(f"verdict differs: {' '.join(map(str, key))}: "
+                  f"{a['verdict']} ({a['exit_code']}) -> {b['verdict']} ({b['exit_code']})")
+            bad += 1
+        if a["output"] == b["output"]:
+            continue
+        s["changed"] += 1
+        doc_a, doc_b = _without_diagnostics(a["output"]), _without_diagnostics(b["output"])
+        s["changed_without_diagnostics"] += doc_a != doc_b
+        d = _drift(doc_a, doc_b)
+        if d is None:
+            s["non_numeric"] += 1
+        else:
+            s["max_drift"] = max(s["max_drift"], d)
+    for workload, s in sorted(stats.items()):
+        print(f"{workload}: {s['ops']} ops, {s['changed']} outputs changed, "
+              f"{s['changed_without_diagnostics']} without diagnostics, "
+              f"{s['non_numeric']} in more than numbers, max float drift {s['max_drift']:.3g}")
+    print(f"verdict, exit-code or missing-op differences: {bad}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="run the workload inputs and write JSONL")
+    p.add_argument("--workload", nargs="+", choices=WORKLOADS, required=True)
+    p.add_argument("--seeds", nargs="+", type=int, required=True)
+    p.add_argument("--blocks", type=int, default=1, help="input blocks per seed (default 1)")
+    p.add_argument("--root", default=str(ROOT),
+                   help="checkout whose src/ and benchmark/ are used (default: this one)")
+    p.add_argument("--out", required=True, help="JSONL file to write")
+    p.set_defaults(func=dump)
+    p = sub.add_parser("diff", help="compare two dumps")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.set_defaults(func=diff)
+    args = parser.parse_args(argv)
+    return args.func(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -425,6 +425,9 @@ def main(argv=None) -> int:
     if args.grid < 2:
         print("momentkit: --grid must be at least 2", file=sys.stderr)
         return EXIT_INPUT
+    if args.bins < 1:
+        print("momentkit: --bins must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
 
     jobs = []
     for path in args.inputs:

@@ -13,8 +13,18 @@ entering uses Dantzig's most-negative reduced cost.  Plain smallest-index
 (Bland) pricing was tried first and stalled for tens of thousands of
 degenerate pivots on the grid-positivity LPs.
 
+Before the tableau is built, inequality rows with equal coefficients are
+merged into one row at their smallest right-hand side, kept in the order of
+their first occurrence (the first presolve step of Andersen & Andersen 1995,
+*Presolving in linear programming*).  On a finite space the measurable
+functions are block-constant, so every pointwise constraint over them repeats
+once per point of its block; only about a third of the finite-space rows are
+distinct.  The copies would tie in every ratio test and feed the
+lexicographic tie-break.  Equality rows are left alone, and ``x`` is in the
+caller's variables either way.
+
 Deliberately dense and deliberately small: problems are capped at 500
-constraint rows and 500 structural columns.
+constraint rows and 500 structural columns, counted before the merge.
 """
 
 from __future__ import annotations
@@ -88,12 +98,13 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
     if active.size == 1:
         return int(active[0])
     inv = 1.0 / column[active]
-    # The tie-break runs on most pivots (about 9 in 10 on the grid LPs, 2 in
-    # 3 on the finite-space LPs), and its first informative column is nearly
-    # always among the first 20 of the scan order, so one 64-column chunk
-    # usually settles it.  Gathering the whole scan order at once kept every
-    # pivot and was no faster: 7-12% fewer moment-check ops/s in two
-    # benchmark pairs, and finite-space within noise.
+    # The tie-break runs on many pivots (about 9 in 10 on the grid LPs, 4 in
+    # 10 on the finite-space LPs once their copied rows are merged), and its
+    # first informative column is nearly always among the first 20 of the
+    # scan order, so one 64-column chunk usually settles it.  Gathering the
+    # whole scan order at once kept every pivot and was no faster: 7-12%
+    # fewer moment-check ops/s in two benchmark pairs, and finite-space
+    # within noise.
     chunk = 64
     for pos in range(0, scan_order.size, chunk):
         cols = scan_order[pos:pos + chunk]
@@ -142,9 +153,12 @@ def _iterate(T: np.ndarray, basis: np.ndarray, enter_cols: int,
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
 
-    Every component of ``x`` is free.  Returns an :class:`LpSolution`; a
-    solver breakdown (iteration budget, size cap) raises :class:`LpFailure`
-    while infeasible/unbounded are reported as statuses.
+    Every component of ``x`` is free.  Inequality rows with equal
+    coefficients are solved as one row at their smallest right-hand side;
+    the size cap and the finiteness check see the LP as given.  Returns an
+    :class:`LpSolution`; a solver breakdown (iteration budget, size cap)
+    raises :class:`LpFailure` while infeasible/unbounded are reported as
+    statuses.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
@@ -172,6 +186,22 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
             and np.all(np.isfinite(a_eq)) and np.all(np.isfinite(b_eq))
             and np.all(np.isfinite(c))):
         raise LpFailure("LP data contains non-finite entries")
+
+    # Presolve: copied inequality rows become one row at their smallest
+    # right-hand side, in first-occurrence order (see the module docstring).
+    # A stable sort puts each row's copies together, first occurrence first.
+    if m_ub > 1 and n:
+        perm = np.lexsort(a_ub.T)
+        ranked = a_ub[perm]
+        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+        if starts.size < m_ub:
+            b_min = np.minimum.reduceat(b_ub[perm], starts)
+            first = perm[starts]
+            order = np.argsort(first)
+            a_ub, b_ub = a_ub[first[order]], b_min[order]
+            m_ub = starts.size
+            m = m_ub + m_eq
+            n_struct = 2 * n + m_ub
 
     # Split free variables, append slacks: columns are [x+, x-, slack].
     A = np.zeros((m, n_struct))

@@ -211,6 +211,28 @@ def test_build_measure_nonmeasurable_witness(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["t_decay_ok"] is False
 
 
+def test_build_measure_pivot_count(tmp_path, capsys):
+    # 24 points in 4 blocks: each block-constant row repeats 6 times.  Merging
+    # copied LP rows took this from 211 pivots to 99; pin it so the merge
+    # cannot be dropped silently.
+    rng = np.random.default_rng(24)
+    assign = np.repeat(np.arange(4), 6)
+    rng.shuffle(assign)
+    basis = {"one": np.ones(24), "g1": rng.normal(size=4)[assign],
+             "g2": rng.normal(size=4)[assign]}
+    omega = rng.uniform(0.0, 2.0, 24)
+    doc = {
+        "points": [f"p{i}" for i in range(24)],
+        "basis": {k: v.tolist() for k, v in basis.items()},
+        "functional": {k: float(omega @ v) for k, v in basis.items()},
+        "sigma_algebra": [np.nonzero(assign == b)[0].tolist() for b in range(4)],
+        "targets": {"t0": rng.normal(size=24).tolist(), "t1": rng.normal(size=24).tolist()},
+    }
+    assert main(["build-measure", write(tmp_path, "fs.json", doc)]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert (diag["lp_solves"], diag["lp_iterations"]) == (18, 99)
+
+
 def test_verify_finite_space_measure(tmp_path, capsys):
     good = dict(FS_DOC, measure={"mass": [1.0, 1.0]})
     path = write(tmp_path, "v.json", good)
@@ -322,6 +344,14 @@ def test_grid_must_be_at_least_two(tmp_path, capsys, grid):
     assert main(["check", path, "--grid", grid]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--grid must be at least 2" in captured.err
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_bins_must_be_at_least_one(tmp_path, capsys, bins):
+    path = write(tmp_path, "fs.json", FS_DOC)
+    assert main(["build-measure", path, "--bins", bins]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--bins must be at least 1" in captured.err
 
 
 def test_extend_moments_loose_tol(tmp_path, capsys):

@@ -16,11 +16,27 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script):
+def _run(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    proc = _run(script, *SCRIPTS[script])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_compare_outputs_self_diff(tmp_path):
+    dump = tmp_path / "dump.jsonl"
+    proc = _run("compare_outputs.py", "dump", "--workload", "moment-extend", "--seeds", "7",
+                "--out", str(dump))
+    assert proc.returncode == 0, proc.stderr
+    assert dump.read_text(encoding="utf-8").count("\n") > 0
+    proc = _run("compare_outputs.py", "diff", str(dump), str(dump))
+    assert proc.returncode == 0, proc.stderr
+    assert "0 outputs changed" in proc.stdout
+    assert "differences: 0" in proc.stdout

@@ -42,6 +42,35 @@ def test_size_cap():
         solve_lp(np.zeros(300), a_ub=np.zeros((1, 300)), b_ub=[1.0])
 
 
+def test_size_cap_counts_rows_before_merging():
+    # 501 copies of one row are one constraint, but the cap applies to the LP as given
+    with pytest.raises(LpFailure):
+        solve_lp([1.0], a_ub=np.ones((501, 1)), b_ub=np.arange(501.0))
+
+
+def test_copied_rows_solve_as_merged():
+    # Copies of a row at different right-hand sides are the row at the
+    # smallest one, in first-occurrence order.  On this degenerate LP the
+    # unmerged tableau pivots differently (5 pivots, not 6).
+    base = [[-0.8, -1.3, -0.2], [0.4, 1.1, 0.1], [-0.6, -0.8, 0.7],
+            [1.6, 0.3, -1.2], [-1.0, 1.6, 0.2], [1.0, 1.0, 1.0]]
+    a = base + [base[0], base[5], base[2], base[1], base[3]]
+    b = [1.3, 0.0, 0.0, 1.0, 0.0, 3.0] + [2.2, 3.9, 0.0, 0.7, 0.6]
+    c = [0.0, 0.0, -0.3]
+    sol = solve_lp(c, a_ub=a, b_ub=b)
+    ref = solve_lp(c, a_ub=base, b_ub=[1.3, 0.0, 0.0, 0.6, 0.0, 3.0])
+    assert sol.optimal and sol.objective == pytest.approx(-0.072, abs=1e-12)
+    assert (sol.status, sol.objective, sol.iterations) == \
+        (ref.status, ref.objective, ref.iterations)
+    assert np.array_equal(sol.x, ref.x)
+
+
+def test_tighter_copy_makes_infeasible():
+    # x >= 1 and x <= 2 is feasible; a copy x <= 0.5 of the second row is not
+    sol = solve_lp([1.0], a_ub=[[-1.0], [1.0], [1.0]], b_ub=[-1.0, 2.0, 0.5])
+    assert sol.status == "infeasible"
+
+
 def test_non_finite_rejected():
     with pytest.raises(LpFailure):
         solve_lp([np.nan])
@@ -89,6 +118,29 @@ def test_matches_reference_solver(data):
     if sol.optimal:
         assert sol.objective == pytest.approx(ref_obj, rel=1e-6, abs=1e-7)
         # the reported point must satisfy the constraints
+        assert np.all(a_ub @ sol.x <= b_ub + 1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_duplicated_rows_match_reference_solver(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 8))
+    base = rng.normal(size=(m, n))
+    copies = rng.integers(0, m, size=data.draw(st.integers(1, 3 * m)))
+    a_ub = np.vstack([base, base[copies]])
+    b_ub = rng.normal(size=a_ub.shape[0])
+    shift = rng.choice([-1.0, 0.0, 1.0], size=copies.size) * rng.uniform(0.0, 0.5, copies.size)
+    b_ub[m:] = b_ub[copies] + shift  # looser, equal or tighter copies
+    order = rng.permutation(a_ub.shape[0])
+    a_ub, b_ub = a_ub[order], b_ub[order]
+    c = rng.normal(size=n)
+    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    ref_status, ref_obj = scipy_lp(c, a_ub=a_ub, b_ub=b_ub)
+    assert sol.status == ref_status
+    if sol.optimal:
+        assert sol.objective == pytest.approx(ref_obj, rel=1e-6, abs=1e-7)
         assert np.all(a_ub @ sol.x <= b_ub + 1e-7)
 
 
