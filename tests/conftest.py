@@ -69,15 +69,14 @@ def scipy_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
                   bounds=(None, None), method="highs")
     if res.status == 0:
         return "optimal", res.fun
-    if res.status == 2:
-        return "infeasible", None
     if res.status == 3:
         return "unbounded", None
-    if res.status == 4:
-        # HiGHS can stop with model status "Unknown" on a feasible LP that has
-        # an improving recession direction. Decide such a case by two solves
-        # that HiGHS does finish: a feasibility probe, and a search for a ray
-        # d in the unit box with a_ub d <= 0, a_eq d = 0 and c.d < 0.
+    if res.status in (2, 4):
+        # HiGHS can stop with model status "Unknown", or even "Infeasible"
+        # from its presolve, on a feasible LP that has an improving recession
+        # direction. Decide such a case by two solves that HiGHS does finish:
+        # a feasibility probe, and a search for a ray d in the unit box with
+        # a_ub d <= 0, a_eq d = 0 and c.d < 0.
         n = len(c)
         feas = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                        bounds=(None, None), method="highs")

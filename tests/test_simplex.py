@@ -103,6 +103,18 @@ def test_degenerate_vertex_converges():
     assert sol.objective == pytest.approx(ref_obj, abs=1e-7)
 
 
+def test_reference_settles_highs_infeasible_on_unbounded_lp():
+    # x = 0 is feasible (every b_ub > 0) and an improving ray exists, yet
+    # HiGHS's presolve reports this LP "Infeasible"; the reference must not.
+    rng = np.random.default_rng(160)
+    a_ub = rng.normal(size=(4, 3))
+    b_ub = rng.normal(size=4)
+    c = rng.normal(size=3)
+    assert np.all(b_ub > 0)
+    assert solve_lp(c, a_ub=a_ub, b_ub=b_ub).status == "unbounded"
+    assert scipy_lp(c, a_ub=a_ub, b_ub=b_ub) == ("unbounded", None)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_matches_reference_solver(data):
