@@ -211,6 +211,16 @@ def _run_check(cmd: Command, inp: MomentInput) -> RunResult:
     return RunResult("inconclusive", EXIT_NUMERICAL, payload)
 
 
+def _verification(report) -> dict:
+    return {
+        "through_degree": report.through_degree,
+        "max_relative_residual": report.max_relative_residual,
+        "degree_2d_residual": report.degree_2d_residual,
+        "tol": report.tol,
+        "passed": report.passed,
+    }
+
+
 def _run_represent(cmd: Command, inp: MomentInput) -> RunResult:
     seq = inp.sequence
     mu = recover_atoms(seq)
@@ -220,13 +230,7 @@ def _run_represent(cmd: Command, inp: MomentInput) -> RunResult:
         "moments": list(seq.moments),
         "support": encode_support(seq.support),
         "atomic_measure": encode_atomic(mu),
-        "verification": {
-            "through_degree": report.through_degree,
-            "max_relative_residual": report.max_relative_residual,
-            "degree_2d_residual": report.degree_2d_residual,
-            "tol": report.tol,
-            "passed": report.passed,
-        },
+        "verification": _verification(report),
     }
     if report.passed:
         return RunResult("represented", EXIT_OK, payload)
@@ -350,16 +354,7 @@ def _run_verify_moments(cmd: Command, inp: MomentInput) -> RunResult:
     if inp.atomic is None:
         raise SchemaError("atomic_measure", "verify requires an atomic_measure alongside moments")
     report = verify_truncated(inp.sequence, inp.atomic, tol=cmd.tol)
-    payload = {
-        "verb": "verify",
-        "verification": {
-            "through_degree": report.through_degree,
-            "max_relative_residual": report.max_relative_residual,
-            "degree_2d_residual": report.degree_2d_residual,
-            "tol": report.tol,
-            "passed": report.passed,
-        },
-    }
+    payload = {"verb": "verify", "verification": _verification(report)}
     if report.passed:
         return RunResult("verified", EXIT_OK, payload)
     return RunResult("verification-failed", EXIT_NEGATIVE, payload)
@@ -379,8 +374,7 @@ def _run_verify_finite(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
 
 # --- entry point ----------------------------------------------------------------
 
-def _worker(args) -> tuple[str, str, int]:
-    cmd = Command(**args)
+def _worker(cmd: Command) -> tuple[str, str, int]:
     result = run(cmd)
     return cmd.input_path, result.to_json(), result.exit_code
 
@@ -429,17 +423,20 @@ def main(argv=None) -> int:
         print("momentkit: --bins must be at least 1", file=sys.stderr)
         return EXIT_INPUT
 
-    jobs = []
-    for path in args.inputs:
-        jobs.append(dict(
-            verb=args.verb,
-            input_path=path,
-            tol=args.tol,
-            grid=args.grid,
-            bins=args.bins,
-            rule=args.rule,
-            schema_check_only=args.schema_check_only,
-        ))
+    multi = len(args.inputs) > 1
+    if args.output is not None and multi:
+        seen = {}
+        for path in args.inputs:
+            name = Path(path).stem + ".out.json"
+            if name in seen:
+                print(f"momentkit: {seen[name]} and {path} would both write "
+                      f"{Path(args.output) / name}", file=sys.stderr)
+                return EXIT_INPUT
+            seen[name] = path
+
+    jobs = [Command(args.verb, path, tol=args.tol, grid=args.grid, bins=args.bins,
+                    rule=args.rule, schema_check_only=args.schema_check_only)
+            for path in args.inputs]
 
     # The fork start method launches every worker up front, so cap the pool.
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
@@ -450,7 +447,6 @@ def main(argv=None) -> int:
         results = [_worker(j) for j in jobs]
 
     worst = EXIT_OK
-    multi = len(results) > 1
     for path, text, code in results:
         worst = max(worst, code)
         if args.output is None:

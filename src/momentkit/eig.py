@@ -24,13 +24,15 @@ MAX_SWEEPS = 60
 def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
     n = a.shape[0]
     skip = threshold / (n * n) if n else threshold
-    for sweep in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
                 off += 2.0 * a[p, q] * a[p, q]
         if off <= threshold:
             return sweep
+        if sweep == max_sweeps:
+            return -1
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -63,13 +65,6 @@ def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
                         vkq = v[k, q]
                         v[k, p] = c * vkp - s * vkq
                         v[k, q] = s * vkp + c * vkq
-    off = 0.0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            off += 2.0 * a[p, q] * a[p, q]
-    if off <= threshold:
-        return max_sweeps
-    return -1
 
 
 def jacobi_eigh(matrix, need_vectors: bool = True):
@@ -88,8 +83,6 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
         raise EigFailure("matrix contains non-finite entries")
     if n and np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
         raise EigFailure("matrix is not symmetric")
-    if n == 0:
-        return np.zeros(0), (np.zeros((0, 0)) if need_vectors else None)
     a = 0.5 * (a + a.T)  # exact symmetry for the sweep updates
 
     # Threshold on the squared off-diagonal norm: (1e-14 * ||A||_F)^2, so the

@@ -27,7 +27,7 @@ from .errors import (
     LpUnbounded,
     TargetNotInWC,
 )
-from .funcspace import FunctionVec, Subspace, hull_contains
+from .funcspace import FunctionVec, Subspace, _same_ground, hull_contains
 from .simplex import lp_feasible, solve_lp
 
 INTERVAL_TOL = 1e-9
@@ -87,10 +87,7 @@ def in_cone_plus_subspace(v: FunctionVec, W: Subspace) -> bool:
 
     Equivalently: does some span member lie pointwise below ``v``?
     """
-    if v.ground.labels != W.ground.labels:
-        raise ValueError("vector and subspace live on different ground sets")
-    if W.dim == 0:
-        return bool(np.all(v.values >= 0.0))
+    _same_ground(v, W)
     return lp_feasible(a_ub=W.matrix, b_ub=v.values)
 
 
@@ -107,12 +104,7 @@ def sublinear_p(v: FunctionVec, L: Functional) -> float:
     unbounded inner problem raises :class:`LpUnbounded`.
     """
     W = L.domain
-    if v.ground.labels != W.ground.labels:
-        raise ValueError("vector and functional live on different ground sets")
-    if W.dim == 0:
-        if np.all(v.values >= 0.0):
-            return 0.0
-        raise LpUnbounded("no element of the zero subspace lies below the target")
+    _same_ground(v, W)
     sol = solve_lp(-L.coeffs, a_ub=W.matrix, b_ub=v.values)
     if sol.status == "unbounded":
         raise LpUnbounded("supremum over dominated span elements is unbounded")
@@ -202,8 +194,6 @@ def verify_positive(L: Functional, tol: float = 1e-8):
     as positive with worst value 0.
     """
     W = L.domain
-    if W.dim == 0:
-        return True, 0.0
     a_eq = W.matrix.sum(axis=0)[None, :]
     sol = solve_lp(L.coeffs, a_ub=-W.matrix, b_ub=np.zeros(W.ground.size),
                    a_eq=a_eq, b_eq=[1.0])

@@ -94,11 +94,8 @@ class Subspace:
 
     def __init__(self, ground: GroundSet, basis=()):
         self.ground = ground
-        basis = tuple(basis)
-        for v in basis:
-            if v.ground.labels != ground.labels:
-                raise ValueError("basis vector lives on a different ground set")
-        self.basis = basis
+        self.basis = basis = tuple(basis)
+        _same_ground(self, *basis)
         self._matrix = (
             np.column_stack([v.values for v in basis])
             if basis else np.zeros((ground.size, 0))
@@ -123,12 +120,7 @@ class Subspace:
 
     def coefficients_of(self, f: FunctionVec, tol: float = INDEPENDENCE_TOL) -> np.ndarray:
         """Basis coefficients of ``f``; raises NotInDomain outside the span."""
-        if f.ground.labels != self.ground.labels:
-            raise ValueError("vector lives on a different ground set")
-        if self.dim == 0:
-            if np.abs(f.values).max(initial=0.0) > tol:
-                raise NotInDomain("vector is not in the zero subspace")
-            return np.zeros(0)
+        _same_ground(f, self)
         coeffs, *_ = np.linalg.lstsq(self._matrix, f.values, rcond=None)
         residual = np.abs(self._matrix @ coeffs - f.values).max()
         if residual > tol * max(1.0, np.abs(f.values).max()):
@@ -160,24 +152,16 @@ def hull_contains(A: Subspace, f: FunctionVec) -> bool:
     exact whenever the span is closed under squaring and contains constants
     (then ``(g*g + 1) / 2`` dominates ``|g|`` inside the span).
     """
-    if f.ground.labels != A.ground.labels:
-        raise ValueError("vector and subspace live on different ground sets")
-    target = np.abs(f.values)
-    if A.dim == 0:
-        return bool(target.max(initial=0.0) <= 0.0)
-    return lp_feasible(a_ub=-A.matrix, b_ub=-target)
+    _same_ground(f, A)
+    return lp_feasible(a_ub=-A.matrix, b_ub=-np.abs(f.values))
 
 
 def dominates(g: FunctionVec, f: FunctionVec, B: Subspace, eps: float) -> bool:
     """Does some ``h`` in ``span(B)`` satisfy ``|g| <= eps*|f| + h`` pointwise?"""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _same_ground(g, f)
-    if g.ground.labels != B.ground.labels:
-        raise ValueError("vectors and subspace live on different ground sets")
+    _same_ground(g, f, B)
     deficit = np.abs(g.values) - eps * np.abs(f.values)
-    if B.dim == 0:
-        return bool(deficit.max(initial=0.0) <= 0.0)
     return lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
 
 

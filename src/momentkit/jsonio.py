@@ -83,7 +83,10 @@ def _require(cond: bool, path: str, message: str) -> None:
 def _number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              path, "expected a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise SchemaError(path, "number is too large for a float") from None
     _require(v == v and abs(v) != float("inf"), path, "number must be finite")
     return v
 
@@ -234,11 +237,15 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
             raise SchemaError("b_basis", str(exc)) from exc
 
     target_names, target_vecs = _parse_named_vectors(doc.get("targets", {}), ground, "targets")
+    for name in target_names:
+        _require(name not in basis_names, f"targets.{name}", "target name repeats a basis name")
     targets = tuple(zip(target_names, target_vecs))
 
     options = doc.get("options", {})
     _require(isinstance(options, dict), "options", "expected an object")
-    subspace_variant = bool(options.get("subspace_variant", False))
+    subspace_variant = options.get("subspace_variant", False)
+    _require(isinstance(subspace_variant, bool), "options.subspace_variant",
+             "expected a JSON boolean")
 
     witnesses: dict[int, FunctionVec] = {}
     if "witnesses" in doc:

@@ -29,6 +29,7 @@ from .funcspace import (
     FunctionVec,
     GroundSet,
     Subspace,
+    _same_ground,
     check_adapted,
     default_candidates,
 )
@@ -71,8 +72,7 @@ class SigmaAlgebra:
 
     def block_values(self, f: FunctionVec, tol: float = MEASURABLE_TOL) -> np.ndarray:
         """Per-block constants of ``f``; raises if ``f`` varies inside a block."""
-        if f.ground.labels != self.ground.labels:
-            raise ValueError("function lives on a different ground set")
+        _same_ground(f, self)
         out = np.empty(self.n_blocks)
         for i, block in enumerate(self.blocks):
             vals = f.values[list(block)]
@@ -247,18 +247,16 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     """
     M = Lbar.domain.matrix
     N = B.matrix
-    n = alg.ground.size
-    kd, kb = M.shape[1], N.shape[1]
+    # variables: [tau (Lbar's span), beta (span(B))]
+    a_ub = np.block([
+        [-M, -N],   # t + b >= chi
+        [-M, N],    # t - b >= -chi
+    ])
+    c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     distances = []
     for i in range(alg.n_blocks):
         chi = alg.indicator(i).values
-        # variables: [tau (kd), beta (kb)]
-        a_ub = np.block([
-            [-M, -N],   # t + b >= chi
-            [-M, N],    # t - b >= -chi
-        ])
         b_ub = np.concatenate([-chi, chi])
-        c = np.concatenate([Lbar.coeffs, np.zeros(kb)])
         sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
         if not sol.optimal:
             raise LpFailure(f"density LP for block {i} ended with status {sol.status}")

@@ -275,14 +275,13 @@ def _support_violation(m: MomentSequence, tol: float) -> str | None:
     return None
 
 
-def _eigvec_witness(H: HankelMatrix) -> Poly:
-    """Square of the minimizing eigenvector polynomial, times the weight.
+def _eigvec_witness(H: HankelMatrix, q: np.ndarray) -> Poly:
+    """Square of the polynomial with coefficients ``q``, times the weight.
 
-    Nonnegative on the support class by construction, with moment value
-    equal to the matrix's smallest eigenvalue.
+    With ``q`` the unit eigenvector of the smallest eigenvalue of ``H``, it
+    is nonnegative on the support class by construction, with moment value
+    equal to that eigenvalue.
     """
-    w, V = jacobi_eigh(H.matrix)
-    q = V[:, 0]
     square = np.polynomial.polynomial.polymul(q, q)
     if H.weight is not None:
         square = np.polynomial.polynomial.polymul(square, np.asarray(H.weight.coeffs))
@@ -300,10 +299,11 @@ def positivity_certificate(m: MomentSequence, tol: float = PSD_TOL) -> Certifica
     witnesses = []
     verdicts = []
     for H in _support_matrices(m):
-        lam = lambda_min(H.matrix)
+        w, V = jacobi_eigh(H.matrix)
+        lam = float(w[0])
         failing = lam < -tol
         witnesses.append(
-            MatrixWitness(H.label, H.size, lam, _eigvec_witness(H) if failing else None)
+            MatrixWitness(H.label, H.size, lam, _eigvec_witness(H, V[:, 0]) if failing else None)
         )
         verdicts.append(-1 if failing else (1 if lam > tol else 0))
     if any(v < 0 for v in verdicts):

@@ -74,6 +74,31 @@ def test_parse_rejects_bad_functional_keys(tmp_path):
         parse_input(path)
 
 
+def test_parse_rejects_number_beyond_float_range(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"moments": [1, 10**400, 1]})
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(path)
+    assert err.value.path == "moments[1]"
+    assert main(["check", path]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "input-error"
+
+
+def test_parse_requires_boolean_subspace_variant(tmp_path, capsys):
+    path = write(tmp_path, "fs.json", dict(FS_DOC, options={"subspace_variant": "false"}))
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(path)
+    assert err.value.path == "options.subspace_variant"
+    assert main(["build-measure", path]) == 2
+
+
+def test_parse_rejects_target_named_like_basis(tmp_path, capsys):
+    path = write(tmp_path, "fs.json", dict(FS_DOC, targets={"one": [0, 4]}))
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(path)
+    assert err.value.path == "targets.one"
+    assert main(["hb-extend", path]) == 2
+
+
 def test_parse_reports_syntax_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  :\n}", encoding="utf-8")
@@ -270,6 +295,17 @@ def test_jobs_fan_out(tmp_path):
     doc1 = json.loads((out_dir / "a.out.json").read_text())
     doc2 = json.loads((out_dir / "b.out.json").read_text())
     assert doc1["exit_code"] == 0 and doc2["exit_code"] == 1
+
+
+def test_output_dir_rejects_shared_stems(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    p1 = write(tmp_path / "a", "x.json", {"moments": [1, 0, 1]})
+    p2 = write(tmp_path / "b", "x.json", {"moments": [1, 0, -1]})
+    out_dir = tmp_path / "out"
+    assert main(["check", p1, p2, "--output", str(out_dir)]) == 2
+    assert "would both write" in capsys.readouterr().err
+    assert not out_dir.exists()  # checked before any job runs
 
 
 @pytest.mark.parametrize("moments, support", [

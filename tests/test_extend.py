@@ -27,6 +27,30 @@ def test_cone_plus_zero_subspace():
     assert not mk.in_cone_plus_subspace(vec(g, [-1, -1]), Z)
 
 
+@pytest.mark.parametrize("question", [
+    lambda Z, v: mk.in_cone_plus_subspace(v, Z),
+    lambda Z, v: mk.hull_contains(Z, v),
+    lambda Z, v: mk.dominates(v, v, Z, 0.5),
+    lambda Z, v: mk.sublinear_p(v, mk.Functional(Z, [])),
+    lambda Z, v: mk.verify_positive(mk.Functional(Z, [])),
+], ids=["in_cone_plus_subspace", "hull_contains", "dominates", "sublinear_p",
+        "verify_positive"])
+def test_zero_subspace_asks_one_lp(question):
+    # the empty span is an LP with no columns, asked like any other span
+    g = ground(2)
+    with collect_lp_stats() as stats:
+        question(mk.Subspace(g, []), vec(g, [1, 2]))
+    assert stats["solves"] == 1
+
+
+def test_sublinear_p_zero_subspace():
+    g = ground(2)
+    L = mk.Functional(mk.Subspace(g, []), [])
+    assert mk.sublinear_p(vec(g, [0, 1]), L) == 0.0
+    with pytest.raises(mk.LpUnbounded, match="not in cone"):
+        mk.sublinear_p(vec(g, [-1, 1]), L)
+
+
 def test_cone_plus_constants():
     g = ground(2)
     assert mk.in_cone_plus_subspace(vec(g, [-5, 3]), span_one(g))

@@ -132,6 +132,21 @@ def test_certificate_negative_variance():
     assert np.all(w.witness(xs) >= -1e-12)
 
 
+def test_certificate_diagonalises_each_matrix_once(monkeypatch):
+    # the witness comes from the eigenvector of the call that gave lambda_min
+    calls = []
+    kernel = mk.eig._jacobi_kernel
+
+    def counting(a, *args):
+        calls.append(a.shape[0])
+        return kernel(a, *args)
+
+    monkeypatch.setattr(mk.eig, "_jacobi_kernel", counting)
+    cert = mk.positivity_certificate(seq(1, 0, -1))
+    assert cert.verdict == "not-representable" and cert.witnesses[0].witness is not None
+    assert calls == [2]
+
+
 def test_certificate_negative_mean_on_halfline():
     cert = mk.positivity_certificate(mk.MomentSequence((1, -1, 1), mk.Support.halfline()))
     assert cert.verdict == "not-representable"
