@@ -410,6 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(target: Path, reason: str) -> int:
+    print(f"momentkit: cannot write {target}: {reason}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
@@ -424,15 +429,20 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     multi = len(args.inputs) > 1
-    if args.output is not None and multi:
+    out = None if args.output is None else Path(args.output)
+    if out is not None and multi:
+        if out.exists() and not out.is_dir():
+            return _cannot_write(out, "it exists and is not a directory")
         seen = {}
         for path in args.inputs:
             name = Path(path).stem + ".out.json"
             if name in seen:
                 print(f"momentkit: {seen[name]} and {path} would both write "
-                      f"{Path(args.output) / name}", file=sys.stderr)
+                      f"{out / name}", file=sys.stderr)
                 return EXIT_INPUT
             seen[name] = path
+    elif out is not None and not out.parent.is_dir():
+        return _cannot_write(out, f"{out.parent} is not a directory")
 
     jobs = [Command(args.verb, path, tol=args.tol, grid=args.grid, bins=args.bins,
                     rule=args.rule, schema_check_only=args.schema_check_only)
@@ -449,14 +459,16 @@ def main(argv=None) -> int:
     worst = EXIT_OK
     for path, text, code in results:
         worst = max(worst, code)
-        if args.output is None:
+        if out is None:
             sys.stdout.write(text)
-        elif multi:
-            out_dir = Path(args.output)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / (Path(path).stem + ".out.json")).write_text(text, encoding="utf-8")
-        else:
-            Path(args.output).write_text(text, encoding="utf-8")
+            continue
+        target = out / (Path(path).stem + ".out.json") if multi else out
+        try:
+            if multi:
+                out.mkdir(parents=True, exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(target, exc.strerror or str(exc))
     return worst
 
 

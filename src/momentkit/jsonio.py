@@ -96,6 +96,55 @@ def _number_list(value, path: str) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+class _RepeatedKey(Exception):
+    """A JSON object repeats one of its keys."""
+
+
+def _unique_object(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _RepeatedKey
+    return obj
+
+
+# One decoder for every call: ``json.loads`` with a hook would build a new
+# decoder each time, which costs more than the hook itself.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_object)
+
+
+def _repeat_path(value, path: str = ""):
+    """Path of the first repeated key in ``value``, a document decoded with
+    ``object_pairs_hook=tuple`` (an object is a tuple of key-value pairs)."""
+    if isinstance(value, tuple):
+        seen, children = set(), []
+        for key, child in value:
+            key_path = f"{path}.{key}" if path else key
+            if key in seen:
+                return key_path
+            seen.add(key)
+            children.append((key_path, child))
+    elif isinstance(value, list):
+        children = [(f"{path}[{i}]", child) for i, child in enumerate(value)]
+    else:
+        return None
+    for child_path, child in children:
+        found = _repeat_path(child, child_path)
+        if found is not None:
+            return found
+    return None
+
+
+def _decode(text: str):
+    """The JSON value of ``text``; a key repeated within one object is a
+    :class:`SchemaError` at that key, where plain ``json`` keeps the last."""
+    try:
+        return _DECODER.decode(text)
+    except _RepeatedKey:
+        pass
+    # Rare path: decode again, keeping every pair, to find the key's path.
+    raise SchemaError(_repeat_path(json.loads(text, object_pairs_hook=tuple)), "repeated key")
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,7 +152,7 @@ def load_json(path: str) -> dict:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = _decode(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc.msg}"

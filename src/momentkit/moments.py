@@ -338,20 +338,14 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
         raise ValueError("grid points must lie inside the declared support")
     n_coef = m.max_degree + 1
     vander = np.vander(grid, n_coef, increasing=True)
-    eye = np.eye(n_coef)
-    c = np.concatenate([m.array(), np.zeros(n_coef)])
+    c = np.concatenate([m.array(), -m.array()])
 
-    # variables: [c (n_coef), u (n_coef)] with u >= |c|, sum u <= 1
+    # variables: [c+ (n_coef), c- (n_coef)] >= 0 with sum(c+ + c-) <= 1
     def _solve(point_idx):
         rows = vander[point_idx]
-        a_ub = np.block([
-            [-rows, np.zeros((rows.shape[0], n_coef))],
-            [eye, -eye],
-            [-eye, -eye],
-            [np.zeros((1, n_coef)), np.ones((1, n_coef))],
-        ])
-        b_ub = np.concatenate([np.zeros(rows.shape[0] + 2 * n_coef), [1.0]])
-        sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+        a_ub = np.block([[-rows, rows], [np.ones((1, 2 * n_coef))]])
+        b_ub = np.concatenate([np.zeros(rows.shape[0]), [1.0]])
+        sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=True)
         if not sol.optimal:
             raise LpFailure(f"grid-positivity LP ended with status {sol.status}")
         return sol
@@ -360,7 +354,7 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     seen = set(active)
     for _ in range(60):
         sol = _solve(np.asarray(active, dtype=int))
-        coeffs = sol.x[:n_coef]
+        coeffs = sol.x[:n_coef] - sol.x[n_coef:]
         values = vander @ coeffs
         violated = np.nonzero(values < -1e-12)[0]
         new = [int(j) for j in violated[np.argsort(values[violated])][:16] if int(j) not in seen]

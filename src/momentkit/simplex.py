@@ -1,10 +1,15 @@
 """Dense two-phase simplex.
 
 Small self-contained LP solver used by every feasibility and bound
-computation in the package.  All variables are free (sign-unrestricted);
-they are split internally into differences of nonnegative parts, slack
+computation in the package.  The core solves over ``x >= 0``: slack
 variables absorb the inequality rows, and phase 1 drives a full artificial
-basis to zero.
+basis to zero.  By default the variables are free (sign-unrestricted) and
+each is split into a difference of nonnegative parts, columns
+``[x+, x-, slack]``; with ``nonneg=True`` the caller's variables are the
+core's columns, ``[x, slack]``.  An LP whose variables are naturally
+nonnegative (the grid-positivity LP over the l1 ball, written with
+``c = c+ - c-``) is smaller that way than the same LP in free variables with
+bound rows.
 
 Most of our LPs sit on heavily degenerate vertices (whole blocks of zero
 right-hand sides), so anti-cycling is not optional: the leaving row is
@@ -24,7 +29,8 @@ lexicographic tie-break.  Equality rows are left alone, and ``x`` is in the
 caller's variables either way.
 
 Deliberately dense and deliberately small: problems are capped at 500
-constraint rows and 500 structural columns, counted before the merge.
+constraint rows and 500 structural columns (``2n + m_ub``, or ``n + m_ub``
+with ``nonneg``), counted before the merge.
 """
 
 from __future__ import annotations
@@ -98,8 +104,9 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
     if active.size == 1:
         return int(active[0])
     inv = 1.0 / column[active]
-    # The tie-break runs on many pivots (about 9 in 10 on the grid LPs, 4 in
-    # 10 on the finite-space LPs once their copied rows are merged), and its
+    # The tie-break runs on many pivots (93.0% of the 2,693 grid-LP pivots of
+    # moment-check seeds 7 and 8, block 0, with nonnegative columns; 4 in 10
+    # on the finite-space LPs once their copied rows are merged), and its
     # first informative column is nearly always among the first 20 of the
     # scan order, so one 64-column chunk usually settles it.  Gathering the
     # whole scan order at once kept every pivot and was no faster: 7-12%
@@ -150,12 +157,14 @@ def _iterate(T: np.ndarray, basis: np.ndarray, enter_cols: int,
     raise LpFailure(f"simplex did not converge within {budget} pivots")
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
+             nonneg: bool = False) -> LpSolution:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
 
-    Every component of ``x`` is free.  Inequality rows with equal
-    coefficients are solved as one row at their smallest right-hand side;
-    the size cap and the finiteness check see the LP as given.  Returns an
+    Every component of ``x`` is free, or ``>= 0`` with ``nonneg``.
+    Inequality rows with equal coefficients are solved as one row at their
+    smallest right-hand side; the size cap and the finiteness check see the
+    LP as given.  Returns an
     :class:`LpSolution`; a solver breakdown (iteration budget, size cap)
     raises :class:`LpFailure` while infeasible/unbounded are reported as
     statuses.
@@ -177,7 +186,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
 
-    n_struct = 2 * n + m_ub
+    n_var = n if nonneg else 2 * n  # columns of x: [x] or [x+, x-]
+    n_struct = n_var + m_ub
     if m > SIZE_CAP or n_struct > SIZE_CAP:
         raise LpFailure(
             f"problem exceeds desk-scale cap: {m} rows, {n_struct} structural columns (max {SIZE_CAP})"
@@ -201,15 +211,16 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
             a_ub, b_ub = a_ub[first[order]], b_min[order]
             m_ub = starts.size
             m = m_ub + m_eq
-            n_struct = 2 * n + m_ub
+            n_struct = n_var + m_ub
 
-    # Split free variables, append slacks: columns are [x+, x-, slack].
+    # Split free variables, append slacks: columns are [x+, x-, slack] or,
+    # with nonneg, [x, slack].
     A = np.zeros((m, n_struct))
     A[:m_ub, :n] = a_ub
-    A[:m_ub, n:2 * n] = -a_ub
     A[m_ub:, :n] = a_eq
-    A[m_ub:, n:2 * n] = -a_eq
-    A[:m_ub, 2 * n:] = np.eye(m_ub)
+    if not nonneg:
+        A[:, n:2 * n] = -A[:, :n]
+    A[:m_ub, n_var:] = np.eye(m_ub)
     b = np.concatenate([b_ub, b_eq])
 
     # Mild row equilibration keeps the fixed tolerances meaningful.
@@ -229,7 +240,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
     identity_col = np.full(m, -1, dtype=int)
     for i in range(m_ub):
         if not flip[i]:
-            basis[i] = identity_col[i] = 2 * n + i
+            basis[i] = identity_col[i] = n_var + i
             needs_art[i] = False
     art_rows = np.nonzero(needs_art)[0]
     n_art = int(art_rows.size)
@@ -283,7 +294,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
     # positive) but are barred from entering.
     T[-1, :] = 0.0
     T[-1, :n] = c
-    T[-1, n:2 * n] = -c
+    if not nonneg:
+        T[-1, n:2 * n] = -c
     obj_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
     T[-1, :n_struct] /= obj_scale
     for i in range(m):
@@ -297,7 +309,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpSolution:
 
     full = np.zeros(n_total)
     full[basis] = T[:m, -1]
-    x = full[:n] - full[n:2 * n]
+    x = full[:n] if nonneg else full[:n] - full[n:2 * n]
     return LpSolution("optimal", x, float(c @ x), iterations)
 
 

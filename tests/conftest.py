@@ -61,12 +61,13 @@ def atomic_moments(atoms, weights, degree: int) -> tuple[float, ...]:
     return tuple(float(ws @ xs**k) for k in range(degree + 1))
 
 
-def scipy_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-    """Reference LP solve with free variables (independent of our simplex)."""
+def scipy_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):
+    """Reference LP solve (independent of our simplex); the variables are
+    free by default, or nonnegative with ``bounds=(0, None)``."""
     from scipy.optimize import linprog
 
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(None, None), method="highs")
+                  bounds=bounds, method="highs")
     if res.status == 0:
         return "optimal", res.fun
     if res.status == 3:
@@ -75,16 +76,17 @@ def scipy_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
         # HiGHS can stop with model status "Unknown", or even "Infeasible"
         # from its presolve, on a feasible LP that has an improving recession
         # direction. Decide such a case by two solves that HiGHS does finish:
-        # a feasibility probe, and a search for a ray d in the unit box with
+        # a feasibility probe, and a search for a ray d in the unit box
+        # ([0, 1] per variable when the variables are nonnegative) with
         # a_ub d <= 0, a_eq d = 0 and c.d < 0.
         n = len(c)
         feas = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                       bounds=(None, None), method="highs")
+                       bounds=bounds, method="highs")
         if feas.status == 2:
             return "infeasible", None
         ray = linprog(c, A_ub=a_ub, b_ub=None if a_ub is None else np.zeros(len(a_ub)),
                       A_eq=a_eq, b_eq=None if a_eq is None else np.zeros(len(a_eq)),
-                      bounds=(-1.0, 1.0), method="highs")
+                      bounds=(-1.0 if bounds[0] is None else 0.0, 1.0), method="highs")
         if feas.status == 0 and ray.status == 0 and ray.fun < -1e-9:
             return "unbounded", None
     raise RuntimeError(f"scipy linprog status {res.status}")

@@ -99,6 +99,22 @@ def test_parse_rejects_target_named_like_basis(tmp_path, capsys):
     assert main(["hb-extend", path]) == 2
 
 
+@pytest.mark.parametrize("text, key_path", [
+    ('{"moments": [1, 0, 1], "moments": [1, 0, -1]}', "moments"),
+    ('{"schema": "1", "points": ["p0", "p1"], "basis": {"one": [1, 1], "one": [0, 1]},'
+     ' "functional": {"one": 2.0}, "sigma_algebra": [[0], [1]]}', "basis.one"),
+])
+def test_parse_rejects_repeated_key(tmp_path, capsys, text, key_path):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(str(path))
+    assert err.value.path == key_path and "repeated key" in str(err.value)
+    verb = "check" if key_path == "moments" else "hb-extend"
+    assert main([verb, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "input-error"
+
+
 def test_parse_reports_syntax_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  :\n}", encoding="utf-8")
@@ -306,6 +322,32 @@ def test_output_dir_rejects_shared_stems(tmp_path, capsys):
     assert main(["check", p1, p2, "--output", str(out_dir)]) == 2
     assert "would both write" in capsys.readouterr().err
     assert not out_dir.exists()  # checked before any job runs
+
+
+def test_output_dir_rejects_existing_file(tmp_path, capsys, monkeypatch):
+    p1 = write(tmp_path, "a.json", {"moments": [1, 0, 1]})
+    p2 = write(tmp_path, "b.json", {"moments": [1, 0, -1]})
+    target = tmp_path / "F"
+    target.write_text("keep", encoding="utf-8")
+    monkeypatch.setattr(cli, "_worker", lambda cmd: pytest.fail("a job ran"))
+    assert main(["check", p1, p2, "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"momentkit: cannot write {target}:")
+    assert target.read_text(encoding="utf-8") == "keep"
+
+
+def test_output_file_needs_existing_directory(tmp_path, capsys, monkeypatch):
+    p1 = write(tmp_path, "a.json", {"moments": [1, 0, 1]})
+    target = tmp_path / "nodir" / "x.json"
+    monkeypatch.setattr(cli, "_worker", lambda cmd: pytest.fail("a job ran"))
+    assert main(["check", p1, "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"momentkit: cannot write {target}:")
+    assert not target.parent.exists()
+
+
+def test_output_write_error_exits_2(tmp_path, capsys):
+    p1 = write(tmp_path, "a.json", {"moments": [1, 0, 1]})
+    assert main(["check", p1, "--output", str(tmp_path)]) == 2  # a directory, not a file
+    assert capsys.readouterr().err.startswith(f"momentkit: cannot write {tmp_path}:")
 
 
 @pytest.mark.parametrize("moments, support", [

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
 from momentkit import moments as moments_mod
+from momentkit.simplex import collect_lp_stats
 
 from conftest import atomic_moments
 from test_acceptance import _known_measure
@@ -197,6 +198,58 @@ def test_grid_check_validates_grid():
     m = mk.MomentSequence((1, 0, 1), mk.Support.interval(-1, 1))
     with pytest.raises(ValueError):
         mk.haviland_grid_check(m, [2.0], 1e-7)
+
+
+def test_grid_check_regression_negative_optimum():
+    # Seed 901, block 9, file 46 of the moment-check workload generator.  The
+    # LP in free coefficients with bound rows stopped at +2.08e-5, a "pass"
+    # that cannot be optimal since c = 0 is feasible; HiGHS gives -4.42294260e-7.
+    m = mk.MomentSequence((5.693970482753998, 1.5833605487411957, 1.5892007281602045,
+                           0.5209198043550766, 0.6687372456551537, 0.26369583193272583,
+                           0.35078449838029335, 0.16020046602839486, 0.2033151483195303,
+                           0.10358905298949096, 0.12306727971771826), mk.Support.interval(-1, 1))
+    with collect_lp_stats() as stats:
+        ok, witness = mk.haviland_grid_check(m, np.linspace(-1, 1, 200), 1e-7)
+    assert not ok
+    assert mk.riesz(m, witness) == pytest.approx(-4.42294260e-7, rel=1e-6)
+    assert stats == {"solves": 5, "iterations": 518}
+
+
+def test_grid_check_matches_reference_on_full_grid():
+    # 60 interval sequences, d = 1..6: measures on [-0.9, 0.9], the same with
+    # m_2 forced negative, and measures with atoms out to +-1.15 (outside the
+    # support, so the minimum is often just below zero).  The reference is
+    # HiGHS on the whole grid, in free coefficients c and bounds u >= |c|, at
+    # its tightest feasibility tolerances (1e-10).  Its optimum may still sit
+    # about m_0 * 1e-10 below the true one, which the absolute 1e-8 allows.
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(61)
+    grid = np.linspace(-1.0, 1.0, 200)
+    for i in range(60):
+        d, kind = 1 + i % 6, (i // 6) % 3
+        reach = 1.15 if kind == 2 else 0.9
+        atoms = np.sort(rng.uniform(-reach, reach, d + 1))
+        mom = list(atomic_moments(atoms, rng.uniform(0.2, 2.0, d + 1), 2 * d))
+        if kind == 1:
+            mom[2] = -abs(mom[2]) - 0.3
+        m = mk.MomentSequence(tuple(mom), mk.Support.interval(-1, 1))
+        ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
+
+        n = 2 * d + 1
+        vander, eye = np.vander(grid, n, increasing=True), np.eye(n)
+        ref = linprog(np.r_[m.array(), np.zeros(n)],
+                      A_ub=np.block([[-vander, np.zeros((grid.size, n))], [eye, -eye], [-eye, -eye],
+                                     [np.zeros((1, n)), np.ones((1, n))]]),
+                      b_ub=np.r_[np.zeros(grid.size + 2 * n), 1.0], bounds=(None, None),
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        assert ref.status == 0
+        value = mk.riesz(m, witness)
+        assert value == pytest.approx(ref.fun, rel=1e-6, abs=1e-8), (i, value, ref.fun)
+        assert ok == (value >= -1e-7)
+        assert np.abs(witness.coeffs).sum() <= 1 + 1e-9
+        assert witness(grid).min() >= -1e-9
 
 
 # --- atom recovery --------------------------------------------------------------------------

@@ -65,6 +65,33 @@ def test_copied_rows_solve_as_merged():
     assert np.array_equal(sol.x, ref.x)
 
 
+def test_copied_rows_merge_with_nonneg():
+    base = [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]]
+    a = base + [base[2], base[0], base[2]]
+    b = [4.0, 3.0, 3.0, 6.0] + [2.5, 5.0, 2.8]
+    sol = solve_lp([-1.0, -1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
+    ref = solve_lp([-1.0, -1.0, -1.0], a_ub=base, b_ub=[4.0, 3.0, 2.5, 6.0], nonneg=True)
+    assert sol.optimal and sol.objective == pytest.approx(-4.0, abs=1e-12)
+    assert (sol.status, sol.objective, sol.iterations) == \
+        (ref.status, ref.objective, ref.iterations)
+    assert np.array_equal(sol.x, ref.x)
+
+
+def test_nonneg_without_rows():
+    assert solve_lp([1.0, -0.5], nonneg=True).status == "unbounded"
+    sol = solve_lp([1.0, 0.0], nonneg=True)
+    assert sol.optimal and sol.objective == 0.0
+    assert np.array_equal(sol.x, [0.0, 0.0])
+
+
+def test_nonneg_size_cap_counts_one_column_per_variable():
+    # 300 free variables are 600 columns; 300 nonnegative ones and 200 slacks are 500
+    a_ub = np.eye(201, 300)
+    assert solve_lp(np.ones(300), a_ub=a_ub[:200], b_ub=np.ones(200), nonneg=True).optimal
+    with pytest.raises(LpFailure):
+        solve_lp(np.ones(300), a_ub=a_ub, b_ub=np.ones(201), nonneg=True)
+
+
 def test_tighter_copy_makes_infeasible():
     # x >= 1 and x <= 2 is feasible; a copy x <= 0.5 of the second row is not
     sol = solve_lp([1.0], a_ub=[[-1.0], [1.0], [1.0]], b_ub=[-1.0, 2.0, 0.5])
@@ -172,3 +199,26 @@ def test_matches_reference_with_equalities(data):
     if sol.optimal:
         assert sol.objective == pytest.approx(ref_obj, rel=1e-6, abs=1e-7)
         assert np.all(np.abs(a_eq @ sol.x - b_eq) <= 1e-7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nonneg_matches_reference_solver(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 6))
+    a_ub = rng.normal(size=(data.draw(st.integers(1, 10)), n))
+    b_ub = rng.normal(size=a_ub.shape[0])
+    a_eq, b_eq = None, None
+    if data.draw(st.booleans()):
+        a_eq, b_eq = rng.normal(size=(1, n)), rng.normal(size=1)
+    c = rng.normal(size=n)
+    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=True)
+    ref_status, ref_obj = scipy_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+                                   bounds=(0, None))
+    assert sol.status == ref_status
+    if sol.optimal:
+        assert sol.objective == pytest.approx(ref_obj, rel=1e-6, abs=1e-7)
+        assert np.all(sol.x >= -1e-9)
+        assert np.all(a_ub @ sol.x <= b_ub + 1e-7)
+        if a_eq is not None:
+            assert np.all(np.abs(a_eq @ sol.x - b_eq) <= 1e-7)
