@@ -22,24 +22,37 @@ MAX_SWEEPS = 60
 
 
 def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
-    n = a.shape[0]
+    """Rotate ``a`` (and ``v`` when ``accumulate``) in place; sweeps used, or -1.
+
+    The sweeps run on nested lists of Python floats: at these sizes indexing
+    numpy scalars costs more than the arithmetic.  Every operation is the
+    IEEE double one numpy would do, so the results are bitwise the same.
+    """
+    rows = a.tolist()
+    vrows = v.tolist() if accumulate else None
+    n = len(rows)
     skip = threshold / (n * n) if n else threshold
+    result = -1
     for sweep in range(max_sweeps + 1):
         off = 0.0
         for p in range(n - 1):
+            rp = rows[p]
             for q in range(p + 1, n):
-                off += 2.0 * a[p, q] * a[p, q]
+                off += 2.0 * rp[q] * rp[q]
         if off <= threshold:
-            return sweep
+            result = sweep
+            break
         if sweep == max_sweeps:
-            return -1
+            break
         for p in range(n - 1):
+            rp = rows[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = rp[q]
                 if 2.0 * apq * apq <= skip:
                     continue
-                app = a[p, p]
-                aqq = a[q, q]
+                rq = rows[q]
+                app = rp[p]
+                aqq = rq[q]
                 theta = 0.5 * (aqq - app) / apq
                 if theta >= 0.0:
                     t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
@@ -47,24 +60,28 @@ def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
                     t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
+                for rk in rows:
+                    akp = rk[p]
+                    akq = rk[q]
+                    rk[p] = c * akp - s * akq
+                    rk[q] = s * akp + c * akq
                 for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                    apk = rp[k]
+                    aqk = rq[k]
+                    rp[k] = c * apk - s * aqk
+                    rq[k] = s * apk + c * aqk
+                rp[q] = 0.0
+                rq[p] = 0.0
                 if accumulate:
-                    for k in range(n):
-                        vkp = v[k, p]
-                        vkq = v[k, q]
-                        v[k, p] = c * vkp - s * vkq
-                        v[k, q] = s * vkp + c * vkq
+                    for vk in vrows:
+                        vkp = vk[p]
+                        vkq = vk[q]
+                        vk[p] = c * vkp - s * vkq
+                        vk[q] = s * vkp + c * vkq
+    a[:, :] = rows
+    if accumulate:
+        v[:, :] = vrows
+    return result
 
 
 def jacobi_eigh(matrix, need_vectors: bool = True):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentkit.eig import jacobi_eigh, lambda_min
+from momentkit.eig import MAX_SWEEPS, OFFDIAG_MASS_TOL, _jacobi_kernel, jacobi_eigh, lambda_min
 from momentkit.errors import EigFailure
 
 
@@ -76,3 +78,85 @@ def test_moment_scale_hankel():
     got = lambda_min(H)
     ref = float(np.linalg.eigvalsh(H)[0])
     assert abs(got - ref) <= 1e-10 * np.abs(H).max()
+
+
+def _numpy_indexed_kernel(a, v, accumulate, threshold, max_sweeps):
+    # The kernel as it was before it swept Python float lists: the oracle
+    # that the list sweeps must match bit for bit.
+    n = a.shape[0]
+    skip = threshold / (n * n) if n else threshold
+    for sweep in range(max_sweeps + 1):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off += 2.0 * a[p, q] * a[p, q]
+        if off <= threshold:
+            return sweep
+        if sweep == max_sweeps:
+            return -1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if 2.0 * apq * apq <= skip:
+                    continue
+                app = a[p, p]
+                aqq = a[q, q]
+                theta = 0.5 * (aqq - app) / apq
+                if theta >= 0.0:
+                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
+                else:
+                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for k in range(n):
+                    akp = a[k, p]
+                    akq = a[k, q]
+                    a[k, p] = c * akp - s * akq
+                    a[k, q] = s * akp + c * akq
+                for k in range(n):
+                    apk = a[p, k]
+                    aqk = a[q, k]
+                    a[p, k] = c * apk - s * aqk
+                    a[q, k] = s * apk + c * aqk
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                if accumulate:
+                    for k in range(n):
+                        vkp = v[k, p]
+                        vkq = v[k, q]
+                        v[k, p] = c * vkp - s * vkq
+                        v[k, q] = s * vkp + c * vkq
+
+
+def _symmetric(rng, n, hankel, scale):
+    if hankel:
+        m = rng.normal(size=2 * n)
+        return scale * m[np.add.outer(np.arange(n), np.arange(n))]
+    A = rng.normal(size=(n, n))
+    return scale * (A + A.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 13), st.booleans(), st.booleans(),
+       st.floats(-8, 8), st.sampled_from([0, 1, 2, 5, MAX_SWEEPS]))
+def test_kernel_bit_identical_to_numpy_indexed(seed, n, hankel, accumulate, log_scale,
+                                               max_sweeps):
+    a = _symmetric(np.random.default_rng(seed), n, hankel, 10.0**log_scale)
+    threshold = OFFDIAG_MASS_TOL**2 * float(np.sum(a * a))
+    v = np.eye(n) if accumulate else np.zeros((1, 1))
+    a_ref, v_ref = a.copy(), v.copy()
+    got = _jacobi_kernel(a, v, accumulate, threshold, max_sweeps)
+    want = _numpy_indexed_kernel(a_ref, v_ref, accumulate, threshold, max_sweeps)
+    assert got == want
+    assert a.tobytes() == a_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("accumulate", [False, True])
+def test_kernel_without_sweeps_fails_on_off_diagonal_mass(accumulate):
+    a = _symmetric(np.random.default_rng(3), 4, False, 1.0)
+    v = np.eye(4)
+    a_ref, v_ref = a.copy(), v.copy()
+    assert _jacobi_kernel(a, v, accumulate, 1e-28, 0) == -1
+    assert _numpy_indexed_kernel(a_ref, v_ref, accumulate, 1e-28, 0) == -1
+    assert a.tobytes() == a_ref.tobytes() and v.tobytes() == v_ref.tobytes()
