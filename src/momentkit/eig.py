@@ -98,14 +98,14 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
         raise EigFailure(f"matrix size {n} exceeds the {SIZE_CAP}x{SIZE_CAP} cap")
     if not np.all(np.isfinite(a)):
         raise EigFailure("matrix contains non-finite entries")
-    if n and np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
+    if n and np.abs(a - a.T).max() > 1e-12 * np.abs(a).max():
         raise EigFailure("matrix is not symmetric")
     a = 0.5 * (a + a.T)  # exact symmetry for the sweep updates
 
     # Threshold on the squared off-diagonal norm: (1e-14 * ||A||_F)^2, so the
-    # eigenvalue error stays ~1e-14 relative to the matrix scale.
-    total = float(np.sum(a * a))
-    threshold = OFFDIAG_MASS_TOL**2 * max(1.0, total)
+    # eigenvalue error stays ~1e-14 relative to the matrix scale.  No floor:
+    # max(1, ||A||_F^2) would make it absolute for matrices below norm 1.
+    threshold = OFFDIAG_MASS_TOL**2 * float(np.sum(a * a))
     v = np.eye(n) if need_vectors else np.zeros((1, 1))
     result = _jacobi_kernel(a, v, need_vectors, threshold, MAX_SWEEPS)
     if result < 0:

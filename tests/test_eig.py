@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momentkit.eig import MAX_SWEEPS, OFFDIAG_MASS_TOL, _jacobi_kernel, jacobi_eigh, lambda_min
 from momentkit.errors import EigFailure
@@ -66,6 +66,21 @@ def test_scale_invariance_of_accuracy(seed, scale):
     got = lambda_min(A)
     ref = float(np.linalg.eigvalsh(A)[0])
     assert got == pytest.approx(ref, abs=1e-11 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 7), st.floats(-12, 12))
+@example(seed=0, n=6, log_c=-12.0)
+def test_lambda_min_error_scales_with_the_matrix(seed, n, log_c):
+    # The stopping rule is relative to ||cA||_F with no floor, so the error
+    # shrinks with c below 1 as well as above it.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A = A + A.T
+    c = 10.0**log_c
+    got = lambda_min(c * A)
+    ref = c * float(np.linalg.eigvalsh(A)[0])
+    assert abs(got - ref) <= 1e-13 * c * np.linalg.norm(A)
 
 
 def test_moment_scale_hankel():
