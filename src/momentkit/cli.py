@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .eig import collect_eig_stats
 from .errors import (
     DegreeTooHigh,
     EigFailure,
@@ -103,14 +104,16 @@ def run(cmd: Command) -> RunResult:
     """Execute one command; never raises on schema-valid input."""
     log.info("run %s on %s", cmd.verb, cmd.input_path)
     try:
-        with collect_lp_stats() as stats:
+        with collect_lp_stats() as stats, collect_eig_stats() as eig_stats:
             parsed = parse_input(cmd.input_path)
             if cmd.schema_check_only:
                 return RunResult("schema-ok", EXIT_OK, {"verb": cmd.verb})
             result = _dispatch(cmd, parsed)
-        result.payload.setdefault("diagnostics", {})
-        result.payload["diagnostics"]["lp_solves"] = stats["solves"]
-        result.payload["diagnostics"]["lp_iterations"] = stats["iterations"]
+        diag = result.payload.setdefault("diagnostics", {})
+        diag["lp_solves"] = stats["solves"]
+        diag["lp_iterations"] = stats["iterations"]
+        diag["eig_calls"] = eig_stats["calls"]
+        diag["eig_sweeps"] = eig_stats["sweeps"]
         return result
     except (SchemaError, IoError, DegreeTooHigh) as exc:
         log.error("input error: %s", exc)

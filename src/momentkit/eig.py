@@ -11,6 +11,8 @@ entries grow large, and a looser one would poison small eigenvalues).
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,6 +21,19 @@ from .errors import EigFailure
 SIZE_CAP = 64
 OFFDIAG_MASS_TOL = 1e-14
 MAX_SWEEPS = 60
+
+_stats = threading.local()
+
+
+@contextmanager
+def collect_eig_stats():
+    """Collect (call count, total sweeps) for every Jacobi call in the block."""
+    prev = getattr(_stats, "bucket", None)
+    _stats.bucket = {"calls": 0, "sweeps": 0}
+    try:
+        yield _stats.bucket
+    finally:
+        _stats.bucket = prev
 
 
 def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
@@ -108,6 +123,10 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     threshold = OFFDIAG_MASS_TOL**2 * float(np.sum(a * a))
     v = np.eye(n) if need_vectors else np.zeros((1, 1))
     result = _jacobi_kernel(a, v, need_vectors, threshold, MAX_SWEEPS)
+    bucket = getattr(_stats, "bucket", None)
+    if bucket is not None:
+        bucket["calls"] += 1
+        bucket["sweeps"] += MAX_SWEEPS if result < 0 else result
     if result < 0:
         raise EigFailure(f"Jacobi sweeps failed to converge in {MAX_SWEEPS} sweeps")
 

@@ -274,6 +274,17 @@ def test_build_measure_pivot_count(tmp_path, capsys):
     assert (diag["lp_solves"], diag["lp_iterations"]) == (18, 99)
 
 
+@pytest.mark.parametrize("moments, counts", [
+    ([1, 0, -1], (1, 0)),        # one 2x2 Hankel matrix, already diagonal
+    ([1, 0.5, 1, 0.2, 3], (1, 3)),
+])
+def test_check_eigen_counts(tmp_path, capsys, moments, counts):
+    main(["check", write(tmp_path, "m.json", {"moments": moments})])
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert (diag["eig_calls"], diag["eig_sweeps"]) == counts
+    assert (diag["lp_solves"], diag["lp_iterations"]) == (0, 0)
+
+
 def test_verify_finite_space_measure(tmp_path, capsys):
     good = dict(FS_DOC, measure={"mass": [1.0, 1.0]})
     path = write(tmp_path, "v.json", good)

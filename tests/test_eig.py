@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from momentkit.eig import MAX_SWEEPS, OFFDIAG_MASS_TOL, _jacobi_kernel, jacobi_eigh, lambda_min
+from momentkit.eig import (
+    MAX_SWEEPS,
+    OFFDIAG_MASS_TOL,
+    _jacobi_kernel,
+    collect_eig_stats,
+    jacobi_eigh,
+    lambda_min,
+)
 from momentkit.errors import EigFailure
 
 
@@ -81,6 +88,17 @@ def test_lambda_min_error_scales_with_the_matrix(seed, n, log_c):
     got = lambda_min(c * A)
     ref = c * float(np.linalg.eigvalsh(A)[0])
     assert abs(got - ref) <= 1e-13 * c * np.linalg.norm(A)
+
+
+def test_eig_stats_count_calls_and_sweeps():
+    A = np.array([[2.0, 1.0], [1.0, 2.0]])
+    with collect_eig_stats() as outer:
+        jacobi_eigh(np.eye(3))
+        with collect_eig_stats() as inner:
+            lambda_min(A)
+        jacobi_eigh(A, need_vectors=False)
+    assert inner == {"calls": 1, "sweeps": 1}
+    assert outer == {"calls": 2, "sweeps": 1}
 
 
 def test_moment_scale_hankel():
