@@ -1,5 +1,6 @@
 """Smoke test: every demo script runs to completion on small arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,22 @@ def test_compare_outputs_self_diff(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "0 outputs changed" in proc.stdout
     assert "differences: 0" in proc.stdout
+
+
+def test_bench_pairs_one_pair(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("bench_pairs.py checks revisions out of a git repository")
+    out = tmp_path / "BENCH_0.json"
+    proc = _run("bench_pairs.py", "--parent", "HEAD", "--change", "HEAD",
+                "--workloads", "moment-extend", "--seeds", "7", "--seconds", "1",
+                "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    body = doc["workloads"]["moment-extend"]
+    assert [(r["side"], r["first"]) for r in body["runs"]] == [("parent", True),
+                                                              ("change", False)]
+    summary = body["summary"]
+    assert summary["correct_all"] and summary["digest_block0_equal"] == 1
+    assert summary["ops_per_s"]["pairs"] == 1 and summary["failed"] == {"parent": [0],
+                                                                         "change": [0]}
+    assert doc["env"]["jacobi_path"] == "python"
