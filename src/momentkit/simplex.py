@@ -75,6 +75,10 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    # One multiplier per caller row, a_ub rows first, when optimal: y_ub <= 0,
+    # c - y @ [a_ub; a_eq] is 0 on free and >= 0 on nonneg variables, and
+    # c @ x == b @ y.
+    duals: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
@@ -199,16 +203,18 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
 
     # Presolve: copied inequality rows become one row at their smallest
     # right-hand side, in first-occurrence order (see the module docstring).
-    # A stable sort puts each row's copies together, first occurrence first.
+    # A stable sort puts each row's copies together, smallest right-hand side
+    # first; ``ub_rows`` is the caller row that carries each row's multiplier.
+    m_caller, ub_rows = m, None
     if m_ub > 1 and n:
-        perm = np.lexsort(a_ub.T)
+        perm = np.lexsort((b_ub, *a_ub.T))
         ranked = a_ub[perm]
         starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
         if starts.size < m_ub:
-            b_min = np.minimum.reduceat(b_ub[perm], starts)
-            first = perm[starts]
+            first = np.minimum.reduceat(perm, starts)
             order = np.argsort(first)
-            a_ub, b_ub = a_ub[first[order]], b_min[order]
+            ub_rows = perm[starts][order]
+            a_ub, b_ub = a_ub[first[order]], b_ub[ub_rows]
             m_ub = starts.size
             m = m_ub + m_eq
             n_struct = n_var + m_ub
@@ -260,6 +266,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     scan_order = np.array(identity_col.tolist() + rest, dtype=int)
 
     iterations = 0
+    redundant = None
 
     # Phase 1: minimize the artificial mass.
     if n_art:
@@ -285,6 +292,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
                 else:
                     keep[i] = False  # redundant constraint
         if not keep.all():
+            redundant = ~keep
             T = np.vstack([T[:m][keep], T[-1:]])
             basis = basis[keep]
             m = int(keep.sum())
@@ -310,7 +318,22 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     full = np.zeros(n_total)
     full[basis] = T[:m, -1]
     x = full[:n] if nonneg else full[:n] - full[n:2 * n]
-    return LpSolution("optimal", x, float(c @ x), iterations)
+
+    # Multipliers from the final objective row.  A slack column was scaled
+    # and flipped with its row, so its reduced cost is the a_ub multiplier up
+    # to obj_scale; an artificial is a unit column of the scaled, flipped row.
+    y = T[-1, n_var:n_struct] * -obj_scale
+    if m_eq:
+        sign = np.where(flip[m_ub:], obj_scale, -obj_scale)
+        y = np.concatenate([y, sign * T[-1, n_total - m_eq:n_total] / row_scale[m_ub:]])
+    if redundant is not None:
+        y[redundant] = 0.0
+    if ub_rows is not None:
+        duals = np.zeros(m_caller)
+        duals[ub_rows] = y[:m_ub]
+        duals[m_caller - m_eq:] = y[m_ub:]
+        y = duals
+    return LpSolution("optimal", x, float(c @ x), iterations, y)
 
 
 def lp_feasible(a_ub, b_ub) -> bool:

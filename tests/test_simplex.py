@@ -222,3 +222,67 @@ def test_nonneg_matches_reference_solver(data):
         assert np.all(a_ub @ sol.x <= b_ub + 1e-7)
         if a_eq is not None:
             assert np.all(np.abs(a_eq @ sol.x - b_eq) <= 1e-7)
+
+
+def test_copied_rows_multiplier_goes_to_tightest_copy():
+    base = [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]]
+    a = base + [base[2], base[0], base[2]]
+    b = [4.0, 3.0, 3.0, 6.0] + [2.5, 5.0, 2.8]
+    sol = solve_lp([-1.0, -1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
+    ref = solve_lp([-1.0, -1.0, -1.0], a_ub=base, b_ub=[4.0, 3.0, 2.5, 6.0], nonneg=True)
+    assert np.array_equal(sol.duals[[0, 1, 4, 3]], ref.duals)
+    assert np.all(sol.duals[[2, 5, 6]] == 0.0)
+
+
+def test_redundant_equality_gets_zero_multiplier():
+    # the copied equality row is dropped after phase 1; its multiplier is 0
+    sol = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[2.0, 2.0], nonneg=True)
+    assert sol.optimal and sol.objective == pytest.approx(2.0)
+    assert sorted(sol.duals) == pytest.approx([0.0, 1.0])
+    assert solve_lp([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]).duals is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_duals_certify_optimal_solutions(data):
+    # No reference solver: every optimum must come with multipliers that
+    # satisfy the optimality conditions on the caller's unscaled data.
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 6))
+    nonneg = data.draw(st.booleans())
+    scale = 10.0 ** data.draw(st.integers(-2, 2))
+    a_ub = scale * rng.normal(size=(data.draw(st.integers(1, 10)), n))
+    b_ub = rng.normal(size=a_ub.shape[0])
+    if data.draw(st.booleans()):  # looser, equal or tighter copies
+        copies = rng.integers(0, a_ub.shape[0], size=data.draw(st.integers(1, 8)))
+        shift = rng.choice([-1.0, 0.0, 1.0], size=copies.size) * rng.uniform(0.0, 0.5, copies.size)
+        a_ub, b_ub = np.vstack([a_ub, a_ub[copies]]), np.r_[b_ub, b_ub[copies] + shift]
+    a_eq, b_eq = None, None
+    if data.draw(st.booleans()):
+        a_eq = rng.normal(size=(data.draw(st.integers(1, 2)), n))
+        b_eq = rng.normal(size=a_eq.shape[0])
+        if data.draw(st.booleans()):  # a redundant copy
+            a_eq, b_eq = np.vstack([a_eq, a_eq[:1]]), np.r_[b_eq, b_eq[:1]]
+    c = 10.0 ** data.draw(st.integers(-2, 2)) * rng.normal(size=n)
+    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
+    if not sol.optimal:
+        assert sol.duals is None
+        return
+    a = a_ub if a_eq is None else np.vstack([a_ub, a_eq])
+    b = b_ub if a_eq is None else np.r_[b_ub, b_eq]
+    x, y = sol.x, sol.duals
+    assert y.shape == b.shape
+    y_ub = y[:b_ub.size]
+    data_scale = max(1.0, np.abs(c).max(), (np.abs(y) @ np.abs(a)).max())
+    assert np.all(y_ub <= 1e-9 * data_scale)
+    reduced = c - y @ a
+    if nonneg:
+        assert np.all(reduced >= -1e-9 * data_scale)
+        assert np.all(np.abs(reduced * x) <= 1e-9 * data_scale * max(1.0, np.abs(x).max()))
+    else:
+        assert np.all(np.abs(reduced) <= 1e-9 * data_scale)
+    slack = b_ub - a_ub @ x
+    row_scale = np.maximum(1.0, np.abs(a_ub) @ np.abs(x) + np.abs(b_ub))
+    assert np.all(np.abs(y_ub * slack) <= 1e-9 * data_scale * row_scale)
+    value = float(c @ x)
+    assert abs(value - b @ y) <= 1e-7 * max(1.0, abs(value))
