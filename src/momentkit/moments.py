@@ -321,15 +321,22 @@ def positivity_certificate(m: MomentSequence, tol: float = PSD_TOL) -> Certifica
 def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     """Minimize the moment functional over grid-nonnegative normalized polys.
 
-    LP over polynomials of degree <= 2d with p(x_j) >= 0 on the grid and
-    coefficient 1-norm at most 1.  A minimum above -tol certifies positivity
-    on the (grid-nonnegative) relaxation of the support cone; a failure
-    returns the minimizing polynomial as an explicit witness.
+    The minimum of ``riesz(m, p)`` over polynomials p of degree <= 2d with
+    p(x_j) >= 0 on the grid and coefficient 1-norm at most 1 is, by LP
+    duality, minus the l-infinity distance from m to the cone of grid
+    moment vectors: ``min t`` over ``lam, t >= 0`` with
+    ``|m - V^T lam| <= t``, V the grid Vandermonde matrix.  That LP has
+    2(2d+1) rows, and its multipliers y+ (rows ``V^T lam - t <= m``) and
+    y- (rows ``-V^T lam - t <= -m``) give the minimizer c = y- - y+.  A value
+    at or above -tol certifies positivity on the (grid-nonnegative)
+    relaxation of the support cone; a failure ships the polynomial as an
+    explicit witness.
 
-    The grid constraints are handled by constraint generation: solve on a
-    coarse subset, add the points the minimizer violates, repeat.  The
-    returned polynomial is nonnegative (to 1e-12) on the whole grid, and by
-    the usual cutting-plane argument its value is the full-grid minimum.
+    Grid points enter by column generation: solve on at most 256 evenly
+    spaced points, add the (up to 16) points where c is most negative,
+    repeat.  The witness is then shifted up by its most negative grid value
+    and scaled to 1-norm at most 1, so it is grid-nonnegative and
+    normalized by construction, and the verdict is read from its value.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
@@ -338,32 +345,34 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
         raise ValueError("grid points must lie inside the declared support")
     n_coef = m.max_degree + 1
     vander = np.vander(grid, n_coef, increasing=True)
-    c = np.concatenate([m.array(), -m.array()])
+    mom = m.array()
+    b_ub = np.concatenate([mom, -mom])
+    t_col = -np.ones((2 * n_coef, 1))
 
-    # variables: [c+ (n_coef), c- (n_coef)] >= 0 with sum(c+ + c-) <= 1
-    def _solve(point_idx):
-        rows = vander[point_idx]
-        a_ub = np.block([[-rows, rows], [np.ones((1, 2 * n_coef))]])
-        b_ub = np.concatenate([np.zeros(rows.shape[0]), [1.0]])
-        sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=True)
+    # variables: [lam (one per active point), t] >= 0
+    def _witness(points):
+        cols = vander[points].T
+        a_ub = np.hstack([np.vstack([cols, -cols]), t_col])
+        cost = np.zeros(points.size + 1)
+        cost[-1] = 1.0
+        sol = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=True)
         if not sol.optimal:
-            raise LpFailure(f"grid-positivity LP ended with status {sol.status}")
-        return sol
+            raise LpFailure(f"grid-distance LP ended with status {sol.status}")
+        return sol.duals[n_coef:] - sol.duals[:n_coef]
 
-    active = list(range(0, grid.size, max(1, grid.size // 16)))
-    seen = set(active)
+    active = np.arange(0, grid.size, -(-grid.size // 256))
     for _ in range(60):
-        sol = _solve(np.asarray(active, dtype=int))
-        coeffs = sol.x[:n_coef] - sol.x[n_coef:]
+        coeffs = _witness(active)
         values = vander @ coeffs
         violated = np.nonzero(values < -1e-12)[0]
-        new = [int(j) for j in violated[np.argsort(values[violated])][:16] if int(j) not in seen]
-        if not new:
-            worst = Poly(tuple(coeffs))
-            return float(sol.objective) >= -tol, worst
-        active.extend(new)
-        seen.update(new)
-    raise LpFailure("constraint generation for the grid check did not settle")
+        worst = violated[np.argsort(values[violated])[:16]]
+        new = worst[~np.isin(worst, active)]
+        if not new.size:
+            coeffs[0] += max(0.0, -float(values.min()))
+            witness = Poly(tuple(coeffs / max(1.0, float(np.abs(coeffs).sum()))))
+            return riesz(m, witness) >= -tol, witness
+        active = np.concatenate([active, new])
+    raise LpFailure("column generation for the grid check did not settle")
 
 
 def _scaled_cholesky_rank(H: np.ndarray):
