@@ -113,8 +113,14 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
         raise EigFailure(f"matrix size {n} exceeds the {SIZE_CAP}x{SIZE_CAP} cap")
     if not np.all(np.isfinite(a)):
         raise EigFailure("matrix contains non-finite entries")
-    if n and np.abs(a - a.T).max() > 1e-12 * np.abs(a).max():
+    amax = float(np.abs(a).max()) if n else 0.0
+    if n and np.abs(a - a.T).max() > 1e-12 * amax:
         raise EigFailure("matrix is not symmetric")
+    # Sweep on 2^-e * A with |entries| < 1, so the squares below neither
+    # underflow nor overflow.  Rotations are scale-free and the scaling is
+    # exact, so the eigenpairs of any other matrix are bitwise unchanged.
+    e = math.frexp(amax)[1]
+    a = np.ldexp(a, -e)
     a = 0.5 * (a + a.T)  # exact symmetry for the sweep updates
 
     # Threshold on the squared off-diagonal norm: (1e-14 * ||A||_F)^2, so the
@@ -130,7 +136,7 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     if result < 0:
         raise EigFailure(f"Jacobi sweeps failed to converge in {MAX_SWEEPS} sweeps")
 
-    w = np.diag(a).copy()
+    w = np.ldexp(np.diag(a), e)
     order = np.argsort(w, kind="stable")
     w = w[order]
     if need_vectors:

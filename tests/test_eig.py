@@ -90,6 +90,18 @@ def test_lambda_min_error_scales_with_the_matrix(seed, n, log_c):
     assert abs(got - ref) <= 1e-13 * c * np.linalg.norm(A)
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e200, 1e300])
+def test_lambda_min_at_extreme_scales(s):
+    # Squared entries under- or overflow at these scales unless the sweep
+    # runs on a power-of-two rescaled copy.
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 8):
+        A = rng.normal(size=(n, n))
+        A = A + A.T
+        got = lambda_min(s * A) / s
+        assert abs(got - np.linalg.eigvalsh(A)[0]) <= 1e-13 * np.linalg.norm(A)
+
+
 def test_eig_stats_count_calls_and_sweeps():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     with collect_eig_stats() as outer:
