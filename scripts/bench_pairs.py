@@ -6,7 +6,7 @@ Usage, from the repository root::
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --seeds 5001 5002 5003 5004 5005 --seconds 25 --out BENCH_8.json
 
-Both revisions are checked out with ``git worktree`` under a temporary
+Both revisions are exported with ``git archive`` into a temporary
 directory, so each side runs its own committed files.  For every seed and
 workload one pair runs ``benchmark/run.py --workload W --seed S --seconds T``
 on the parent and on the change; the side that runs first alternates from
@@ -19,10 +19,12 @@ environment the runs reported.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -97,32 +99,29 @@ def main(argv=None):
     env = None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
-        try:
-            for side, rev in revs.items():
-                _git("worktree", "add", "--detach", str(trees[side]), rev)
-            for pair, seed in enumerate(args.seeds):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for workload in args.workloads:
-                    for side in order:
-                        report, last = _run(trees[side], workload, seed, args.seconds)
-                        env = env or report["env"]
-                        runs[workload].append({
-                            "pair": pair, "seed": seed, "side": side, "first": side == order[0],
-                            "last_line": last,
-                            "digest_block0": report["digest_block0"],
-                            "per_verb_p50_ms": {k: v["value"]
-                                                for k, v in report["per_verb_p50_ms"].items()},
-                        })
-                        m = last["metrics"]
-                        print(f"{workload} seed {seed} {side}: "
-                              f"ops_per_s {m['ops_per_s']['value']:.1f}, "
-                              f"p50 {m['latency_p50_ms']['value']:.3f} ms, "
-                              f"failed {last['failed']}, correct {last['correct']}", flush=True)
-        finally:
-            for tree in trees.values():
-                subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
-                               capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        for side, rev in revs.items():
+            archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                     capture_output=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(trees[side])
+        for pair, seed in enumerate(args.seeds):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for workload in args.workloads:
+                for side in order:
+                    report, last = _run(trees[side], workload, seed, args.seconds)
+                    env = env or report["env"]
+                    runs[workload].append({
+                        "pair": pair, "seed": seed, "side": side, "first": side == order[0],
+                        "last_line": last,
+                        "digest_block0": report["digest_block0"],
+                        "per_verb_p50_ms": {k: v["value"]
+                                            for k, v in report["per_verb_p50_ms"].items()},
+                    })
+                    m = last["metrics"]
+                    print(f"{workload} seed {seed} {side}: "
+                          f"ops_per_s {m['ops_per_s']['value']:.1f}, "
+                          f"p50 {m['latency_p50_ms']['value']:.3f} ms, "
+                          f"failed {last['failed']}, correct {last['correct']}", flush=True)
 
     doc = {
         "description": "Alternating parent/change runs of `python3 benchmark/run.py --workload W "
