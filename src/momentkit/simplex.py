@@ -7,9 +7,13 @@ basis to zero.  By default the variables are free (sign-unrestricted) and
 each is split into a difference of nonnegative parts, columns
 ``[x+, x-, slack]``; with ``nonneg=True`` the caller's variables are the
 core's columns, ``[x, slack]``.  An LP whose variables are naturally
-nonnegative (the grid-positivity LP over the l1 ball, written with
-``c = c+ - c-``) is smaller that way than the same LP in free variables with
-bound rows.
+nonnegative (the grid check's distance LP over grid weights and the
+distance, ``(lam, t) >= 0``) is smaller that way than the same LP in free
+variables with bound rows.
+
+An optimal solution carries the multipliers of the caller's rows, read from
+the final objective row: the reduced costs of the slack columns (which were
+scaled and flipped with their rows) and of the artificial columns.
 
 Most of our LPs sit on heavily degenerate vertices (whole blocks of zero
 right-hand sides), so anti-cycling is not optional: the leaving row is
@@ -108,9 +112,9 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
     if active.size == 1:
         return int(active[0])
     inv = 1.0 / column[active]
-    # The tie-break runs on many pivots (93.0% of the 2,693 grid-LP pivots of
-    # moment-check seeds 7 and 8, block 0, with nonnegative columns; 4 in 10
-    # on the finite-space LPs once their copied rows are merged), and its
+    # The tie-break runs on many pivots (4 in 10 on the finite-space LPs once
+    # their copied rows are merged, though only 2.9% of the 1,143 grid-check
+    # pivots of moment-check seeds 7 and 8, block 0), and its
     # first informative column is nearly always among the first 20 of the
     # scan order, so one 64-column chunk usually settles it.  Gathering the
     # whole scan order at once kept every pivot and was no faster: 7-12%
@@ -168,10 +172,11 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     Every component of ``x`` is free, or ``>= 0`` with ``nonneg``.
     Inequality rows with equal coefficients are solved as one row at their
     smallest right-hand side; the size cap and the finiteness check see the
-    LP as given.  Returns an
-    :class:`LpSolution`; a solver breakdown (iteration budget, size cap)
-    raises :class:`LpFailure` while infeasible/unbounded are reported as
-    statuses.
+    LP as given.  Returns an :class:`LpSolution`, with ``duals`` in the
+    caller's rows when optimal (a copied row's multiplier sits on its copy
+    at the smallest right-hand side); a solver breakdown (iteration budget,
+    size cap) raises :class:`LpFailure` while infeasible/unbounded are
+    reported as statuses.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
@@ -266,7 +271,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     scan_order = np.array(identity_col.tolist() + rest, dtype=int)
 
     iterations = 0
-    redundant = None
 
     # Phase 1: minimize the artificial mass.
     if n_art:
@@ -292,7 +296,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
                 else:
                     keep[i] = False  # redundant constraint
         if not keep.all():
-            redundant = ~keep
             T = np.vstack([T[:m][keep], T[-1:]])
             basis = basis[keep]
             m = int(keep.sum())
@@ -322,12 +325,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     # Multipliers from the final objective row.  A slack column was scaled
     # and flipped with its row, so its reduced cost is the a_ub multiplier up
     # to obj_scale; an artificial is a unit column of the scaled, flipped row.
+    # An equality row dropped as redundant leaves an all-zero artificial
+    # column, so its multiplier is 0.
     y = T[-1, n_var:n_struct] * -obj_scale
     if m_eq:
         sign = np.where(flip[m_ub:], obj_scale, -obj_scale)
         y = np.concatenate([y, sign * T[-1, n_total - m_eq:n_total] / row_scale[m_ub:]])
-    if redundant is not None:
-        y[redundant] = 0.0
     if ub_rows is not None:
         duals = np.zeros(m_caller)
         duals[ub_rows] = y[:m_ub]
