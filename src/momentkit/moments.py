@@ -24,7 +24,7 @@ from .errors import (
     NotPSD,
     RankDetectionAmbiguous,
 )
-from .simplex import solve_lp
+from .simplex import SIZE_CAP, solve_lp
 
 PSD_TOL = 1e-8
 RANK_PIVOT_KEEP = 1e-10
@@ -358,11 +358,15 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
         sol = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=True)
         if not sol.optimal:
             raise LpFailure(f"grid-distance LP ended with status {sol.status}")
-        return sol.duals[n_coef:] - sol.duals[:n_coef]
+        return sol.duals[n_coef:] - sol.duals[:n_coef], sol.x[:-1]
 
-    active = np.arange(0, grid.size, -(-grid.size // 256))
+    # The LP takes `room` grid columns beside t and the 2 n_coef slacks.  When
+    # it would overflow, only the points with positive weight stay: at most
+    # n_coef of them are basic, and the last optimum stays feasible.
+    room = SIZE_CAP - 1 - 2 * n_coef
+    active = np.arange(0, grid.size, -(-grid.size // max(1, min(256, room))))
     for _ in range(60):
-        coeffs = _witness(active)
+        coeffs, lam = _witness(active)
         values = vander @ coeffs
         violated = np.nonzero(values < -1e-12)[0]
         worst = violated[np.argsort(values[violated])[:16]]
@@ -371,6 +375,8 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
             coeffs[0] += max(0.0, -float(values.min()))
             witness = Poly(tuple(coeffs / max(1.0, float(np.abs(coeffs).sum()))))
             return riesz(m, witness) >= -tol, witness
+        if active.size + new.size > room:
+            active = active[lam > 0]
         active = np.concatenate([active, new])
     raise LpFailure("column generation for the grid check did not settle")
 

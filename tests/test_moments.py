@@ -286,6 +286,24 @@ def test_grid_check_beyond_the_lp_size_cap():
         assert ok == (value >= -1e-7)
 
 
+def test_grid_check_at_high_degree_keeps_the_lp_under_the_cap():
+    # At d = 61 the distance LP has room for 253 grid columns beside t and
+    # its 246 slack columns, so column generation must drop zero-weight
+    # points before it adds new ones.
+    rng = np.random.default_rng(61)
+    d = 61
+    atoms = np.sort(rng.uniform(-1.1, 1.1, 5))
+    m = mk.MomentSequence(atomic_moments(atoms, rng.uniform(0.2, 2.0, 5), 2 * d),
+                          mk.Support.interval(-1, 1))
+    grid = np.linspace(-1.0, 1.0, 1000)
+    with collect_lp_stats() as stats:
+        ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
+    assert stats["solves"] > 1
+    assert witness(grid).min() >= -1e-12
+    assert np.abs(witness.coeffs).sum() <= 1 + 1e-9
+    assert ok == (mk.riesz(m, witness) >= -1e-7)
+
+
 # --- atom recovery --------------------------------------------------------------------------
 
 def test_recover_symmetric_pair():
