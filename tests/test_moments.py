@@ -215,15 +215,29 @@ def test_grid_check_regression_negative_optimum():
     assert stats == {"solves": 1, "iterations": 84}
 
 
+def _highs_grid_minimum(m, grid):
+    """HiGHS on the whole grid, in free coefficients c and bounds u >= |c|,
+    at its tightest feasibility tolerances (1e-10).  Its optimum may still
+    sit about m_0 * 1e-10 below the true one."""
+    from scipy.optimize import linprog
+
+    n = m.max_degree + 1
+    vander, eye = np.vander(grid, n, increasing=True), np.eye(n)
+    ref = linprog(np.r_[m.array(), np.zeros(n)],
+                  A_ub=np.block([[-vander, np.zeros((grid.size, n))], [eye, -eye], [-eye, -eye],
+                                 [np.zeros((1, n)), np.ones((1, n))]]),
+                  b_ub=np.r_[np.zeros(grid.size + 2 * n), 1.0], bounds=(None, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert ref.status == 0
+    return ref.fun
+
+
 def test_grid_check_matches_reference_on_full_grid():
     # 60 interval sequences, d = 1..6: measures on [-0.9, 0.9], the same with
     # m_2 forced negative, and measures with atoms out to +-1.15 (outside the
     # support, so the minimum is often just below zero).  The reference is
-    # HiGHS on the whole grid, in free coefficients c and bounds u >= |c|, at
-    # its tightest feasibility tolerances (1e-10).  Its optimum may still sit
-    # about m_0 * 1e-10 below the true one, which the absolute 1e-8 allows.
-    from scipy.optimize import linprog
-
+    # HiGHS on the whole grid; the absolute 1e-8 allows for its tolerances.
     rng = np.random.default_rng(61)
     grid = np.linspace(-1.0, 1.0, 200)
     for i in range(60):
@@ -235,18 +249,8 @@ def test_grid_check_matches_reference_on_full_grid():
             mom[2] = -abs(mom[2]) - 0.3
         m = mk.MomentSequence(tuple(mom), mk.Support.interval(-1, 1))
         ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
-
-        n = 2 * d + 1
-        vander, eye = np.vander(grid, n, increasing=True), np.eye(n)
-        ref = linprog(np.r_[m.array(), np.zeros(n)],
-                      A_ub=np.block([[-vander, np.zeros((grid.size, n))], [eye, -eye], [-eye, -eye],
-                                     [np.zeros((1, n)), np.ones((1, n))]]),
-                      b_ub=np.r_[np.zeros(grid.size + 2 * n), 1.0], bounds=(None, None),
-                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                               "dual_feasibility_tolerance": 1e-10})
-        assert ref.status == 0
         value = mk.riesz(m, witness)
-        assert value == pytest.approx(ref.fun, rel=1e-6, abs=1e-8), (i, value, ref.fun)
+        assert value == pytest.approx(_highs_grid_minimum(m, grid), rel=1e-6, abs=1e-8), i
         assert ok == (value >= -1e-7)
         assert np.abs(witness.coeffs).sum() <= 1 + 1e-9
         assert witness(grid).min() >= -1e-9
@@ -256,8 +260,6 @@ def test_grid_check_beyond_the_lp_size_cap():
     # 2,000 grid points are four times the simplex's 500-column cap: column
     # generation keeps the LP small, and the witness is still grid-nonnegative,
     # normalized and optimal on the whole grid.
-    from scipy.optimize import linprog
-
     rng = np.random.default_rng(2000)
     grid = np.linspace(-1.0, 1.0, 2000)
     for i in range(18):
@@ -271,18 +273,8 @@ def test_grid_check_beyond_the_lp_size_cap():
         ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
         assert witness(grid).min() >= -1e-12
         assert np.abs(witness.coeffs).sum() <= 1 + 1e-9
-
-        n = 2 * d + 1
-        vander, eye = np.vander(grid, n, increasing=True), np.eye(n)
-        ref = linprog(np.r_[m.array(), np.zeros(n)],
-                      A_ub=np.block([[-vander, np.zeros((grid.size, n))], [eye, -eye], [-eye, -eye],
-                                     [np.zeros((1, n)), np.ones((1, n))]]),
-                      b_ub=np.r_[np.zeros(grid.size + 2 * n), 1.0], bounds=(None, None),
-                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                               "dual_feasibility_tolerance": 1e-10})
-        assert ref.status == 0
         value = mk.riesz(m, witness)
-        assert value == pytest.approx(ref.fun, rel=1e-6, abs=1e-8), (i, value, ref.fun)
+        assert value == pytest.approx(_highs_grid_minimum(m, grid), rel=1e-6, abs=1e-8), i
         assert ok == (value >= -1e-7)
 
 
