@@ -15,7 +15,8 @@ example of two commits::
 
 ``diff`` prints, per workload, the operations whose verdict or exit code
 differ, how many outputs changed with and without their ``diagnostics``,
-and the largest float drift |a - b| / max(1, |a|).  It exits 1 when a
+and the largest float drift |a - b| / max(1, |a|), overall and per JSON
+path (list indices left out) outside ``diagnostics``.  It exits 1 when a
 verdict or an exit code differs or an operation is missing on one side.
 """
 
@@ -68,25 +69,31 @@ def _read(path):
         return {(r["workload"], r["seed"], r["verb"], r["input"]): r for r in rows}
 
 
-def _drift(a, b):
-    """Largest |a - b| / max(1, |a|) over the numbers of two JSON values,
-    or None when they differ in anything but numbers."""
+def _drift(a, b, path="", out=None):
+    """Largest |a - b| / max(1, |a|) per JSON path of two JSON values, as a
+    dict (list indices are left out of the path, so ``density.distances``
+    covers every distance), or None when they differ in anything but
+    numbers."""
+    out = {} if out is None else out
     if type(a) is not type(b) and not {type(a), type(b)} <= {int, float}:
         return None
     if isinstance(a, dict):
         if a.keys() != b.keys():
             return None
-        pairs = [(a[k], b[k]) for k in a]
+        pairs = [(f"{path}.{k}" if path else k, a[k], b[k]) for k in a]
     elif isinstance(a, list):
         if len(a) != len(b):
             return None
-        pairs = zip(a, b)
+        pairs = [(path, x, y) for x, y in zip(a, b)]
     elif isinstance(a, (int, float)) and not isinstance(a, bool):
-        return abs(a - b) / max(1.0, abs(a))
+        out[path] = max(out.get(path, 0.0), abs(a - b) / max(1.0, abs(a)))
+        return out
     else:
-        return 0.0 if a == b else None
-    drifts = [_drift(x, y) for x, y in pairs]
-    return None if None in drifts else max(drifts, default=0.0)
+        return out if a == b else None
+    for sub, x, y in pairs:
+        if _drift(x, y, sub, out) is None:
+            return None
+    return out
 
 
 def _without_diagnostics(text):
@@ -102,7 +109,7 @@ def diff(args) -> int:
         print(f"only in {'A' if key in old else 'B'}: {' '.join(map(str, key))}")
         bad += 1
     stats = defaultdict(lambda: {"ops": 0, "changed": 0, "changed_without_diagnostics": 0,
-                                 "non_numeric": 0, "max_drift": 0.0})
+                                 "non_numeric": 0, "drift": defaultdict(float)})
     for key in sorted(old.keys() & new.keys()):
         a, b = old[key], new[key]
         s = stats[key[0]]
@@ -119,12 +126,17 @@ def diff(args) -> int:
         d = _drift(doc_a, doc_b)
         if d is None:
             s["non_numeric"] += 1
-        else:
-            s["max_drift"] = max(s["max_drift"], d)
+            continue
+        for path, value in d.items():
+            s["drift"][path] = max(s["drift"][path], value)
     for workload, s in sorted(stats.items()):
         print(f"{workload}: {s['ops']} ops, {s['changed']} outputs changed, "
               f"{s['changed_without_diagnostics']} without diagnostics, "
-              f"{s['non_numeric']} in more than numbers, max float drift {s['max_drift']:.3g}")
+              f"{s['non_numeric']} in more than numbers, "
+              f"max float drift {max(s['drift'].values(), default=0.0):.3g}")
+        for path, value in sorted(s["drift"].items(), key=lambda kv: (-kv[1], kv[0])):
+            if value:
+                print(f"  {path}: {value:.3g}")
     print(f"verdict, exit-code or missing-op differences: {bad}")
     return 1 if bad else 0
 

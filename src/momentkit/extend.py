@@ -178,11 +178,20 @@ def extend_to_hull(L: Functional, A: Subspace, hull_basis, rule: str = "midpoint
     ``span(A)`` (checked first; failure raises
     :class:`HullMembershipFailed`), after which the extension itself is a
     plain :func:`hb_extend` run.
+
+    One LP asks about the pointwise max of ``|h|`` over the targets: some
+    member of ``span(A)`` dominates every ``|h|`` iff one dominates their
+    max (the sum of the separate dominators, each ``>= |h| >= 0``, is one).
+    Only when that LP fails are the targets asked one by one, to name the
+    first that fails.
     """
     hull_basis = list(hull_basis)
-    for idx, h in enumerate(hull_basis):
-        if not hull_contains(A, h):
-            raise HullMembershipFailed(f"hull target {idx} is not dominated by the span")
+    if hull_basis:
+        peak = FunctionVec(A.ground, np.max([np.abs(h.values) for h in hull_basis], axis=0))
+        if not hull_contains(A, peak):
+            for idx, h in enumerate(hull_basis):
+                if not hull_contains(A, h):
+                    raise HullMembershipFailed(f"hull target {idx} is not dominated by the span")
     return hb_extend(L, hull_basis, rule)
 
 

@@ -25,6 +25,7 @@ from .errors import (
 from .extend import ExtensionTrace, Functional, extend_to_hull, hb_extend, verify_positive
 from .funcspace import (
     DEFAULT_EPS_SCHEDULE,
+    INDEPENDENCE_TOL,
     AdaptednessReport,
     FunctionVec,
     GroundSet,
@@ -244,9 +245,18 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     Each distance is ``inf over b of Lbar(|chi - b|)``, computed as the LP
     ``min Lbar(t)`` over ``t`` in Lbar's span with ``t >= chi - b`` and
     ``t >= b - chi`` pointwise.  Dense means every distance is below tol.
+
+    An indicator already in ``span(B)`` (one least-squares solve for all
+    blocks, with the residual rule of :meth:`Subspace.coefficients_of`)
+    gets distance 0 without an LP: ``b = chi``, ``t = 0`` is feasible with
+    value 0, and the LP's minimum is reported as ``max(0, min)``.
     """
     M = Lbar.domain.matrix
     N = B.matrix
+    chis = np.column_stack([chi.values for chi in alg.indicators()])
+    coeffs, *_ = np.linalg.lstsq(N, chis, rcond=None)
+    # An indicator's sup norm is 1, so the residual bound is the tolerance.
+    in_span = np.abs(N @ coeffs - chis).max(axis=0) <= INDEPENDENCE_TOL
     # variables: [tau (Lbar's span), beta (span(B))]
     a_ub = np.block([
         [-M, -N],   # t + b >= chi
@@ -255,7 +265,10 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     distances = []
     for i in range(alg.n_blocks):
-        chi = alg.indicator(i).values
+        if in_span[i]:
+            distances.append(0.0)
+            continue
+        chi = chis[:, i]
         b_ub = np.concatenate([-chi, chi])
         sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
         if not sol.optimal:

@@ -254,8 +254,10 @@ def test_build_measure_nonmeasurable_witness(tmp_path, capsys):
 
 def test_build_measure_pivot_count(tmp_path, capsys):
     # 24 points in 4 blocks: each block-constant row repeats 6 times.  Merging
-    # copied LP rows took this from 211 pivots to 99; pin it so the merge
-    # cannot be dropped silently.
+    # copied LP rows took this from 211 pivots to 99, and answering the hull
+    # and density questions by theorem from 18 solves to 7; without the merge
+    # the 7 solves take 116 pivots.  Pin it so the merge cannot be dropped
+    # silently.
     rng = np.random.default_rng(24)
     assign = np.repeat(np.arange(4), 6)
     rng.shuffle(assign)
@@ -271,7 +273,19 @@ def test_build_measure_pivot_count(tmp_path, capsys):
     }
     assert main(["build-measure", write(tmp_path, "fs.json", doc)]) == 0
     diag = json.loads(capsys.readouterr().out)["diagnostics"]
-    assert (diag["lp_solves"], diag["lp_iterations"]) == (18, 99)
+    assert (diag["lp_solves"], diag["lp_iterations"]) == (7, 32)
+
+
+def test_build_measure_negative_functional_names_the_block(tmp_path, capsys):
+    # L(1 - g) = -1, so L is not positive.  The indicators lie in the default
+    # designated subspace, so no density LP runs (one used to be unbounded and
+    # end in numerical-failure, exit 3); the measure names the negative block.
+    doc = {"points": ["a", "b"], "basis": {"one": [1, 1], "g": [1, 0]},
+           "functional": {"one": 1.0, "g": 2.0}, "sigma_algebra": [[0], [1]]}
+    assert main(["build-measure", write(tmp_path, "neg.json", doc)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["error_kind"]) == ("failed", "NegativeMass")
+    assert "block 1" in out["error"]
 
 
 @pytest.mark.parametrize("moments, counts", [

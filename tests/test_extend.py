@@ -270,6 +270,35 @@ def test_extend_to_hull_checks_membership():
         mk.extend_to_hull(L, A, [vec(g, [1, 0])])
 
 
+def test_extend_to_hull_names_first_failing_target():
+    # span(A) lacks the constants and vanishes on the last point.
+    g = ground(3)
+    A = mk.Subspace(g, [vec(g, [1, 1, 0])])
+    L = mk.Functional(A, [1.0])
+    targets = [vec(g, [1, 0, 0]), vec(g, [0.5, -0.5, 0]), vec(g, [0, 0, 1]), vec(g, [0, 1, 1])]
+    with pytest.raises(mk.HullMembershipFailed, match="hull target 2 "):
+        mk.extend_to_hull(L, A, targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_hull_of_pointwise_max_is_conjunction(seed):
+    # One dominator of max |h_k| exists iff each |h_k| has its own: the sum of
+    # the separate dominators dominates the max.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    g = ground(n)
+    dim = int(rng.integers(1, n + 1))
+    if rng.random() < 0.5:
+        A = random_subspace_with_one(rng, g, dim)
+    else:
+        A = mk.Subspace(g, [vec(g, rng.normal(size=n)) for _ in range(dim)])
+    targets = [vec(g, rng.normal(size=n) * (rng.random(n) < 0.6))
+               for _ in range(int(rng.integers(1, 5)))]
+    peak = vec(g, np.max([np.abs(h.values) for h in targets], axis=0))
+    assert mk.hull_contains(A, peak) == all(mk.hull_contains(A, h) for h in targets)
+
+
 def test_extend_to_hull_identity_on_in_span_targets():
     g = ground(3)
     ramp = vec(g, [0, 1, 2])

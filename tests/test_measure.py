@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
+from momentkit.simplex import collect_lp_stats
 
 from conftest import density_functional, ground, ones, random_partition, vec
 
@@ -240,6 +241,58 @@ def test_density_constants_fail_on_singletons():
     report = mk.density_check(B, alg, L)
     assert not report.dense
     assert report.distances == pytest.approx((1.0, 1.0), abs=1e-9)
+
+
+def lp_distances(B, alg, Lbar):
+    """Every block's seminorm distance by its own LP (the reference loop)."""
+    M, N = Lbar.domain.matrix, B.matrix
+    a_ub = np.block([[-M, -N], [-M, N]])
+    c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
+    out = []
+    for chi in alg.indicators():
+        sol = mk.solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([-chi.values, chi.values]))
+        assert sol.optimal
+        out.append(max(0.0, float(sol.objective)))
+    return out
+
+
+def independent(g, vectors):
+    """Greedy independent subset of ``vectors``, in order."""
+    W = mk.Subspace(g, [])
+    for v in vectors:
+        if not W.contains(v):
+            W = W.extended_by(v)
+    return W
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["indicators", "constants", "mix", "rough"]))
+def test_density_span_shortcut_matches_lp(seed, variant):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    g = ground(n)
+    alg = random_partition(rng, g, int(rng.integers(1, n + 1)))
+    chis = alg.indicators()
+    if variant == "indicators":
+        vectors = chis
+    elif variant == "constants":
+        vectors = [ones(g)]
+    else:
+        keep = rng.random(alg.n_blocks) < 0.5
+        vectors = [chi for chi, k in zip(chis, keep) if k] + [
+            mk.SimpleFunction(alg, rng.normal(size=alg.n_blocks)).as_vec()
+            for _ in range(int(rng.integers(0, 3)))]
+        if variant == "rough":
+            vectors.append(vec(g, rng.normal(size=n)))
+    B = independent(g, vectors)
+    domain = independent(g, [ones(g)] + chis + list(B.basis))
+    Lbar = density_functional(rng, domain)
+    with collect_lp_stats() as stats:
+        report = mk.density_check(B, alg, Lbar)
+    if variant == "indicators":
+        assert stats["solves"] == 0
+    tol = 1e-9 * max(1.0, Lbar(ones(g)))
+    assert report.distances == pytest.approx(lp_distances(B, alg, Lbar), rel=0, abs=tol)
 
 
 def test_density_degenerate_zero_functional():

@@ -60,3 +60,26 @@ def test_bench_pairs_one_pair(tmp_path):
     assert summary["ops_per_s"]["pairs"] == 1 and summary["failed"] == {"parent": [0],
                                                                          "change": [0]}
     assert doc["env"]["jacobi_path"] == "python"
+
+
+def test_compare_outputs_drift_per_path(tmp_path):
+    def dump(name, witness, distances, lp_solves):
+        output = json.dumps({"grid_check": {"witness_poly": witness, "witness_value": 0.5},
+                             "density": {"distances": distances},
+                             "diagnostics": {"lp_solves": lp_solves}})
+        row = {"workload": "finite-space", "seed": 7, "verb": "build-measure",
+               "input": "fs.json", "verdict": "ok", "exit_code": 0, "output": output}
+        path = tmp_path / name
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        return str(path)
+
+    a = dump("a.jsonl", [1.0, 2.0], [0.0, 0.25], 12)
+    b = dump("b.jsonl", [1.0, 2.5], [0.0, 0.125], 5)
+    proc = _run("compare_outputs.py", "diff", a, b)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "  grid_check.witness_poly: 0.25" in lines
+    assert "  density.distances: 0.125" in lines
+    assert not any("witness_value" in line or "lp_solves" in line for line in lines)
+    assert "max float drift 0.25" in proc.stdout
+    assert "differences: 0" in proc.stdout
