@@ -253,11 +253,9 @@ def test_build_measure_nonmeasurable_witness(tmp_path, capsys):
 
 
 def test_build_measure_pivot_count(tmp_path, capsys):
-    # 24 points in 4 blocks: each block-constant row repeats 6 times.  Merging
-    # copied LP rows took this from 211 pivots to 99, and answering the hull
-    # and density questions by theorem from 18 solves to 7; without the merge
-    # the 7 solves take 116 pivots.  Pin it so the merge cannot be dropped
-    # silently.
+    # 24 points in 4 blocks: each block-constant row repeats 6 times.  With
+    # copied LP rows merged the 7 LPs take 32 pivots, without the merge 116;
+    # pin it so the merge cannot be dropped silently.
     rng = np.random.default_rng(24)
     assign = np.repeat(np.arange(4), 6)
     rng.shuffle(assign)
