@@ -1,12 +1,29 @@
 """Stepwise positive extension of a linear functional across the
 pointwise-nonnegative cone.
 
-Given a functional that is nonnegative on the intersection of its span with
-the cone, each new target vector that is sandwiched between two span
+Given a functional ``L`` that is nonnegative on the intersection of its span
+with the cone, each new target vector that is sandwiched between two span
 elements modulo the cone admits an interval of admissible values
 ``[-p(v), p(-v)]``, where ``p`` is the sublinear bound
 
     p(v) = -sup { L(w) : w in span, v - w >= 0 pointwise }.
+
+By LP duality the interval is the range of the integral of ``v`` over the
+positive measures on the ground set that represent ``L``:
+
+    -p(v) = min { v . mu : mu >= 0, W^T mu = L },
+     p(-v) = max { v . mu : same mu },
+
+with ``W`` the matrix of the span's basis.  This is the paper's
+representation question in finite form, and it is how the step computes the
+interval: one LP with two objectives over the representing measures, so
+both bounds share one phase 1.  Its statuses have fixed meanings:
+
+* infeasible -- no positive measure represents ``L``, so ``L`` is not
+  positive on the cone slice of its span (Farkas);
+* unbounded -- ``v`` or ``-v`` is not in cone + span, so ``v`` is not
+  sandwiched;
+* optimal -- both bounds are finite.
 
 Choosing any value in the interval keeps the extended functional dominated
 by ``p``, hence nonnegative on the cone slice of the grown span.  The
@@ -99,41 +116,48 @@ def wc_contains(v: FunctionVec, W: Subspace) -> bool:
 def sublinear_p(v: FunctionVec, L: Functional) -> float:
     """The Hahn-Banach bound ``-sup { L(w) : w in span, w <= v pointwise }``.
 
-    Finite exactly when :func:`in_cone_plus_subspace` holds for ``v`` (this
-    LP's phase 1 decides it) and ``L`` is cone-positive; an empty or
-    unbounded inner problem raises :class:`LpUnbounded`.
+    Solved as its dual, ``-min { v . mu : mu >= 0, W^T mu = L }`` over the
+    positive measures ``mu`` that represent ``L``.  Finite exactly when
+    :func:`in_cone_plus_subspace` holds for ``v`` and ``L`` is cone-positive;
+    otherwise raises :class:`LpUnbounded` (unbounded: ``v`` is not in
+    cone + span; infeasible: no positive measure represents ``L``).
     """
     W = L.domain
     _same_ground(v, W)
-    sol = solve_lp(-L.coeffs, a_ub=W.matrix, b_ub=v.values)
+    sol = solve_lp(v.values, a_eq=W.matrix.T, b_eq=L.coeffs, nonneg=True)
     if sol.status == "unbounded":
-        raise LpUnbounded("supremum over dominated span elements is unbounded")
-    if sol.status == "infeasible":
         raise LpUnbounded("no span element lies below the target (not in cone + span)")
-    return float(sol.objective)
+    if sol.status == "infeasible":
+        raise LpUnbounded("no positive measure represents the functional")
+    return -float(sol.objective)
 
 
 def hb_extend_step(L: Functional, v: FunctionVec, rule: str = "midpoint"):
     """One Hahn-Banach step: extend ``L`` to ``span(domain + {v})``.
 
     Returns ``(extended functional, step record)``.  The admissible value
-    interval is ``[-p(v), p(-v)]``; a reversed interval beyond 1e-9 raises
+    interval ``[-p(v), p(-v)]`` is the range of ``v . mu`` over the positive
+    measures ``mu`` that represent ``L``, found by one LP with the two
+    objectives ``v`` and ``-v`` (see the module docstring).  An unbounded
+    objective raises :class:`TargetNotInWC`.  An infeasible LP means ``L``
+    is not positive; only then does :func:`wc_contains` run, to tell
+    :class:`TargetNotInWC` (``v`` is not sandwiched either) from
+    :class:`LpUnbounded`.  A reversed interval beyond 1e-9 raises
     :class:`EmptyInterval`, while a merely degenerate one collapses to its
-    common endpoint.  Both bounds are finite exactly when ``v`` is
-    sandwiched, so :func:`wc_contains` runs only after a bound LP fails, to
-    tell :class:`TargetNotInWC` from a genuine :class:`LpUnbounded`.
+    common endpoint.
     """
     if rule not in RULES:
         raise ValueError(f"unknown extension rule {rule!r}")
     if L.domain.contains(v):
         raise ValueError("target already lies in the span; nothing to extend")
-    try:
-        lo = -sublinear_p(v, L)
-        hi = sublinear_p(-v, L)
-    except LpUnbounded:
-        if not wc_contains(v, L.domain):
-            raise TargetNotInWC(None, "target is not sandwiched by the current domain") from None
-        raise
+    sol = solve_lp(np.array([v.values, -v.values]), a_eq=L.domain.matrix.T, b_eq=L.coeffs,
+                   nonneg=True)
+    if sol.status == "unbounded" or (sol.status == "infeasible"
+                                     and not wc_contains(v, L.domain)):
+        raise TargetNotInWC(None, "target is not sandwiched by the current domain")
+    if sol.status == "infeasible":  # v is sandwiched, so the primal sup is unbounded
+        raise LpUnbounded("supremum over dominated span elements is unbounded")
+    lo, hi = float(sol.objective[0]), -float(sol.objective[1])
     if hi < lo - INTERVAL_TOL:
         raise EmptyInterval(f"admissible interval is empty: [{lo:.17g}, {hi:.17g}]")
     if hi < lo:  # degenerate within tolerance: the value is forced

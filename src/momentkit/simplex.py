@@ -15,6 +15,12 @@ An optimal solution carries the multipliers of the caller's rows, read from
 the final objective row: the reduced costs of the slack columns (which were
 scaled and flipped with their rows) and of the artificial columns.
 
+Several objectives over one constraint set are one solve: ``c`` of shape
+``(k, n)`` runs phase 1 once and prices each row on its own copy of the
+phase-1 tableau.  The Hahn-Banach step needs both the minimum and the
+maximum of one linear form over the same polyhedron, and phase 1 is the
+part they share.
+
 Most of our LPs sit on heavily degenerate vertices (whole blocks of zero
 right-hand sides), so anti-cycling is not optional: the leaving row is
 chosen by the lexicographic ratio rule, which terminates under any pricing;
@@ -77,11 +83,12 @@ def _record(iterations: int) -> None:
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
-    objective: float | None
+    objective: float | np.ndarray | None
     iterations: int
     # One multiplier per caller row, a_ub rows first, when optimal: y_ub <= 0,
     # c - y @ [a_ub; a_eq] is 0 on free and >= 0 on nonneg variables, and
-    # c @ x == b @ y.
+    # c @ x == b @ y.  With k objectives, x, objective and duals have a
+    # leading axis of length k, one entry per row of c.
     duals: np.ndarray | None = None
 
     @property
@@ -177,9 +184,21 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     at the smallest right-hand side); a solver breakdown (iteration budget,
     size cap) raises :class:`LpFailure` while infeasible/unbounded are
     reported as statuses.
+
+    A 2-D ``c`` of shape ``(k, n)`` asks ``k`` objectives over the same
+    constraints: phase 1 runs once and each row is minimized from the
+    phase-1 basis.  ``x``, ``objective`` and ``duals`` then gain a leading
+    axis of length ``k``; the status is ``"infeasible"`` when phase 1
+    fails, ``"unbounded"`` when any objective is unbounded (the rows after
+    it are not solved), and ``"optimal"`` otherwise.  ``iterations`` counts
+    phase 1 once plus every phase 2, and the call counts as one solve in
+    :func:`collect_lp_stats`.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    n = c.shape[0]
+    if c.ndim > 2 or c.ndim == 2 and c.shape[0] == 0:
+        raise LpFailure(f"objective must have shape (n,) or (k, n) with k >= 1, got {c.shape}")
+    costs = np.atleast_2d(c)  # one row per objective
+    k, n = costs.shape
 
     def _block(a, b, name):
         if a is None:
@@ -203,7 +222,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         )
     if not (np.all(np.isfinite(a_ub)) and np.all(np.isfinite(b_ub))
             and np.all(np.isfinite(a_eq)) and np.all(np.isfinite(b_eq))
-            and np.all(np.isfinite(c))):
+            and np.all(np.isfinite(costs))):
         raise LpFailure("LP data contains non-finite entries")
 
     # Presolve: copied inequality rows become one row at their smallest
@@ -300,43 +319,54 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
             basis = basis[keep]
             m = int(keep.sum())
 
-    # Phase 2: price the true objective on the phase-1 basis.  Artificial
-    # columns stay in the tableau (they keep rows lexicographically
-    # positive) but are barred from entering.
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    if not nonneg:
-        T[-1, n:2 * n] = -c
-    obj_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    T[-1, :n_struct] /= obj_scale
-    for i in range(m):
-        if abs(T[-1, basis[i]]) > 0.0:
-            T[-1] -= T[-1, basis[i]] * T[i]
-    status, used = _iterate(T, basis, n_struct, scan_order, MAX_ITERATIONS - iterations)
-    iterations += used
+    # Phase 2: price each objective on its own copy of the phase-1 tableau
+    # (the last one on the tableau itself).  Artificial columns stay in the
+    # tableau (they keep rows lexicographically positive) but are barred from
+    # entering.
+    xs, objs, ys = [], [], []
+    for j, cj in enumerate(costs):
+        Tj, bj = (T, basis) if j == k - 1 else (T.copy(), basis.copy())
+        Tj[-1, :] = 0.0
+        Tj[-1, :n] = cj
+        if not nonneg:
+            Tj[-1, n:2 * n] = -cj
+        obj_scale = max(1.0, float(np.abs(cj).max(initial=0.0)))
+        Tj[-1, :n_struct] /= obj_scale
+        for i in range(m):
+            if abs(Tj[-1, bj[i]]) > 0.0:
+                Tj[-1] -= Tj[-1, bj[i]] * Tj[i]
+        status, used = _iterate(Tj, bj, n_struct, scan_order, MAX_ITERATIONS - iterations)
+        iterations += used
+        if status == "unbounded":
+            _record(iterations)
+            return LpSolution("unbounded", None, None, iterations)
+
+        full = np.zeros(n_total)
+        full[bj] = Tj[:m, -1]
+        x = full[:n] if nonneg else full[:n] - full[n:2 * n]
+        xs.append(x)
+        objs.append(float(cj @ x))
+
+        # Multipliers from the final objective row.  A slack column was scaled
+        # and flipped with its row, so its reduced cost is the a_ub multiplier
+        # up to obj_scale; an artificial is a unit column of the scaled,
+        # flipped row.  An equality row dropped as redundant leaves an
+        # all-zero artificial column, so its multiplier is 0.
+        y = Tj[-1, n_var:n_struct] * -obj_scale
+        if m_eq:
+            sign = np.where(flip[m_ub:], obj_scale, -obj_scale)
+            y = np.concatenate([y, sign * Tj[-1, n_total - m_eq:n_total] / row_scale[m_ub:]])
+        if ub_rows is not None:
+            duals = np.zeros(m_caller)
+            duals[ub_rows] = y[:m_ub]
+            duals[m_caller - m_eq:] = y[m_ub:]
+            y = duals
+        ys.append(y)
     _record(iterations)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, iterations)
 
-    full = np.zeros(n_total)
-    full[basis] = T[:m, -1]
-    x = full[:n] if nonneg else full[:n] - full[n:2 * n]
-
-    # Multipliers from the final objective row.  A slack column was scaled
-    # and flipped with its row, so its reduced cost is the a_ub multiplier up
-    # to obj_scale; an artificial is a unit column of the scaled, flipped row.
-    # An equality row dropped as redundant leaves an all-zero artificial
-    # column, so its multiplier is 0.
-    y = T[-1, n_var:n_struct] * -obj_scale
-    if m_eq:
-        sign = np.where(flip[m_ub:], obj_scale, -obj_scale)
-        y = np.concatenate([y, sign * T[-1, n_total - m_eq:n_total] / row_scale[m_ub:]])
-    if ub_rows is not None:
-        duals = np.zeros(m_caller)
-        duals[ub_rows] = y[:m_ub]
-        duals[m_caller - m_eq:] = y[m_ub:]
-        y = duals
-    return LpSolution("optimal", x, float(c @ x), iterations, y)
+    if c.ndim == 1:
+        return LpSolution("optimal", xs[0], objs[0], iterations, ys[0])
+    return LpSolution("optimal", np.array(xs), np.array(objs), iterations, np.array(ys))
 
 
 def lp_feasible(a_ub, b_ub) -> bool:

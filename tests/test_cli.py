@@ -254,8 +254,9 @@ def test_build_measure_nonmeasurable_witness(tmp_path, capsys):
 
 def test_build_measure_pivot_count(tmp_path, capsys):
     # 24 points in 4 blocks: each block-constant row repeats 6 times.  With
-    # copied LP rows merged the 7 LPs take 32 pivots, without the merge 116;
-    # pin it so the merge cannot be dropped silently.
+    # copied LP rows merged the 6 LPs take 28 pivots, without the merge 108;
+    # pin it so the merge cannot be dropped silently.  (Each Hahn-Banach step
+    # is one LP over representing measures, with no inequality rows.)
     rng = np.random.default_rng(24)
     assign = np.repeat(np.arange(4), 6)
     rng.shuffle(assign)
@@ -271,7 +272,7 @@ def test_build_measure_pivot_count(tmp_path, capsys):
     }
     assert main(["build-measure", write(tmp_path, "fs.json", doc)]) == 0
     diag = json.loads(capsys.readouterr().out)["diagnostics"]
-    assert (diag["lp_solves"], diag["lp_iterations"]) == (7, 32)
+    assert (diag["lp_solves"], diag["lp_iterations"]) == (6, 28)
 
 
 def test_build_measure_negative_functional_names_the_block(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
 import momentkit.extend
-from momentkit.simplex import collect_lp_stats
+from momentkit.simplex import LpSolution, collect_lp_stats
 
 from conftest import density_functional, ground, ones, random_subspace_with_one, scipy_lp, vec
 
@@ -181,12 +181,12 @@ def test_step_rejects_unsandwiched_target():
         mk.hb_extend_step(L, vec(g, [0, 1]))
 
 
-def test_step_solves_only_the_two_bound_lps():
+def test_step_solves_one_lp_for_both_bounds():
     g = ground(3)
     L = mk.Functional(span_one(g), [1.0])
     with collect_lp_stats() as stats:
         mk.hb_extend_step(L, vec(g, [0, 1, 2]))
-    assert stats["solves"] == 2
+    assert stats["solves"] == 1
 
 
 def test_step_unbounded_bound_is_not_a_sandwich_failure():
@@ -196,6 +196,53 @@ def test_step_unbounded_bound_is_not_a_sandwich_failure():
     L = mk.Functional(span_one(g), [-1.0])
     with pytest.raises(mk.LpUnbounded):
         mk.hb_extend_step(L, vec(g, [0, 2]))
+
+
+def test_step_non_positive_functional_and_unsandwiched_target():
+    # L(1, 0) = -1 < 0, so no positive measure represents L, and nothing in
+    # span{(1, 0)} lies below -(0, 1): the sandwich failure is what is reported.
+    g = ground(2)
+    L = mk.Functional(mk.Subspace(g, [vec(g, [1, 0])]), [-1.0])
+    assert not mk.wc_contains(vec(g, [0, 1]), L.domain)
+    with pytest.raises(mk.TargetNotInWC):
+        mk.hb_extend_step(L, vec(g, [0, 1]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6))
+def test_step_interval_matches_primal_bounds(seed):
+    # The step's interval, read off one LP over representing measures, must
+    # equal the two primal bounds sup { L(w) : w <= +-v } from HiGHS; a bound
+    # LP that is infeasible means v is not sandwiched, one that is unbounded
+    # (with v sandwiched) means L is not positive.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    g = ground(n)
+    dim = int(rng.integers(1, n))
+    if rng.random() < 0.7:
+        W = random_subspace_with_one(rng, g, dim)
+    else:
+        W = mk.Subspace(g, [vec(g, rng.normal(size=n)) for _ in range(dim)])
+    if rng.random() < 0.7:
+        L = density_functional(rng, W)
+    else:
+        L = mk.Functional(W, rng.normal(size=W.dim))
+    v = vec(g, rng.normal(size=n))
+    if W.contains(v):
+        return
+    lo_ref = scipy_lp(-L.coeffs, a_ub=W.matrix, b_ub=v.values)
+    hi_ref = scipy_lp(-L.coeffs, a_ub=W.matrix, b_ub=-v.values)
+    statuses = {lo_ref[0], hi_ref[0]}
+    if "infeasible" in statuses:
+        with pytest.raises(mk.TargetNotInWC):
+            mk.hb_extend_step(L, v)
+    elif "unbounded" in statuses:
+        with pytest.raises(mk.LpUnbounded):
+            mk.hb_extend_step(L, v)
+    else:
+        _, step = mk.hb_extend_step(L, v)
+        assert step.interval_lo == pytest.approx(-lo_ref[1], rel=1e-6, abs=1e-7)
+        assert step.interval_hi == pytest.approx(hi_ref[1], rel=1e-6, abs=1e-7)
 
 
 def test_step_rules_stay_admissible():
@@ -211,10 +258,11 @@ def test_step_rules_stay_admissible():
 
 def test_empty_interval_guard(monkeypatch):
     # Theory forbids a crossed interval for positive functionals, so the
-    # guard is exercised by stubbing the bound computation.
+    # guard is exercised by stubbing the bound LP: lo = 1, hi = -1.
     g = ground(2)
     L = unit_functional(g)
-    monkeypatch.setattr(momentkit.extend, "sublinear_p", lambda v, L: -1.0)
+    crossed = LpSolution("optimal", None, np.array([1.0, 1.0]), 0)
+    monkeypatch.setattr(momentkit.extend, "solve_lp", lambda *args, **kwargs: crossed)
     with pytest.raises(mk.EmptyInterval):
         mk.hb_extend_step(L, vec(g, [0, 2]))
 

@@ -242,11 +242,12 @@ def test_redundant_equality_gets_zero_multiplier():
     assert solve_lp([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]).duals is None
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_duals_certify_optimal_solutions(data):
     # No reference solver: every optimum must come with multipliers that
-    # satisfy the optimality conditions on the caller's unscaled data.
+    # satisfy the optimality conditions on the caller's unscaled data.  Half
+    # the draws ask several objectives at once; each row is checked alone.
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(1, 6))
     nonneg = data.draw(st.booleans())
@@ -263,26 +264,99 @@ def test_duals_certify_optimal_solutions(data):
         b_eq = rng.normal(size=a_eq.shape[0])
         if data.draw(st.booleans()):  # a redundant copy
             a_eq, b_eq = np.vstack([a_eq, a_eq[:1]]), np.r_[b_eq, b_eq[:1]]
-    c = 10.0 ** data.draw(st.integers(-2, 2)) * rng.normal(size=n)
+    shape = (data.draw(st.integers(1, 3)), n) if data.draw(st.booleans()) else n
+    c = 10.0 ** data.draw(st.integers(-2, 2)) * rng.normal(size=shape)
     sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
     if not sol.optimal:
         assert sol.duals is None
         return
     a = a_ub if a_eq is None else np.vstack([a_ub, a_eq])
     b = b_ub if a_eq is None else np.r_[b_ub, b_eq]
-    x, y = sol.x, sol.duals
-    assert y.shape == b.shape
-    y_ub = y[:b_ub.size]
-    data_scale = max(1.0, np.abs(c).max(), (np.abs(y) @ np.abs(a)).max())
-    assert np.all(y_ub <= 1e-9 * data_scale)
-    reduced = c - y @ a
-    if nonneg:
-        assert np.all(reduced >= -1e-9 * data_scale)
-        assert np.all(np.abs(reduced * x) <= 1e-9 * data_scale * max(1.0, np.abs(x).max()))
+    if c.ndim == 1:
+        rows = [(c, sol.x, sol.duals, sol.objective)]
     else:
-        assert np.all(np.abs(reduced) <= 1e-9 * data_scale)
-    slack = b_ub - a_ub @ x
-    row_scale = np.maximum(1.0, np.abs(a_ub) @ np.abs(x) + np.abs(b_ub))
-    assert np.all(np.abs(y_ub * slack) <= 1e-9 * data_scale * row_scale)
-    value = float(c @ x)
-    assert abs(value - b @ y) <= 1e-7 * max(1.0, abs(value))
+        assert sol.x.shape == c.shape and sol.objective.shape == (c.shape[0],)
+        rows = zip(c, sol.x, sol.duals, sol.objective)
+    for c, x, y, objective in rows:
+        assert y.shape == b.shape
+        y_ub = y[:b_ub.size]
+        data_scale = max(1.0, np.abs(c).max(), (np.abs(y) @ np.abs(a)).max())
+        assert np.all(y_ub <= 1e-9 * data_scale)
+        reduced = c - y @ a
+        if nonneg:
+            assert np.all(reduced >= -1e-9 * data_scale)
+            assert np.all(np.abs(reduced * x) <= 1e-9 * data_scale * max(1.0, np.abs(x).max()))
+        else:
+            assert np.all(np.abs(reduced) <= 1e-9 * data_scale)
+        slack = b_ub - a_ub @ x
+        row_scale = np.maximum(1.0, np.abs(a_ub) @ np.abs(x) + np.abs(b_ub))
+        assert np.all(np.abs(y_ub * slack) <= 1e-9 * data_scale * row_scale)
+        value = float(c @ x)
+        assert value == objective
+        assert abs(value - b @ y) <= 1e-7 * max(1.0, abs(value))
+
+
+# --- several objectives over one constraint set -------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_many_objectives_match_one_at_a_time(data):
+    # Each row of a 2-D objective gets the status and optimum of its own 1-D
+    # solve; the status is infeasible, unbounded if any row is, else optimal.
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 6))
+    nonneg = data.draw(st.booleans())
+    a_ub = rng.normal(size=(data.draw(st.integers(1, 10)), n))
+    b_ub = rng.normal(size=a_ub.shape[0])
+    a_eq, b_eq = None, None
+    if data.draw(st.booleans()):
+        a_eq, b_eq = rng.normal(size=(1, n)), rng.normal(size=1)
+    c = rng.normal(size=(data.draw(st.integers(1, 4)), n))
+    if data.draw(st.booleans()):
+        c[-1] = -c[0]  # a minimum and a maximum, as the Hahn-Banach step asks
+    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
+    singles = [solve_lp(row, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
+               for row in c]
+    statuses = {s.status for s in singles}
+    if "infeasible" in statuses:
+        assert statuses == {"infeasible"}
+        assert sol.status == "infeasible"
+    elif "unbounded" in statuses:
+        assert sol.status == "unbounded"
+    else:
+        assert sol.status == "optimal"
+        for j, single in enumerate(singles):
+            assert sol.objective[j] == pytest.approx(single.objective, rel=1e-12, abs=1e-12)
+            assert np.allclose(sol.x[j], single.x, rtol=1e-12, atol=1e-12)
+            assert np.allclose(sol.duals[j], single.duals, rtol=1e-12, atol=1e-12)
+    if not sol.optimal:
+        assert sol.x is None and sol.objective is None and sol.duals is None
+
+
+def test_many_objectives_count_phase_one_once():
+    # x >= 1, y >= 2 needs phase 1; a zero objective takes no phase-2 pivot,
+    # so its 1-D solve counts phase 1 alone.
+    a_ub, b_ub = [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [-1.0, -2.0, 5.0]
+    c = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -2.0]])
+    phase1 = solve_lp([0.0, 0.0], a_ub=a_ub, b_ub=b_ub).iterations
+    assert phase1 > 0
+    singles = [solve_lp(row, a_ub=a_ub, b_ub=b_ub) for row in c]
+    with collect_lp_stats() as stats:
+        sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    assert sol.optimal
+    assert sol.objective == pytest.approx([s.objective for s in singles])
+    assert sol.iterations == sum(s.iterations for s in singles) - (len(c) - 1) * phase1
+    assert stats == {"solves": 1, "iterations": sol.iterations}
+
+
+def test_many_objectives_one_unbounded_row():
+    # min x is 1, min -x is unbounded: the whole solve is unbounded
+    sol = solve_lp([[1.0], [-1.0]], a_ub=[[-1.0]], b_ub=[-1.0])
+    assert sol.status == "unbounded" and sol.x is None and sol.objective is None
+
+
+def test_objective_shape_checked():
+    with pytest.raises(LpFailure):
+        solve_lp(np.zeros((0, 2)))
+    with pytest.raises(LpFailure):
+        solve_lp(np.zeros((1, 1, 2)))
