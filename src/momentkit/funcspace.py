@@ -4,7 +4,11 @@ A function on ``n`` named points is just a length-``n`` vector; subspaces
 are spanned by finitely many of them.  The three structural questions asked
 downstream (is a function in the nonnegative cone, is it absolutely
 dominated by the span, is it dominated up to ``eps`` plus a correction term)
-all reduce to linear-program feasibility over span coefficients.
+are settled as follows.  The cone question is a pointwise sign test.  The
+other two are linear-program feasibility over span coefficients, except when
+the span contains the constant function: every function on a finite set is
+bounded, so ``c * 1`` with ``c`` the largest value to dominate lies above it,
+and the answer is yes with no LP.
 """
 
 from __future__ import annotations
@@ -89,7 +93,10 @@ class Subspace:
     """Span of finitely many function vectors (possibly empty).
 
     The basis must be linearly independent; dependence is detected by a
-    singular-value rank check at tolerance 1e-10.
+    singular-value rank check at tolerance 1e-10.  The thin SVD
+    ``matrix = U diag(s) Vt`` from that check is kept and answers every
+    membership question: ``U @ U.T`` projects onto the span, and the
+    coefficients of a member ``f`` are ``Vt.T @ (U.T @ f / s)``.
     """
 
     def __init__(self, ground: GroundSet, basis=()):
@@ -100,10 +107,10 @@ class Subspace:
             np.column_stack([v.values for v in basis])
             if basis else np.zeros((ground.size, 0))
         )
-        if basis:
-            svals = np.linalg.svd(self._matrix, compute_uv=False)
-            if len(basis) > ground.size or svals[-1] <= INDEPENDENCE_TOL * max(1.0, svals[0]):
-                raise ValueError("basis vectors are linearly dependent")
+        self._u, self._s, self._vt = np.linalg.svd(self._matrix, full_matrices=False)
+        if basis and (len(basis) > ground.size
+                      or self._s[-1] <= INDEPENDENCE_TOL * max(1.0, self._s[0])):
+            raise ValueError("basis vectors are linearly dependent")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -119,13 +126,17 @@ class Subspace:
         return FunctionVec(self.ground, self._matrix @ coefficients)
 
     def coefficients_of(self, f: FunctionVec, tol: float = INDEPENDENCE_TOL) -> np.ndarray:
-        """Basis coefficients of ``f``; raises NotInDomain outside the span."""
+        """Basis coefficients of ``f``; raises NotInDomain outside the span.
+
+        ``f`` is outside when its distance to the span, the sup norm of
+        ``f`` minus its projection, exceeds ``tol * max(1, |f|_inf)``.
+        """
         _same_ground(f, self)
-        coeffs, *_ = np.linalg.lstsq(self._matrix, f.values, rcond=None)
-        residual = np.abs(self._matrix @ coeffs - f.values).max()
+        proj = self._u.T @ f.values
+        residual = np.abs(self._u @ proj - f.values).max()
         if residual > tol * max(1.0, np.abs(f.values).max()):
             raise NotInDomain(f"vector is outside the span (residual {residual:.3e})")
-        return coeffs
+        return self._vt.T @ (proj / self._s)
 
     def contains(self, f: FunctionVec, tol: float = INDEPENDENCE_TOL) -> bool:
         try:
@@ -145,22 +156,35 @@ def cone_contains(f: FunctionVec, tol: float = 0.0) -> bool:
     return bool(np.all(f.values >= -tol))
 
 
+def _spans_constants(W: Subspace) -> bool:
+    return W.contains(FunctionVec(W.ground, np.ones(W.ground.size)))
+
+
 def hull_contains(A: Subspace, f: FunctionVec) -> bool:
     """Is some member of ``span(A)`` pointwise above ``|f|``?
 
-    This is the convex sufficient test for lattice-hull membership; it is
-    exact whenever the span is closed under squaring and contains constants
-    (then ``(g*g + 1) / 2`` dominates ``|g|`` inside the span).
+    This is the convex sufficient test for lattice-hull membership.  When
+    the span contains the constants the answer is yes with no LP:
+    ``max|f| * 1`` lies above ``|f|``.  Otherwise one feasibility LP over
+    span coefficients decides it.
     """
     _same_ground(f, A)
+    if _spans_constants(A):
+        return True
     return lp_feasible(a_ub=-A.matrix, b_ub=-np.abs(f.values))
 
 
 def dominates(g: FunctionVec, f: FunctionVec, B: Subspace, eps: float) -> bool:
-    """Does some ``h`` in ``span(B)`` satisfy ``|g| <= eps*|f| + h`` pointwise?"""
+    """Does some ``h`` in ``span(B)`` satisfy ``|g| <= eps*|f| + h`` pointwise?
+
+    Yes with no LP when the span contains the constants (``h`` a large
+    enough constant); otherwise one feasibility LP decides it.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     _same_ground(g, f, B)
+    if _spans_constants(B):
+        return True
     deficit = np.abs(g.values) - eps * np.abs(f.values)
     return lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
 
@@ -208,7 +232,8 @@ def check_adapted(
     feasibility threshold inside the schedule stays visible.  An ``h`` that
     works at ``eps`` works at every larger one, so the schedule is walked up
     from its smallest ``eps`` and the rows above the first feasible one are
-    inferred: a passing candidate costs one LP.
+    inferred: a passing candidate costs one :func:`dominates` call, which is
+    one LP, or none when ``span(B)`` contains the constants.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):

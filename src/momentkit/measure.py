@@ -25,7 +25,6 @@ from .errors import (
 from .extend import ExtensionTrace, Functional, extend_to_hull, hb_extend, verify_positive
 from .funcspace import (
     DEFAULT_EPS_SCHEDULE,
-    INDEPENDENCE_TOL,
     AdaptednessReport,
     FunctionVec,
     GroundSet,
@@ -246,17 +245,12 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     ``min Lbar(t)`` over ``t`` in Lbar's span with ``t >= chi - b`` and
     ``t >= b - chi`` pointwise.  Dense means every distance is below tol.
 
-    An indicator already in ``span(B)`` (one least-squares solve for all
-    blocks, with the residual rule of :meth:`Subspace.coefficients_of`)
-    gets distance 0 without an LP: ``b = chi``, ``t = 0`` is feasible with
-    value 0, and the LP's minimum is reported as ``max(0, min)``.
+    An indicator already in ``span(B)`` (:meth:`Subspace.contains`) gets
+    distance 0 without an LP: ``b = chi``, ``t = 0`` is feasible with value
+    0, and the LP's minimum is reported as ``max(0, min)``.
     """
     M = Lbar.domain.matrix
     N = B.matrix
-    chis = np.column_stack([chi.values for chi in alg.indicators()])
-    coeffs, *_ = np.linalg.lstsq(N, chis, rcond=None)
-    # An indicator's sup norm is 1, so the residual bound is the tolerance.
-    in_span = np.abs(N @ coeffs - chis).max(axis=0) <= INDEPENDENCE_TOL
     # variables: [tau (Lbar's span), beta (span(B))]
     a_ub = np.block([
         [-M, -N],   # t + b >= chi
@@ -264,12 +258,11 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     ])
     c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     distances = []
-    for i in range(alg.n_blocks):
-        if in_span[i]:
+    for i, chi in enumerate(alg.indicators()):
+        if B.contains(chi):
             distances.append(0.0)
             continue
-        chi = chis[:, i]
-        b_ub = np.concatenate([-chi, chi])
+        b_ub = np.concatenate([-chi.values, chi.values])
         sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
         if not sol.optimal:
             raise LpFailure(f"density LP for block {i} ended with status {sol.status}")

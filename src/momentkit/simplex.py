@@ -279,9 +279,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     T = np.zeros((m + 1, n_total + 1))
     T[:m, :n_struct] = A
     T[:m, -1] = b
-    for k, i in enumerate(art_rows):
-        T[i, n_struct + k] = 1.0
-        basis[i] = identity_col[i] = n_struct + k
+    for a, i in enumerate(art_rows):
+        T[i, n_struct + a] = 1.0
+        basis[i] = identity_col[i] = n_struct + a
 
     # Lexicographic scan order: per-row identity columns first (the
     # right-hand side is always compared before this order kicks in), then

@@ -252,27 +252,43 @@ def test_build_measure_nonmeasurable_witness(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["t_decay_ok"] is False
 
 
-def test_build_measure_pivot_count(tmp_path, capsys):
-    # 24 points in 4 blocks: each block-constant row repeats 6 times.  With
-    # copied LP rows merged the 6 LPs take 28 pivots, without the merge 108;
-    # pin it so the merge cannot be dropped silently.  (Each Hahn-Banach step
-    # is one LP over representing measures, with no inequality rows.)
+def _pivot_count_doc():
+    # 24 points in 4 blocks: each block-constant row repeats 6 times.  The
+    # domain holds the constants, so hull and domination need no LP.
     rng = np.random.default_rng(24)
     assign = np.repeat(np.arange(4), 6)
     rng.shuffle(assign)
     basis = {"one": np.ones(24), "g1": rng.normal(size=4)[assign],
              "g2": rng.normal(size=4)[assign]}
     omega = rng.uniform(0.0, 2.0, 24)
-    doc = {
+    return {
         "points": [f"p{i}" for i in range(24)],
         "basis": {k: v.tolist() for k, v in basis.items()},
         "functional": {k: float(omega @ v) for k, v in basis.items()},
         "sigma_algebra": [np.nonzero(assign == b)[0].tolist() for b in range(4)],
         "targets": {"t0": rng.normal(size=24).tolist(), "t1": rng.normal(size=24).tolist()},
     }
-    assert main(["build-measure", write(tmp_path, "fs.json", doc)]) == 0
+
+
+def _lp_counts(tmp_path, capsys, doc, exit_code):
+    assert main(["build-measure", write(tmp_path, "fs.json", doc)]) == exit_code
     diag = json.loads(capsys.readouterr().out)["diagnostics"]
-    assert (diag["lp_solves"], diag["lp_iterations"]) == (6, 28)
+    return diag["lp_solves"], diag["lp_iterations"]
+
+
+def test_build_measure_pivot_count(tmp_path, capsys):
+    # With the default designated subspace only the Hahn-Banach step and the
+    # positivity audit make LPs; the step's LP has no inequality rows.
+    assert _lp_counts(tmp_path, capsys, _pivot_count_doc(), 0) == (2, 11)
+
+
+def test_build_measure_pivot_count_constants_only(tmp_path, capsys):
+    # With the constants alone as designated subspace (not dense, exit 1),
+    # four density LPs join those two.  With copied LP rows merged the six
+    # LPs take 50 pivots, without the merge 65; pin it so the merge cannot be
+    # dropped silently.
+    doc = dict(_pivot_count_doc(), b_basis={"one": [1.0] * 24})
+    assert _lp_counts(tmp_path, capsys, doc, 1) == (6, 50)
 
 
 def test_build_measure_negative_functional_names_the_block(tmp_path, capsys):

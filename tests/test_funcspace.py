@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
-from momentkit.simplex import collect_lp_stats
+from momentkit.funcspace import INDEPENDENCE_TOL
+from momentkit.simplex import collect_lp_stats, lp_feasible
 
 from conftest import ground, ones, random_subspace_with_one, vec
 
@@ -40,6 +41,56 @@ def test_subspace_membership():
     assert not W.contains(vec(g, [0, 1, 0]))
     with pytest.raises(mk.NotInDomain):
         W.coefficients_of(vec(g, [0, 1, 0]))
+
+
+def _lstsq_reference(W, f):
+    """Least-squares coefficients of ``f`` and the sup-norm residual."""
+    coeffs, *_ = np.linalg.lstsq(W.matrix, f.values, rcond=None)
+    return coeffs, float(np.abs(W.matrix @ coeffs - f.values).max())
+
+
+def _random_basis(rng, g, dim, near_dependent):
+    """``dim`` random vectors; with ``near_dependent`` the last one is a
+    combination of the others plus a perturbation of relative size between
+    1e-9 and 1e-4, so the basis sits near the independence threshold."""
+    vecs = rng.normal(size=(dim, g.size))
+    if near_dependent and dim >= 2:
+        vecs[-1] = rng.normal(size=dim - 1) @ vecs[:-1]
+        vecs[-1] += 10.0 ** rng.uniform(-9, -4) * np.abs(vecs[-1]).max() * rng.normal(size=g.size)
+    return [vec(g, v) for v in vecs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from(["member", "near", "random"]))
+def test_membership_matches_lstsq_reference(seed, near_dependent, kind):
+    rng = np.random.default_rng(seed)
+    g = ground(int(rng.integers(1, 9)))
+    dim = int(rng.integers(0, g.size + 1))  # 0 is the empty subspace
+    try:
+        W = mk.Subspace(g, _random_basis(rng, g, dim, near_dependent))
+    except ValueError:
+        return  # dependent at the 1e-10 threshold
+    truth = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+    f = W.member(truth) if dim else vec(g, np.zeros(g.size))
+    if kind == "near":
+        f = f + vec(g, 10.0 ** rng.uniform(-13, -7) * rng.normal(size=g.size))
+    elif kind == "random":
+        f = vec(g, rng.normal(size=g.size))
+    ref, residual = _lstsq_reference(W, f)
+    bound = INDEPENDENCE_TOL * max(1.0, np.abs(f.values).max())
+    # The reference residual carries the rounding of W @ ref, which is large
+    # when ref is (a near-dependent basis and a vector off the span), so the
+    # band around the 1e-10 rule is widened by that rounding error.
+    rounding = 100 * g.size * np.finfo(float).eps * (
+        np.abs(W.matrix).max(initial=0.0) * np.abs(ref).sum() + np.abs(f.values).max())
+    if not bound / 2 - rounding <= residual <= 2 * bound + rounding:
+        assert W.contains(f) == (residual <= bound)
+    if kind == "member" and dim:
+        # Two backward-stable solves of a consistent system differ by at most
+        # a small multiple of eps * cond * |coefficients|.
+        s = np.linalg.svd(W.matrix, compute_uv=False)
+        tol = 100 * g.size * np.finfo(float).eps * (s[0] / s[-1]) * np.abs(ref).max()
+        assert np.abs(W.coefficients_of(f) - ref).max() <= tol
 
 
 # --- cone_contains --------------------------------------------------------------
@@ -156,6 +207,36 @@ def test_dominates_with_constants_always():
         assert mk.dominates(gv, fv, B, 1e-6)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_hull_and_dominates_match_the_lp(seed, with_one):
+    # Constants in the span settle both questions with no LP; the answer must
+    # be the LP's.  Without them each question is exactly one LP.
+    rng = np.random.default_rng(seed)
+    g = ground(int(rng.integers(1, 9)))
+    dim = int(rng.integers(1 if with_one else 0, g.size + 1))
+    basis = rng.normal(size=(dim, g.size))
+    if with_one:  # the constants, hidden in a random basis of the span
+        basis[0] = 1.0
+        basis = rng.normal(size=(dim, dim)) @ basis
+    try:
+        B = mk.Subspace(g, [vec(g, v) for v in basis])
+    except ValueError:
+        return
+    gv, fv = (vec(g, rng.normal(size=g.size) * 10.0 ** rng.uniform(-2, 2)) for _ in range(2))
+    eps = float(10.0 ** rng.uniform(-6, 0))
+    expected_solves = 0 if B.contains(ones(g)) else 1
+    with collect_lp_stats() as stats:
+        hull = mk.hull_contains(B, fv)
+    assert stats["solves"] == expected_solves
+    assert hull == lp_feasible(a_ub=-B.matrix, b_ub=-np.abs(fv.values))
+    with collect_lp_stats() as stats:
+        dom = mk.dominates(gv, fv, B, eps)
+    assert stats["solves"] == expected_solves
+    deficit = np.abs(gv.values) - eps * np.abs(fv.values)
+    assert dom == lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
+
+
 def test_dominates_requires_positive_eps():
     g = ground(1)
     with pytest.raises(ValueError):
@@ -219,10 +300,15 @@ def test_adapted_threshold_at_eps_one():
 def test_adapted_passing_candidate_costs_one_lp():
     g = ground(3)
     A = mk.Subspace(g, [ones(g), vec(g, [0, 1, 2])])
+    B = mk.Subspace(g, [vec(g, [1, 2, 3])])  # no constants: one LP each
     with collect_lp_stats() as stats:
-        report = mk.check_adapted(A, A, candidates=[ones(g)])
+        report = mk.check_adapted(A, B, candidates=[ones(g)])
     assert report.passed
     assert stats["solves"] == A.dim
+    # with the constants in the span the same report costs no LP
+    with collect_lp_stats() as stats:
+        assert mk.check_adapted(A, A, candidates=[ones(g)]) == report
+    assert stats["solves"] == 0
 
 
 @settings(max_examples=40, deadline=None)

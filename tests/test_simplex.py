@@ -333,20 +333,35 @@ def test_many_objectives_match_one_at_a_time(data):
         assert sol.x is None and sol.objective is None and sol.duals is None
 
 
-def test_many_objectives_count_phase_one_once():
-    # x >= 1, y >= 2 needs phase 1; a zero objective takes no phase-2 pivot,
-    # so its 1-D solve counts phase 1 alone.
-    a_ub, b_ub = [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [-1.0, -2.0, 5.0]
-    c = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -2.0]])
-    phase1 = solve_lp([0.0, 0.0], a_ub=a_ub, b_ub=b_ub).iterations
+def _assert_phase_one_counted_once(c, **constraints):
+    # A zero objective takes no phase-2 pivot, so its 1-D solve counts
+    # phase 1 alone.
+    c = np.array(c)
+    phase1 = solve_lp(np.zeros(c.shape[1]), **constraints).iterations
     assert phase1 > 0
-    singles = [solve_lp(row, a_ub=a_ub, b_ub=b_ub) for row in c]
+    singles = [solve_lp(row, **constraints) for row in c]
     with collect_lp_stats() as stats:
-        sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+        sol = solve_lp(c, **constraints)
     assert sol.optimal
     assert sol.objective == pytest.approx([s.objective for s in singles])
     assert sol.iterations == sum(s.iterations for s in singles) - (len(c) - 1) * phase1
     assert stats == {"solves": 1, "iterations": sol.iterations}
+
+
+def test_many_objectives_count_phase_one_once():
+    # x >= 1, y >= 2 needs phase 1
+    _assert_phase_one_counted_once([[1.0, 1.0], [-1.0, -1.0], [1.0, -2.0]],
+                                   a_ub=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                   b_ub=[-1.0, -2.0, 5.0])
+
+
+def test_many_objectives_two_artificials_start_from_phase_one():
+    # Two equality rows, so exactly two artificials: each objective must
+    # still start from the phase-1 basis, not from the previous optimum.
+    v = [0.0, 1.0, -2.0, -1.0]
+    _assert_phase_one_counted_once([v, [-x for x in v]],
+                                   a_eq=[[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 0.0]],
+                                   b_eq=[6.0, 10.0], nonneg=True)
 
 
 def test_many_objectives_one_unbounded_row():
