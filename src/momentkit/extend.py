@@ -203,11 +203,12 @@ def extend_to_hull(L: Functional, A: Subspace, hull_basis, rule: str = "midpoint
     :class:`HullMembershipFailed`), after which the extension itself is a
     plain :func:`hb_extend` run.
 
-    One LP asks about the pointwise max of ``|h|`` over the targets: some
-    member of ``span(A)`` dominates every ``|h|`` iff one dominates their
-    max (the sum of the separate dominators, each ``>= |h| >= 0``, is one).
-    Only when that LP fails are the targets asked one by one, to name the
-    first that fails.
+    One :func:`hull_contains` call asks about the pointwise max of ``|h|``
+    over the targets: some member of ``span(A)`` dominates every ``|h|`` iff
+    one dominates their max (the sum of the separate dominators, each
+    ``>= |h| >= 0``, is one).  It is one LP, or none when ``span(A)``
+    contains the constants.  Only when it fails are the targets asked one
+    by one, to name the first that fails.
     """
     hull_basis = list(hull_basis)
     if hull_basis:

@@ -271,7 +271,6 @@ def default_candidates(A: Subspace) -> list[FunctionVec]:
         squared = FunctionVec(A.ground, v.values * v.values)
         if A.contains(squared):
             out.append(squared)
-    one = FunctionVec(A.ground, np.ones(A.ground.size))
-    if A.contains(one):
-        out.append(one)
+    if _spans_constants(A):
+        out.append(FunctionVec(A.ground, np.ones(A.ground.size)))
     return out

@@ -79,8 +79,8 @@ def test_membership_matches_lstsq_reference(seed, near_dependent, kind):
     ref, residual = _lstsq_reference(W, f)
     bound = INDEPENDENCE_TOL * max(1.0, np.abs(f.values).max())
     # The reference residual carries the rounding of W @ ref, which is large
-    # when ref is (a near-dependent basis and a vector off the span), so the
-    # band around the 1e-10 rule is widened by that rounding error.
+    # when ref is large (a near-dependent basis and a vector off the span),
+    # so the band around the 1e-10 rule is widened by that rounding error.
     rounding = 100 * g.size * np.finfo(float).eps * (
         np.abs(W.matrix).max(initial=0.0) * np.abs(ref).sum() + np.abs(f.values).max())
     if not bound / 2 - rounding <= residual <= 2 * bound + rounding:
