@@ -10,7 +10,10 @@ rerun is byte-identical and doubles survive a round trip.
 from __future__ import annotations
 
 import json
+import math
+from contextlib import suppress
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -50,7 +53,7 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -58,7 +61,7 @@ def _emit(obj, out: list) -> None:
                 raise ValueError("JSON object keys must be strings")
             if i:
                 out.append(",")
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
@@ -93,6 +96,12 @@ def _number(value, path: str) -> float:
 
 def _number_list(value, path: str) -> list[float]:
     _require(isinstance(value, list), path, "expected a list of numbers")
+    if {int, float}.issuperset(map(type, value)):
+        with suppress(OverflowError):
+            out = list(map(float, value))
+            if all(map(math.isfinite, out)):
+                return out
+    # Some element is not a plain finite number: find it and name its path.
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -266,11 +275,13 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         blocks = []
         for i, block in enumerate(raw):
             _require(isinstance(block, list), f"sigma_algebra[{i}]", "expected a list of indices")
-            for j, idx in enumerate(block):
-                _require(isinstance(idx, int) and not isinstance(idx, bool)
-                         and 0 <= idx < ground.size,
-                         f"sigma_algebra[{i}][{j}]",
-                         f"expected a point index in [0, {ground.size})")
+            if not ({int}.issuperset(map(type, block))
+                    and (not block or min(block) >= 0 and max(block) < ground.size)):
+                for j, idx in enumerate(block):
+                    _require(isinstance(idx, int) and not isinstance(idx, bool)
+                             and 0 <= idx < ground.size,
+                             f"sigma_algebra[{i}][{j}]",
+                             f"expected a point index in [0, {ground.size})")
             blocks.append(tuple(block))
         try:
             algebra = SigmaAlgebra(ground, tuple(blocks))

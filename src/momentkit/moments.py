@@ -325,10 +325,17 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     p(x_j) >= 0 on the grid and coefficient 1-norm at most 1 is, by LP
     duality, minus the l-infinity distance from m to the cone of grid
     moment vectors: ``min t`` over ``lam, t >= 0`` with
-    ``|m - V^T lam| <= t``, V the grid Vandermonde matrix.  That LP has
-    2(2d+1) rows, and its multipliers y+ (rows ``V^T lam - t <= m``) and
-    y- (rows ``-V^T lam - t <= -m``) give the minimizer c = y- - y+.  A value
-    at or above -tol certifies positivity on the (grid-nonnegative)
+    ``|m - V^T lam| <= t``, V the grid Vandermonde matrix.
+
+    The LP is solved in u = m / |m|_inf (u = 0 when m = 0) with t = 1 - tau:
+    ``max tau`` over ``lam, tau >= 0`` with rows ``V^T lam + tau <= 1 + u``
+    and ``-V^T lam + tau <= 1 - u``.  Every right-hand side lies in [0, 2],
+    so the slack basis is feasible and there is no phase 1.  lam = 0, t = 1
+    is feasible, so tau >= 0 cuts off no optimum; the two rows imply t >= 0,
+    so the LP keeps 2(2d+1) rows.  Its dual feasible set does not depend on
+    m, so the LP is scale-free, and the multipliers y+ of the first block and
+    y- of the second give the minimizer c = y- - y+.  A
+    value at or above -tol certifies positivity on the (grid-nonnegative)
     relaxation of the support cone; a failure ships the polynomial as an
     explicit witness.
 
@@ -341,26 +348,29 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    if not all(m.support.contains(x, 1e-12) for x in grid):
+    s = m.support
+    lo, hi = {"line": (-np.inf, np.inf), "halfline": (0.0, np.inf)}.get(s.kind, (s.a, s.b))
+    if not np.all((grid >= lo - 1e-12) & (grid <= hi + 1e-12)):
         raise ValueError("grid points must lie inside the declared support")
     n_coef = m.max_degree + 1
     vander = np.vander(grid, n_coef, increasing=True)
     mom = m.array()
-    b_ub = np.concatenate([mom, -mom])
-    t_col = -np.ones((2 * n_coef, 1))
+    u = mom / (float(np.abs(mom).max()) or 1.0)
+    b_ub = np.concatenate([1.0 + u, 1.0 - u])
+    tau_col = np.ones((2 * n_coef, 1))
 
-    # variables: [lam (one per active point), t] >= 0
+    # variables: [lam (one per active point), tau] >= 0
     def _witness(points):
         cols = vander[points].T
-        a_ub = np.hstack([np.vstack([cols, -cols]), t_col])
+        a_ub = np.hstack([np.vstack([cols, -cols]), tau_col])
         cost = np.zeros(points.size + 1)
-        cost[-1] = 1.0
+        cost[-1] = -1.0
         sol = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=True)
         if not sol.optimal:
             raise LpFailure(f"grid-distance LP ended with status {sol.status}")
         return sol.duals[n_coef:] - sol.duals[:n_coef], sol.x[:-1]
 
-    # The LP takes `room` grid columns beside t and the 2 n_coef slacks.  When
+    # The LP takes `room` grid columns beside tau and the 2 n_coef slacks.  When
     # it would overflow, only the points with positive weight stay: at most
     # n_coef of them are basic, and the last optimum stays feasible.
     room = SIZE_CAP - 1 - 2 * n_coef

@@ -8,8 +8,8 @@ each is split into a difference of nonnegative parts, columns
 ``[x+, x-, slack]``; with ``nonneg=True`` the caller's variables are the
 core's columns, ``[x, slack]``.  An LP whose variables are naturally
 nonnegative (the grid check's distance LP over grid weights and the
-distance, ``(lam, t) >= 0``) is smaller that way than the same LP in free
-variables with bound rows.
+distance's complement, ``(lam, tau) >= 0``) is smaller that way than the
+same LP in free variables with bound rows.
 
 An optimal solution carries the multipliers of the caller's rows, read from
 the final objective row: the reduced costs of the slack columns (which were
@@ -35,8 +35,10 @@ their first occurrence (the first presolve step of Andersen & Andersen 1995,
 functions are block-constant, so every pointwise constraint over them repeats
 once per point of its block; only about a third of the finite-space rows are
 distinct.  The copies would tie in every ratio test and feed the
-lexicographic tie-break.  Equality rows are left alone, and ``x`` is in the
-caller's variables either way.
+lexicographic tie-break.  Copies are found in one pass that groups the rows
+by their bytes (``-0.0`` read as ``0.0``), so the cost does not grow with a
+sort key per column: a grid LP has one column per grid point.  Equality rows
+are left alone, and ``x`` is in the caller's variables either way.
 
 Deliberately dense and deliberately small: problems are capped at 500
 constraint rows and 500 structural columns (``2n + m_ub``, or ``n + m_ub``
@@ -172,6 +174,26 @@ def _iterate(T: np.ndarray, basis: np.ndarray, enter_cols: int,
     raise LpFailure(f"simplex did not converge within {budget} pivots")
 
 
+def _merge_copies(a_ub: np.ndarray, b_ub: np.ndarray):
+    """The rows that stand for their copies, or None when no row repeats.
+
+    Rows are grouped by their bytes after ``+ 0.0``, so ``-0.0`` and ``0.0``
+    are one key.  Each group is represented by its copy at the smallest
+    right-hand side (the first such copy on a tie), and the groups come in
+    the order of their first occurrence.
+    """
+    keys = np.add(a_ub, 0.0, order="C")
+    rhs = b_ub.tolist()
+    best: dict[bytes, int] = {}
+    for i, key in enumerate(keys.view(np.dtype((np.void, keys.strides[0]))).ravel().tolist()):
+        j = best.setdefault(key, i)
+        if rhs[i] < rhs[j]:
+            best[key] = i
+    if len(best) == len(rhs):
+        return None
+    return np.fromiter(best.values(), dtype=int, count=len(best))
+
+
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
              nonneg: bool = False) -> LpSolution:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
@@ -226,20 +248,14 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         raise LpFailure("LP data contains non-finite entries")
 
     # Presolve: copied inequality rows become one row at their smallest
-    # right-hand side, in first-occurrence order (see the module docstring).
-    # A stable sort puts each row's copies together, smallest right-hand side
-    # first; ``ub_rows`` is the caller row that carries each row's multiplier.
+    # right-hand side (see the module docstring); ``ub_rows`` is the caller
+    # row that carries each kept row's multiplier.
     m_caller, ub_rows = m, None
     if m_ub > 1 and n:
-        perm = np.lexsort((b_ub, *a_ub.T))
-        ranked = a_ub[perm]
-        starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
-        if starts.size < m_ub:
-            first = np.minimum.reduceat(perm, starts)
-            order = np.argsort(first)
-            ub_rows = perm[starts][order]
-            a_ub, b_ub = a_ub[first[order]], b_ub[ub_rows]
-            m_ub = starts.size
+        ub_rows = _merge_copies(a_ub, b_ub)
+        if ub_rows is not None:
+            a_ub, b_ub = a_ub[ub_rows], b_ub[ub_rows]
+            m_ub = ub_rows.size
             m = m_ub + m_eq
             n_struct = n_var + m_ub
 

@@ -83,6 +83,31 @@ def test_parse_rejects_number_beyond_float_range(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "input-error"
 
 
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected a number"),
+    (float("nan"), "number must be finite"),
+    (10**400, "number is too large for a float"),
+])
+def test_parse_names_the_bad_element_of_a_long_list(tmp_path, bad, message):
+    moments = [1.0] + [0.5, 0.25] * 100
+    moments[157] = bad
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(write(tmp_path, "m.json", {"moments": moments}))
+    assert (err.value.path, str(err.value)) == ("moments[157]", f"moments[157]: {message}")
+    points = [f"p{i}" for i in range(60)]
+    doc = dict(points=points, basis={"one": [1] * 60},
+               sigma_algebra=[list(range(20)), list(range(20, 60))])
+    doc["basis"]["one"][41] = bad
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(write(tmp_path, "fs.json", doc))
+    assert err.value.path == "basis.one[41]"
+    doc["basis"]["one"][41] = 1
+    doc["sigma_algebra"][1][33] = bad
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(write(tmp_path, "fs.json", doc))
+    assert err.value.path == "sigma_algebra[1][33]"
+
+
 def test_parse_requires_boolean_subspace_variant(tmp_path, capsys):
     path = write(tmp_path, "fs.json", dict(FS_DOC, options={"subspace_variant": "false"}))
     with pytest.raises(mk.SchemaError) as err:
@@ -146,6 +171,19 @@ def test_check_representable_with_grid(tmp_path, capsys):
     assert main(["check", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["grid_check"]["ran"] and doc["grid_check"]["passed"]
+
+
+def test_check_scaled_interval_sequence(tmp_path, capsys):
+    # Three atoms inside [-1, 1], moments times 1e12: the grid LP is posed in
+    # m / |m|_inf, so it solves at any scale and the verdict is the
+    # certificate's (it used to end infeasible, exit 3).
+    mom = atomic_moments((-0.5, 0.1, 0.7), (1.0, 0.5, 0.75), 4)
+    path = write(tmp_path, "m.json", {"moments": [1e12 * x for x in mom],
+                                      "support": {"type": "interval", "a": -1, "b": 1}})
+    assert main(["check", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "representable"
+    assert doc["grid_check"]["ran"]
 
 
 def test_check_inconclusive_band(tmp_path, capsys):

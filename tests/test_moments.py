@@ -212,7 +212,7 @@ def test_grid_check_regression_negative_optimum():
         ok, witness = mk.haviland_grid_check(m, np.linspace(-1, 1, 200), 1e-7)
     assert not ok
     assert mk.riesz(m, witness) == pytest.approx(-4.42294260e-7, rel=1e-6)
-    assert stats == {"solves": 1, "iterations": 84}
+    assert stats == {"solves": 1, "iterations": 79}
 
 
 def _highs_grid_minimum(m, grid):
@@ -233,13 +233,11 @@ def _highs_grid_minimum(m, grid):
     return ref.fun
 
 
-def test_grid_check_matches_reference_on_full_grid():
-    # 60 interval sequences, d = 1..6: measures on [-0.9, 0.9], the same with
-    # m_2 forced negative, and measures with atoms out to +-1.15 (outside the
-    # support, so the minimum is often just below zero).  The reference is
-    # HiGHS on the whole grid; the absolute 1e-8 allows for its tolerances.
+def _full_grid_sequences():
+    """60 interval sequences, d = 1..6: measures on [-0.9, 0.9], the same with
+    m_2 forced negative, and measures with atoms out to +-1.15 (outside the
+    support, so the minimum is often just below zero)."""
     rng = np.random.default_rng(61)
-    grid = np.linspace(-1.0, 1.0, 200)
     for i in range(60):
         d, kind = 1 + i % 6, (i // 6) % 3
         reach = 1.15 if kind == 2 else 0.9
@@ -247,13 +245,54 @@ def test_grid_check_matches_reference_on_full_grid():
         mom = list(atomic_moments(atoms, rng.uniform(0.2, 2.0, d + 1), 2 * d))
         if kind == 1:
             mom[2] = -abs(mom[2]) - 0.3
-        m = mk.MomentSequence(tuple(mom), mk.Support.interval(-1, 1))
+        yield mk.MomentSequence(tuple(mom), mk.Support.interval(-1, 1))
+
+
+def test_grid_check_matches_reference_on_full_grid():
+    # The reference is HiGHS on the whole grid; the absolute 1e-8 allows for
+    # its tolerances.
+    grid = np.linspace(-1.0, 1.0, 200)
+    for i, m in enumerate(_full_grid_sequences()):
         ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
         value = mk.riesz(m, witness)
         assert value == pytest.approx(_highs_grid_minimum(m, grid), rel=1e-6, abs=1e-8), i
         assert ok == (value >= -1e-7)
         assert np.abs(witness.coeffs).sum() <= 1 + 1e-9
         assert witness(grid).min() >= -1e-9
+
+
+def test_grid_check_is_scale_free():
+    # The LP is posed in m / |m|_inf, so scaling m scales the witness value
+    # and nothing else; at 1e12 the LP in m itself ended infeasible.
+    grid = np.linspace(-1.0, 1.0, 200)
+    for i, m in enumerate(_full_grid_sequences()):
+        ref = _highs_grid_minimum(m, grid)
+        for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+            scaled = mk.MomentSequence(tuple(scale * x for x in m.moments), m.support)
+            _, witness = mk.haviland_grid_check(scaled, grid, 1e-7)
+            assert mk.riesz(scaled, witness) / scale == pytest.approx(ref, rel=0, abs=1e-6), \
+                (i, scale)
+
+
+def test_grid_lp_starts_at_a_feasible_vertex(monkeypatch):
+    # Every right-hand side lies in [0, 2], so the slack basis is feasible
+    # and solve_lp needs no phase 1, at any scale and sign of the moments.
+    seen, solve = [], moments_mod.solve_lp
+
+    def spy(c, a_ub=None, b_ub=None, **kwargs):
+        seen.append(np.array(b_ub))
+        return solve(c, a_ub=a_ub, b_ub=b_ub, **kwargs)
+
+    monkeypatch.setattr(moments_mod, "solve_lp", spy)
+    grid = np.linspace(-1.0, 1.0, 200)
+    cases = [*_full_grid_sequences(), seq(0, 0, 0, support=mk.Support.interval(-1, 1)),
+             seq(-1, 0.5, -2, support=mk.Support.interval(-1, 1))]
+    for m in cases:
+        for scale in (1e-12, 1.0, 1e12):
+            mk.haviland_grid_check(mk.MomentSequence(tuple(scale * x for x in m.moments),
+                                                     m.support), grid, 1e-7)
+    assert len(seen) >= 3 * len(cases)
+    assert all(b.min() >= 0.0 and b.max() <= 2.0 for b in seen)
 
 
 def test_grid_check_beyond_the_lp_size_cap():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentkit.errors import LpFailure
-from momentkit.simplex import collect_lp_stats, lp_feasible, solve_lp
+from momentkit.simplex import _merge_copies, collect_lp_stats, lp_feasible, solve_lp
 
 from conftest import scipy_lp
 
@@ -232,6 +232,58 @@ def test_copied_rows_multiplier_goes_to_tightest_copy():
     ref = solve_lp([-1.0, -1.0, -1.0], a_ub=base, b_ub=[4.0, 3.0, 2.5, 6.0], nonneg=True)
     assert np.array_equal(sol.duals[[0, 1, 4, 3]], ref.duals)
     assert np.all(sol.duals[[2, 5, 6]] == 0.0)
+
+
+def test_rows_differing_in_the_sign_of_a_zero_merge():
+    a = [[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]]
+    b = [2.0, 1.0, 3.0, 3.0]
+    assert _merge_copies(np.array(a), np.array(b)).tolist() == [1, 2]
+    sol = solve_lp([-1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
+    ref = solve_lp([-1.0, -1.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 3.0], nonneg=True)
+    assert (sol.objective, sol.iterations) == (ref.objective, ref.iterations)
+    assert np.array_equal(sol.duals[[1, 2]], ref.duals)
+    assert np.all(sol.duals[[0, 3]] == 0.0)
+
+
+def test_equal_copies_put_the_multiplier_on_the_first():
+    a = [[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+    b = [3.0, 5.0, 2.0, 2.0]
+    assert _merge_copies(np.array(a), np.array(b)).tolist() == [2, 1]
+    sol = solve_lp([-1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
+    assert sol.duals[2] == pytest.approx(-1.0)
+    assert np.all(sol.duals[[0, 1, 3]] == 0.0)
+
+
+def _lexsort_merge(a_ub, b_ub):
+    """Reference presolve by a stable sort on every column, then the right-hand
+    side: each group's first row and the caller row at its smallest
+    right-hand side, in first-occurrence order, or None when no row repeats."""
+    perm = np.lexsort((b_ub, *a_ub.T))
+    ranked = a_ub[perm]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    if starts.size == a_ub.shape[0]:
+        return None
+    first = np.minimum.reduceat(perm, starts)
+    order = np.argsort(first)
+    return a_ub[first[order]], perm[starts][order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_matches_lexsort_reference(data):
+    m, n = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25])
+    a_ub = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                       min_size=m, max_size=m)))
+    b_ub = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                                       min_size=m, max_size=m)))
+    ub_rows, ref = _merge_copies(a_ub, b_ub), _lexsort_merge(a_ub, b_ub)
+    if ref is None:
+        assert ub_rows is None
+    else:
+        rows, ref_ub_rows = ref
+        assert ub_rows.tolist() == ref_ub_rows.tolist()
+        assert np.array_equal(a_ub[ub_rows], rows)  # == reads -0.0 as 0.0
 
 
 def test_redundant_equality_gets_zero_multiplier():
