@@ -334,10 +334,9 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     is feasible, so tau >= 0 cuts off no optimum; the two rows imply t >= 0,
     so the LP keeps 2(2d+1) rows.  Its dual feasible set does not depend on
     m, so the LP is scale-free, and the multipliers y+ of the first block and
-    y- of the second give the minimizer c = y- - y+.  A
-    value at or above -tol certifies positivity on the (grid-nonnegative)
-    relaxation of the support cone; a failure ships the polynomial as an
-    explicit witness.
+    y- of the second give the minimizer c = y- - y+.  A value at or above
+    -tol certifies positivity on the (grid-nonnegative) relaxation of the
+    support cone; a failure ships the polynomial as an explicit witness.
 
     Grid points enter by column generation: solve on at most 256 evenly
     spaced points, add the (up to 16) points where c is most negative,

@@ -40,6 +40,14 @@ by their bytes (``-0.0`` read as ``0.0``), so the cost does not grow with a
 sort key per column: a grid LP has one column per grid point.  Equality rows
 are left alone, and ``x`` is in the caller's variables either way.
 
+The tableau is updated in place and never refactored, so a pivot on a tiny
+element leaves its rounding in every later row.  Every optimal basis is
+therefore checked on the rows as posed (two small dense solves give its
+values and reduced costs).  A basis that fails the check has its tableau
+rebuilt from those rows, and pivoting resumes: dual simplex pivots restore
+feasibility and primal ones optimality.  A basis that passes keeps its
+tableau, so the check costs no accuracy and changes no clean result.
+
 Deliberately dense and deliberately small: problems are capped at 500
 constraint rows and 500 structural columns (``2n + m_ub``, or ``n + m_ub``
 with ``nonneg``), counted before the merge.
@@ -194,6 +202,51 @@ def _merge_copies(a_ub: np.ndarray, b_ub: np.ndarray):
     return np.fromiter(best.values(), dtype=int, count=len(best))
 
 
+def _settle(T: np.ndarray, basis: np.ndarray, T0: np.ndarray, cost: np.ndarray,
+            enter_cols: int, scan_order: np.ndarray, budget: int) -> tuple[str, int]:
+    """Check an optimal basis on the rows as posed, and repair it if needed.
+
+    The grid check's LPs need this on sequences with one atom near 0: their
+    high moments are tiny, the path from the slack basis pivots on elements
+    near 1e-8, and the last basis came out primal infeasible by 1e-6.
+    Solving with the basis columns of ``T0`` (the rows as posed) gives the
+    basis's true values and reduced costs.  When a value is below -FEAS_TOL
+    or a reduced cost below -PIVOT_TOL, the tableau is rebuilt from ``T0``
+    and pivoting resumes: dual simplex pivots while a value is negative
+    (they keep the reduced costs nonnegative), then primal ones.  The check
+    runs at most four times, each failure followed by a rebuild; if none
+    passes, LpFailure.  Returns (status, pivots used); a clean basis leaves
+    ``T`` as it is.
+    """
+    used = 0
+    for _ in range(4):
+        B = T0[:, basis]
+        try:
+            values = np.linalg.solve(B, T0[:, -1])
+            prices = np.linalg.solve(B.T, cost[basis])
+        except np.linalg.LinAlgError:
+            raise LpFailure("the final basis is singular") from None
+        reduced = cost[:enter_cols] - prices @ T0[:, :enter_cols]
+        if values.min(initial=0.0) >= -FEAS_TOL and reduced.min(initial=0.0) >= -PIVOT_TOL:
+            return "optimal", used
+        T[:-1] = np.linalg.solve(B, T0)
+        T[-1] = cost - cost[basis] @ T[:-1]
+        while T[:-1, -1].min() < -FEAS_TOL:
+            row = int(np.argmin(T[:-1, -1]))
+            cols = np.nonzero(T[row, :enter_cols] < -PIVOT_TOL)[0]
+            if not cols.size or used >= budget:
+                raise LpFailure("the dual simplex repair of the final basis did not settle")
+            col = int(cols[np.argmin(T[-1, cols] / -T[row, cols])])
+            _pivot(T, row, col)
+            basis[row] = col
+            used += 1
+        status, more = _iterate(T, basis, enter_cols, scan_order, budget - used)
+        used += more
+        if status != "optimal":
+            return status, used
+    raise LpFailure("the final basis did not settle on the rows as posed")
+
+
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
              nonneg: bool = False) -> LpSolution:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
@@ -298,6 +351,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     for a, i in enumerate(art_rows):
         T[i, n_struct + a] = 1.0
         basis[i] = identity_col[i] = n_struct + a
+    T0 = T[:m].copy()  # the rows as posed, for the final check
 
     # Lexicographic scan order: per-row identity columns first (the
     # right-hand side is always compared before this order kicks in), then
@@ -331,6 +385,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
                 else:
                     keep[i] = False  # redundant constraint
         if not keep.all():
+            T0 = T0[keep]
             T = np.vstack([T[:m][keep], T[-1:]])
             basis = basis[keep]
             m = int(keep.sum())
@@ -348,11 +403,16 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
             Tj[-1, n:2 * n] = -cj
         obj_scale = max(1.0, float(np.abs(cj).max(initial=0.0)))
         Tj[-1, :n_struct] /= obj_scale
+        cost = Tj[-1].copy()
         for i in range(m):
             if abs(Tj[-1, bj[i]]) > 0.0:
                 Tj[-1] -= Tj[-1, bj[i]] * Tj[i]
         status, used = _iterate(Tj, bj, n_struct, scan_order, MAX_ITERATIONS - iterations)
         iterations += used
+        if status == "optimal":
+            status, used = _settle(Tj, bj, T0, cost, n_struct, scan_order,
+                                   MAX_ITERATIONS - iterations)
+            iterations += used
         if status == "unbounded":
             _record(iterations)
             return LpSolution("unbounded", None, None, iterations)

@@ -295,6 +295,32 @@ def test_grid_lp_starts_at_a_feasible_vertex(monkeypatch):
     assert all(b.min() >= 0.0 and b.max() <= 2.0 for b in seen)
 
 
+@pytest.mark.parametrize("moments", [
+    # Moment-check inputs with one atom near 0 (seeds 13003 and 14002 of the
+    # workload generator).  The LP from the slack basis pivots on an element
+    # near 1e-8 on the way; the rounding it leaves made the last basis
+    # primal infeasible, and the witness came out up to 1e-5 above the
+    # minimum (the second one reading "passed").
+    (0.6233510758706936, -0.019652161583888973, 0.0006195665169580866,
+     -1.9532847178005562e-05, 6.158049352836964e-07, -1.9414257167115058e-08,
+     6.120661913455393e-10, -1.9296387153189406e-11, 6.083501464885915e-13,
+     -1.9179232764902334e-14, 6.046566628996471e-16, -1.906278965746727e-17,
+     6.009856036022077e-19),
+    (1.6707763418842592, -0.008661417555668223, 4.490137440480626e-05,
+     -2.327717617217505e-07, 1.2067045557796482e-09, -6.2556380300115015e-12,
+     3.242965063411272e-14, -1.6811750219644247e-16, 8.715325016496014e-19,
+     -4.5180834327651906e-21, 2.3422050086244916e-23),
+])
+def test_grid_check_one_atom_near_zero(moments):
+    m = mk.MomentSequence(moments, mk.Support.interval(-1, 1))
+    grid = np.linspace(-1.0, 1.0, 200)
+    ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
+    value = mk.riesz(m, witness)
+    assert value == pytest.approx(_highs_grid_minimum(m, grid), rel=1e-6, abs=1e-8)
+    assert not ok
+    assert witness(grid).min() >= -1e-9
+
+
 def test_grid_check_beyond_the_lp_size_cap():
     # 2,000 grid points are four times the simplex's 500-column cap: column
     # generation keeps the LP small, and the witness is still grid-nonnegative,

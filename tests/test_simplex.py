@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momentkit import simplex
 from momentkit.errors import LpFailure
 from momentkit.simplex import _merge_copies, collect_lp_stats, lp_feasible, solve_lp
 
@@ -284,6 +285,25 @@ def test_merge_matches_lexsort_reference(data):
         rows, ref_ub_rows = ref
         assert ub_rows.tolist() == ref_ub_rows.tolist()
         assert np.array_equal(a_ub[ub_rows], rows)  # == reads -0.0 as 0.0
+
+
+def test_final_basis_is_settled_on_the_rows_as_posed(monkeypatch):
+    # A pivot loop that stops at once leaves the slack basis, which is not
+    # optimal; the final check prices it on the rows as posed, finds the
+    # negative reduced costs and pivots on from a rebuilt tableau.
+    c, a, b = [-1.0, -2.0, -0.5], [[1.0, 1.0, 1.0], [2.0, 0.5, 0.0], [0.0, 1.0, 3.0]], [4.0, 3.0, 5.0]
+    ref = solve_lp(c, a_ub=a, b_ub=b, nonneg=True)
+    real, calls = simplex._iterate, []
+
+    def stop_at_once(T, basis, *args):
+        calls.append(None)
+        return ("optimal", 0) if len(calls) == 1 else real(T, basis, *args)
+
+    monkeypatch.setattr(simplex, "_iterate", stop_at_once)
+    sol = solve_lp(c, a_ub=a, b_ub=b, nonneg=True)
+    assert len(calls) == 2 and sol.optimal
+    assert sol.objective == pytest.approx(ref.objective, abs=1e-12)
+    assert np.allclose(sol.x, ref.x, atol=1e-12) and np.allclose(sol.duals, ref.duals, atol=1e-12)
 
 
 def test_redundant_equality_gets_zero_multiplier():
