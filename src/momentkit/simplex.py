@@ -41,12 +41,12 @@ sort key per column: a grid LP has one column per grid point.  Equality rows
 are left alone, and ``x`` is in the caller's variables either way.
 
 The tableau is updated in place and never refactored, so a pivot on a tiny
-element leaves its rounding in every later row.  Every optimal basis is
-therefore checked on the rows as posed (two small dense solves give its
-values and reduced costs).  A basis that fails the check has its tableau
-rebuilt from those rows, and pivoting resumes: dual simplex pivots restore
-feasibility and primal ones optimality.  A basis that passes keeps its
-tableau, so the check costs no accuracy and changes no clean result.
+element leaves its rounding in every later row.  An optimal tableau that took
+a pivot below ``SMALL_PIVOT`` is therefore checked on the rows as posed: its
+values must solve them and its prices give nonnegative reduced costs.  One
+that fails is rebuilt from those rows, and pivoting resumes: dual simplex
+pivots restore feasibility and primal ones optimality.  A tableau that
+passes is read as it is, so no clean result changes.
 
 Deliberately dense and deliberately small: problems are capped at 500
 constraint rows and 500 structural columns (``2n + m_ub``, or ``n + m_ub``
@@ -65,6 +65,12 @@ from .errors import LpFailure
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
+# A pivot on an element below SMALL_PIVOT (rows start at largest entry 1)
+# scales the rounding already in the tableau by its inverse, so a tableau
+# that took one is checked on the rows as posed before it is read.  No
+# finite-space LP of the benchmark pivots below it; about a quarter of the
+# grid check's LPs do.
+SMALL_PIVOT = 1e-3
 SIZE_CAP = 500
 MAX_ITERATIONS = 50_000
 
@@ -160,22 +166,24 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
 
 
 def _iterate(T: np.ndarray, basis: np.ndarray, enter_cols: int,
-             scan_order: np.ndarray, budget: int) -> tuple[str, int]:
-    """Pivot until optimal/unbounded; returns (status, pivots used)."""
-    used = 0
+             scan_order: np.ndarray, budget: int) -> tuple[str, int, float]:
+    """Pivot until optimal/unbounded; returns (status, pivots used, smallest
+    pivot element)."""
+    used, smallest = 0, np.inf
     while used < budget:
         reduced = T[-1, :enter_cols]
         candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
         if candidates.size == 0:
-            return "optimal", used
+            return "optimal", used, smallest
         col = int(candidates[np.argmin(reduced[candidates])])
 
         column = T[:-1, col]
         rows = np.nonzero(column > PIVOT_TOL)[0]
         if rows.size == 0:
-            return "unbounded", used
+            return "unbounded", used, smallest
         row = _leaving_row(T, column, rows, scan_order)
 
+        smallest = min(smallest, float(column[row]))
         _pivot(T, row, col)
         basis[row] = col
         used += 1
@@ -202,34 +210,38 @@ def _merge_copies(a_ub: np.ndarray, b_ub: np.ndarray):
     return np.fromiter(best.values(), dtype=int, count=len(best))
 
 
-def _settle(T: np.ndarray, basis: np.ndarray, T0: np.ndarray, cost: np.ndarray,
-            enter_cols: int, scan_order: np.ndarray, budget: int) -> tuple[str, int]:
-    """Check an optimal basis on the rows as posed, and repair it if needed.
+def _settle(T: np.ndarray, basis: np.ndarray, T0: np.ndarray, unit: np.ndarray,
+            cost: np.ndarray, enter_cols: int, scan_order: np.ndarray,
+            budget: int) -> tuple[str, int]:
+    """Check an optimal tableau on the rows as posed, and repair it if needed.
 
     The grid check's LPs need this on sequences with one atom near 0: their
     high moments are tiny, the path from the slack basis pivots on elements
-    near 1e-8, and the last basis came out primal infeasible by 1e-6.
-    Solving with the basis columns of ``T0`` (the rows as posed) gives the
-    basis's true values and reduced costs.  When a value is below -FEAS_TOL
-    or a reduced cost below -PIVOT_TOL, the tableau is rebuilt from ``T0``
-    and pivoting resumes: dual simplex pivots while a value is negative
-    (they keep the reduced costs nonnegative), then primal ones.  The check
-    runs at most four times, each failure followed by a rebuild; if none
-    passes, LpFailure.  Returns (status, pivots used); a clean basis leaves
-    ``T`` as it is.
+    near 1e-8, and the last basis came out primal infeasible by 1e-6, its
+    witness up to 1e-5 above the minimum.  The check reads the basic values
+    and the row prices off the tableau (``unit[i]`` is a column of ``T0``
+    nonzero in row i alone) and tests them on ``T0``, the rows as posed:
+    values nonnegative and solving the rows, reduced costs nonnegative.  A
+    tableau that fails is rebuilt from ``T0`` and pivoting resumes: dual
+    simplex pivots while a value is negative (they keep the reduced costs
+    nonnegative), then primal ones.  The check runs at most four times, each
+    failure followed by a rebuild; if none passes, LpFailure.  Returns
+    (status, pivots used); a clean tableau is left as it is.
     """
+    rows = np.arange(T0.shape[0])
     used = 0
     for _ in range(4):
-        B = T0[:, basis]
+        values = T[:-1, -1] / T[rows, basis]
+        prices = -T[-1, unit] / T0[rows, unit]
+        residual = np.abs(T0[:, basis] @ values - T0[:, -1]).max(initial=0.0)
+        reduced = cost[:enter_cols] - prices @ T0[:, :enter_cols]
+        if (values.min(initial=0.0) >= -FEAS_TOL and reduced.min(initial=0.0) >= -PIVOT_TOL
+                and residual <= FEAS_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))):
+            return "optimal", used
         try:
-            values = np.linalg.solve(B, T0[:, -1])
-            prices = np.linalg.solve(B.T, cost[basis])
+            T[:-1] = np.linalg.solve(T0[:, basis], T0)
         except np.linalg.LinAlgError:
             raise LpFailure("the final basis is singular") from None
-        reduced = cost[:enter_cols] - prices @ T0[:, :enter_cols]
-        if values.min(initial=0.0) >= -FEAS_TOL and reduced.min(initial=0.0) >= -PIVOT_TOL:
-            return "optimal", used
-        T[:-1] = np.linalg.solve(B, T0)
         T[-1] = cost - cost[basis] @ T[:-1]
         while T[:-1, -1].min() < -FEAS_TOL:
             row = int(np.argmin(T[:-1, -1]))
@@ -240,7 +252,7 @@ def _settle(T: np.ndarray, basis: np.ndarray, T0: np.ndarray, cost: np.ndarray,
             _pivot(T, row, col)
             basis[row] = col
             used += 1
-        status, more = _iterate(T, basis, enter_cols, scan_order, budget - used)
+        status, more, _ = _iterate(T, basis, enter_cols, scan_order, budget - used)
         used += more
         if status != "optimal":
             return status, used
@@ -351,7 +363,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     for a, i in enumerate(art_rows):
         T[i, n_struct + a] = 1.0
         basis[i] = identity_col[i] = n_struct + a
-    T0 = T[:m].copy()  # the rows as posed, for the final check
+    T0, unit = T[:m].copy(), identity_col  # the rows as posed, for the final check
 
     # Lexicographic scan order: per-row identity columns first (the
     # right-hand side is always compared before this order kicks in), then
@@ -359,14 +371,14 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     rest = sorted(set(range(n_total)) - set(identity_col.tolist()))
     scan_order = np.array(identity_col.tolist() + rest, dtype=int)
 
-    iterations = 0
+    iterations, smallest = 0, np.inf
 
     # Phase 1: minimize the artificial mass.
     if n_art:
         T[-1, n_struct:n_total] = 1.0
         for i in art_rows:
             T[-1] -= T[i]
-        status, used = _iterate(T, basis, n_struct, scan_order, MAX_ITERATIONS)
+        status, used, smallest = _iterate(T, basis, n_struct, scan_order, MAX_ITERATIONS)
         iterations += used
         if status != "optimal":
             raise LpFailure("phase 1 reported an unbounded artificial objective")
@@ -380,12 +392,13 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
                 row = T[i, :n_struct]
                 nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
                 if nz.size:
+                    smallest = min(smallest, abs(float(row[nz[0]])))
                     _pivot(T, i, int(nz[0]))
                     basis[i] = int(nz[0])
                 else:
                     keep[i] = False  # redundant constraint
         if not keep.all():
-            T0 = T0[keep]
+            T0, unit = T0[keep], identity_col[keep]
             T = np.vstack([T[:m][keep], T[-1:]])
             basis = basis[keep]
             m = int(keep.sum())
@@ -407,10 +420,10 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         for i in range(m):
             if abs(Tj[-1, bj[i]]) > 0.0:
                 Tj[-1] -= Tj[-1, bj[i]] * Tj[i]
-        status, used = _iterate(Tj, bj, n_struct, scan_order, MAX_ITERATIONS - iterations)
+        status, used, small = _iterate(Tj, bj, n_struct, scan_order, MAX_ITERATIONS - iterations)
         iterations += used
-        if status == "optimal":
-            status, used = _settle(Tj, bj, T0, cost, n_struct, scan_order,
+        if status == "optimal" and min(smallest, small) < SMALL_PIVOT:
+            status, used = _settle(Tj, bj, T0, unit, cost, n_struct, scan_order,
                                    MAX_ITERATIONS - iterations)
             iterations += used
         if status == "unbounded":

@@ -288,16 +288,17 @@ def test_merge_matches_lexsort_reference(data):
 
 
 def test_final_basis_is_settled_on_the_rows_as_posed(monkeypatch):
-    # A pivot loop that stops at once leaves the slack basis, which is not
-    # optimal; the final check prices it on the rows as posed, finds the
-    # negative reduced costs and pivots on from a rebuilt tableau.
+    # A pivot loop that reports a tiny pivot and stops at once leaves the
+    # slack basis, which is not optimal; the final check prices it on the
+    # rows as posed, finds the negative reduced costs and pivots on from a
+    # rebuilt tableau.
     c, a, b = [-1.0, -2.0, -0.5], [[1.0, 1.0, 1.0], [2.0, 0.5, 0.0], [0.0, 1.0, 3.0]], [4.0, 3.0, 5.0]
     ref = solve_lp(c, a_ub=a, b_ub=b, nonneg=True)
     real, calls = simplex._iterate, []
 
     def stop_at_once(T, basis, *args):
         calls.append(None)
-        return ("optimal", 0) if len(calls) == 1 else real(T, basis, *args)
+        return ("optimal", 0, 1e-9) if len(calls) == 1 else real(T, basis, *args)
 
     monkeypatch.setattr(simplex, "_iterate", stop_at_once)
     sol = solve_lp(c, a_ub=a, b_ub=b, nonneg=True)
