@@ -282,10 +282,10 @@ def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
 
 def _default_designated(fs: FiniteSpaceInput) -> Subspace:
     """Default designated subspace: block indicators completed by the domain
-    basis (greedy independent union)."""
-    vectors = fs.algebra.indicators() + list(fs.domain.basis)
-    current = Subspace(fs.ground, ())
-    for v in vectors:
+    basis (greedy independent union).  The indicators have disjoint nonempty
+    supports, so all of them are kept; only the domain vectors are tested."""
+    current = Subspace(fs.ground, fs.algebra.indicators())
+    for v in fs.domain.basis:
         if not current.contains(v):
             current = current.extended_by(v)
     return current

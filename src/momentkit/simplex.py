@@ -23,10 +23,15 @@ part they share.
 
 Most of our LPs sit on heavily degenerate vertices (whole blocks of zero
 right-hand sides), so anti-cycling is not optional: the leaving row is
-chosen by the lexicographic ratio rule, which terminates under any pricing;
-entering uses Dantzig's most-negative reduced cost.  Plain smallest-index
-(Bland) pricing was tried first and stalled for tens of thousands of
-degenerate pivots on the grid-positivity LPs.
+chosen by the lexicographic ratio rule (Dantzig, Orden & Wolfe 1955), which
+terminates under any pricing; entering uses Dantzig's most-negative reduced
+cost.  Plain smallest-index (Bland) pricing was tried first and stalled for
+tens of thousands of degenerate pivots on the grid-positivity LPs.  The
+rule needs each row to start with a positive entry in a column of its own:
+an artificial column, or its slack column, which is scaled with its row to
+``1 / row_scale``.  Ties in the ratio test are broken by walking the tied
+rows over the scan order as Python float lists; the LPs here are small, so
+the pivot loop's cost is interpreter overhead more than arithmetic.
 
 Before the tableau is built, inequality rows with equal coefficients are
 merged into one row at their smallest right-hand side, kept in the order of
@@ -116,7 +121,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
 
 
 def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
@@ -126,43 +131,37 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
     Rows are compared as ``T[i, scan_order] / column[i]``; with the
     right-hand side scanned first and one identity column per row early in
     the order, every row is lexicographically positive and the comparison
-    has a unique winner, which makes cycling impossible.  Columns on which
-    all still-active rows agree are skipped in blocks.
+    has a unique winner, which makes cycling impossible.  The identity
+    columns need not be unit columns: a slack column starts as ``1 /
+    row_scale`` in its own row, a positive diagonal, and that is all the
+    rule needs.  Columns on which all still-tied rows agree are skipped.
     """
     ratios = T[rows, -1] / column[rows]
     best = ratios.min()
-    active = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
-    if active.size == 1:
-        return int(active[0])
-    inv = 1.0 / column[active]
-    # The tie-break runs on many pivots (4 in 10 on the finite-space LPs once
-    # their copied rows are merged, though only 2.9% of the 1,143 grid-check
-    # pivots of moment-check seeds 7 and 8, block 0), and its
-    # first informative column is nearly always among the first 20 of the
-    # scan order, so one 64-column chunk usually settles it.  Gathering the
-    # whole scan order at once kept every pivot and was no faster: 7-12%
-    # fewer moment-check ops/s in two benchmark pairs, and finite-space
-    # within noise.
-    chunk = 64
-    for pos in range(0, scan_order.size, chunk):
-        cols = scan_order[pos:pos + chunk]
-        M = T[np.ix_(active, cols)] * inv[:, None]
-        while True:
-            lows = M.min(axis=0)
-            spread = M.max(axis=0) - lows
-            informative = np.nonzero(spread > 1e-15 * np.maximum(1.0, np.abs(lows)))[0]
-            if informative.size == 0:
-                break  # all active rows tie throughout this chunk
-            j = int(informative[0])
-            keep = M[:, j] <= lows[j] + 1e-15 * max(1.0, abs(lows[j]))
-            active = active[keep]
-            if active.size == 1:
-                return int(active[0])
-            M = M[keep][:, j + 1:]
-            inv = inv[keep]
-            if M.shape[1] == 0:
-                break
-    return int(active[0])
+    tied = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
+    if tied.size == 1:
+        return int(tied[0])
+    # The tie-break runs on 331 of the 3,622 pivots of finite-space seed 7,
+    # blocks 0-1, but on only 9 of the 858 grid-check pivots of moment-check
+    # seeds 7 and 8, block 0.  Its first informative column is nearly always
+    # among the first 20 of the scan order, so the tied rows are gathered in
+    # 64-column chunks (a grid tableau has hundreds of columns) and walked
+    # as Python float lists: per column, the same min, max and comparisons
+    # as numpy's, so the same row wins, at a fraction of the call overhead.
+    inv = 1.0 / column[tied]
+    for pos in range(0, scan_order.size, 64):
+        chunk = T[np.ix_(tied, scan_order[pos:pos + 64])] * inv[:, None]
+        keep = list(range(tied.size))
+        for values in chunk.T.tolist():
+            vals = [values[i] for i in keep]
+            low = min(vals)
+            tol = 1e-15 * max(1.0, abs(low))
+            if max(vals) - low > tol:
+                keep = [i for i, v in zip(keep, vals) if v <= low + tol]
+                if len(keep) == 1:
+                    return int(tied[keep[0]])
+        tied, inv = tied[keep], inv[keep]
+    return int(tied[0])
 
 
 def _iterate(T: np.ndarray, basis: np.ndarray, enter_cols: int,
@@ -172,10 +171,9 @@ def _iterate(T: np.ndarray, basis: np.ndarray, enter_cols: int,
     used, smallest = 0, np.inf
     while used < budget:
         reduced = T[-1, :enter_cols]
-        candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
-        if candidates.size == 0:
+        col = int(reduced.argmin()) if enter_cols else 0  # the first on a tie
+        if not enter_cols or reduced[col] >= -PIVOT_TOL:
             return "optimal", used, smallest
-        col = int(candidates[np.argmin(reduced[candidates])])
 
         column = T[:-1, col]
         rows = np.nonzero(column > PIVOT_TOL)[0]
@@ -307,9 +305,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         raise LpFailure(
             f"problem exceeds desk-scale cap: {m} rows, {n_struct} structural columns (max {SIZE_CAP})"
         )
-    if not (np.all(np.isfinite(a_ub)) and np.all(np.isfinite(b_ub))
-            and np.all(np.isfinite(a_eq)) and np.all(np.isfinite(b_eq))
-            and np.all(np.isfinite(costs))):
+    if not (np.isfinite(a_ub).all() and np.isfinite(b_ub).all() and np.isfinite(a_eq).all()
+            and np.isfinite(b_eq).all() and np.isfinite(costs).all()):
         raise LpFailure("LP data contains non-finite entries")
 
     # Presolve: copied inequality rows become one row at their smallest
@@ -334,7 +331,10 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     A[:m_ub, n_var:] = np.eye(m_ub)
     b = np.concatenate([b_ub, b_eq])
 
-    # Mild row equilibration keeps the fixed tolerances meaningful.
+    # Mild row equilibration keeps the fixed tolerances meaningful.  The
+    # slack columns are scaled too, so a slack starts at 1 / row_scale in its
+    # own row and its value in the tableau is divided by row_scale; nothing
+    # reads the slack values, and the multipliers undo the scale.
     row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
     row_scale[row_scale < 1.0] = 1.0
     A /= row_scale[:, None]
@@ -345,31 +345,30 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     A[flip] *= -1.0
     b = np.abs(b)
 
-    # Rows whose slack survived with +1 start basic; the rest get artificials.
+    # Rows whose slack survived unflipped start basic; the rest get
+    # artificials.  Either way each row has an identity column: positive in
+    # that row alone.
     needs_art = np.ones(m, dtype=bool)
-    basis = np.full(m, -1, dtype=int)
-    identity_col = np.full(m, -1, dtype=int)
-    for i in range(m_ub):
-        if not flip[i]:
-            basis[i] = identity_col[i] = n_var + i
-            needs_art[i] = False
+    needs_art[:m_ub] = flip[:m_ub]
     art_rows = np.nonzero(needs_art)[0]
     n_art = int(art_rows.size)
     n_total = n_struct + n_art
+    identity_col = np.arange(n_var, n_var + m)
+    identity_col[art_rows] = np.arange(n_struct, n_total)
+    basis = identity_col.copy()
 
     T = np.zeros((m + 1, n_total + 1))
     T[:m, :n_struct] = A
     T[:m, -1] = b
-    for a, i in enumerate(art_rows):
-        T[i, n_struct + a] = 1.0
-        basis[i] = identity_col[i] = n_struct + a
+    T[art_rows, identity_col[art_rows]] = 1.0
     T0, unit = T[:m].copy(), identity_col  # the rows as posed, for the final check
 
     # Lexicographic scan order: per-row identity columns first (the
     # right-hand side is always compared before this order kicks in), then
     # the remaining columns by index.
-    rest = sorted(set(range(n_total)) - set(identity_col.tolist()))
-    scan_order = np.array(identity_col.tolist() + rest, dtype=int)
+    rest = np.ones(n_total, dtype=bool)
+    rest[identity_col] = False
+    scan_order = np.concatenate([identity_col, np.nonzero(rest)[0]])
 
     iterations, smallest = 0, np.inf
 
@@ -387,16 +386,15 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
             return LpSolution("infeasible", None, None, iterations)
         # Pivot lingering artificials out of the basis where possible.
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n_struct:
-                row = T[i, :n_struct]
-                nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-                if nz.size:
-                    smallest = min(smallest, abs(float(row[nz[0]])))
-                    _pivot(T, i, int(nz[0]))
-                    basis[i] = int(nz[0])
-                else:
-                    keep[i] = False  # redundant constraint
+        for i in np.nonzero(basis >= n_struct)[0]:
+            row = T[i, :n_struct]
+            nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
+            if nz.size:
+                smallest = min(smallest, abs(float(row[nz[0]])))
+                _pivot(T, i, int(nz[0]))
+                basis[i] = int(nz[0])
+            else:
+                keep[i] = False  # redundant constraint
         if not keep.all():
             T0, unit = T0[keep], identity_col[keep]
             T = np.vstack([T[:m][keep], T[-1:]])
@@ -417,9 +415,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         obj_scale = max(1.0, float(np.abs(cj).max(initial=0.0)))
         Tj[-1, :n_struct] /= obj_scale
         cost = Tj[-1].copy()
-        for i in range(m):
-            if abs(Tj[-1, bj[i]]) > 0.0:
-                Tj[-1] -= Tj[-1, bj[i]] * Tj[i]
+        for i in np.nonzero(Tj[-1, bj])[0]:  # a basic column is 0 off its own row
+            Tj[-1] -= Tj[-1, bj[i]] * Tj[i]
         status, used, small = _iterate(Tj, bj, n_struct, scan_order, MAX_ITERATIONS - iterations)
         iterations += used
         if status == "optimal" and min(smallest, small) < SMALL_PIVOT:

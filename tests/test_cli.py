@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import momentkit as mk
-from momentkit import cli
+from momentkit import cli, measure
 from momentkit.cli import main
 from momentkit.jsonio import dumps_canonical, parse_input
+from momentkit.simplex import collect_lp_stats
 
 from conftest import atomic_moments
 
@@ -315,18 +316,79 @@ def _lp_counts(tmp_path, capsys, doc, exit_code):
 
 
 def test_build_measure_pivot_count(tmp_path, capsys):
-    # With the default designated subspace only the Hahn-Banach step and the
-    # positivity audit make LPs; the step's LP has no inequality rows.
-    assert _lp_counts(tmp_path, capsys, _pivot_count_doc(), 0) == (2, 11)
+    # With the default designated subspace only the Hahn-Banach step makes an
+    # LP, and it has no inequality rows.  The extension's domain is then the
+    # block-constant functions, so the positivity audit needs no LP.
+    assert _lp_counts(tmp_path, capsys, _pivot_count_doc(), 0) == (1, 4)
 
 
 def test_build_measure_pivot_count_constants_only(tmp_path, capsys):
     # With the constants alone as designated subspace (not dense, exit 1),
-    # four density LPs join those two.  With copied LP rows merged the six
-    # LPs take 50 pivots, without the merge 65; pin it so the merge cannot be
-    # dropped silently.
+    # four density LPs join the step's LP.  With copied LP rows merged the
+    # five LPs take 43 pivots, without the merge 58; pin it so the merge
+    # cannot be dropped silently.
     doc = dict(_pivot_count_doc(), b_basis={"one": [1.0] * 24})
-    assert _lp_counts(tmp_path, capsys, doc, 1) == (6, 50)
+    assert _lp_counts(tmp_path, capsys, doc, 1) == (5, 43)
+
+
+def test_build_measure_audit_off_the_block_constants_is_an_lp(tmp_path, capsys, monkeypatch):
+    # A designated vector that is not block-constant joins the extension's
+    # domain, which is then more than the block-constant functions: the
+    # positivity audit is verify_positive's LP, and lp_solves counts it.
+    # Run again with that LP hidden from the counters: one solve fewer, and
+    # the same output otherwise.
+    doc = _pivot_count_doc()
+    doc["b_basis"] = {"one": [1.0] * 24, "ramp": [float(i) for i in range(24)]}
+    path = write(tmp_path, "fs.json", doc)
+    real, audits = measure.verify_positive, []
+
+    def counted(L, tol):
+        audits.append(L.domain.dim)
+        return real(L, tol)
+
+    def uncounted(L, tol):
+        with collect_lp_stats():
+            return real(L, tol)
+
+    runs = []
+    for audit in (counted, uncounted):
+        monkeypatch.setattr(measure, "verify_positive", audit)
+        code = main(["build-measure", path])
+        runs.append((code, json.loads(capsys.readouterr().out)))
+    assert audits == [5]  # the four indicators and the ramp
+    (code, out), (code_hidden, out_hidden) = runs
+    assert code == code_hidden
+    diag, diag_hidden = out.pop("diagnostics"), out_hidden.pop("diagnostics")
+    assert out == out_hidden
+    assert diag["lp_solves"] == diag_hidden["lp_solves"] + 1
+
+
+def _greedy_designated(fs):
+    # The default designated subspace as it was built before it started from
+    # the indicators: every vector tested in turn.
+    current = mk.Subspace(fs.ground, ())
+    for v in fs.algebra.indicators() + list(fs.domain.basis):
+        if not current.contains(v):
+            current = current.extended_by(v)
+    return current
+
+
+@pytest.mark.parametrize("basis", [
+    {"one": [1.0] * 6},
+    {"one": [1.0] * 6, "g": [2.0, 2.0, -1.0, -1.0, 0.5, 0.5]},   # in the indicators' span
+    {"one": [1.0] * 6, "ramp": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]},  # outside it
+    {"ramp": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "sq": [0.0, 1.0, 4.0, 9.0, 16.0, 25.0],
+     "one": [1.0] * 6},
+])
+def test_default_designated_equals_greedy_union(tmp_path, basis):
+    doc = {"points": [f"p{i}" for i in range(6)], "basis": basis,
+           "functional": {name: 1.0 for name in basis},
+           "sigma_algebra": [[0, 1], [2, 3], [4, 5]]}
+    fs = parse_input(write(tmp_path, "fs.json", doc))
+    got, want = cli._default_designated(fs), _greedy_designated(fs)
+    assert got.dim == want.dim
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(got.basis, want.basis))
+    assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_build_measure_negative_functional_names_the_block(tmp_path, capsys):

@@ -404,6 +404,48 @@ def test_gap_nonnegative_on_cone(seed):
     assert mk.gap_T(Lt, mu, alg, f) >= -1e-9
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_positivity_audit_agrees_with_its_lp(seed, tol):
+    # With the indicators designated, the extension's domain is the
+    # block-constant functions and the audit is read off the indicator
+    # values; verify_positive's LP over the same domain must agree.  Half
+    # the draws give the indicator values outright, one of them sometimes
+    # slightly negative (above the -1e-8 at which build_measure raises), so
+    # ``ok`` is tested on both sides of tol; the rest extend integration
+    # against a nonnegative weight, zero on some points, from the constants
+    # and a few block-constant vectors.  Vertex values closer than about
+    # 1e-9 are left out: the LP stops at reduced costs above -1e-9, so it
+    # may stop at the wrong one of two such vertices (two dips of -2.8e-9
+    # and -3.6e-9 gave -2.8e-9), while the vertex minimum is exact.
+    rng = np.random.default_rng(seed)
+    g = ground(int(rng.integers(2, 13)))
+    alg = random_partition(rng, g, int(rng.integers(1, 6)))
+    B = full_simple_domain(g, alg)
+    if rng.random() < 0.5:
+        values = rng.uniform(0.1, 2.0, alg.n_blocks)
+        if rng.random() < 0.5:
+            values[rng.integers(alg.n_blocks)] = -rng.uniform(0.0, 9e-9)
+        A, L = B, mk.Functional(B, values)
+    else:
+        vectors = [ones(g)] + [mk.SimpleFunction(alg, rng.normal(size=alg.n_blocks)).as_vec()
+                               for _ in range(int(rng.integers(0, alg.n_blocks)))]
+        A = mk.Subspace(g, vectors)
+        omega = rng.uniform(0.0, 2.0, g.size) * (rng.random(g.size) < 0.7)
+        L = mk.Functional(A, [float(omega @ v.values) for v in A.basis])
+    with collect_lp_stats() as stats:
+        mu, report = mk.represent_via_adapted(A, B, L, alg, mk.RepresentOptions(tol=tol))
+    if A is B:
+        assert stats["solves"] == 0  # nothing to extend, no density LP, no audit LP
+    Lt = report.extended
+    assert Lt.domain.dim == alg.n_blocks
+    ok, worst = mk.verify_positive(Lt, tol)
+    band = 1e-12 * max(1.0, mu.total)
+    assert abs(report.worst_positive_value - worst) <= band
+    if abs(worst + tol) > band:
+        assert report.positive_ok == ok
+
+
 def test_pipeline_rejects_nonmeasurable_domain():
     g = ground(3)
     alg = mk.SigmaAlgebra(g, ((0, 1), (2,)))

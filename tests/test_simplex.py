@@ -448,3 +448,128 @@ def test_objective_shape_checked():
         solve_lp(np.zeros((0, 2)))
     with pytest.raises(LpFailure):
         solve_lp(np.zeros((1, 1, 2)))
+
+
+# --- the pivot loop against its numpy reference -------------------------------------
+
+def _reference_pivot(T, row, col):
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+
+
+def _reference_leaving_row(T, column, rows, scan_order):
+    # The lexicographic tie-break as it was before it walked Python float
+    # lists: numpy min and max over 64-column chunks of the tied rows.
+    ratios = T[rows, -1] / column[rows]
+    best = ratios.min()
+    active = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
+    if active.size == 1:
+        return int(active[0])
+    inv = 1.0 / column[active]
+    for pos in range(0, scan_order.size, 64):
+        cols = scan_order[pos:pos + 64]
+        M = T[np.ix_(active, cols)] * inv[:, None]
+        while True:
+            lows = M.min(axis=0)
+            spread = M.max(axis=0) - lows
+            informative = np.nonzero(spread > 1e-15 * np.maximum(1.0, np.abs(lows)))[0]
+            if informative.size == 0:
+                break
+            j = int(informative[0])
+            keep = M[:, j] <= lows[j] + 1e-15 * max(1.0, abs(lows[j]))
+            active = active[keep]
+            if active.size == 1:
+                return int(active[0])
+            M = M[keep][:, j + 1:]
+            inv = inv[keep]
+            if M.shape[1] == 0:
+                break
+    return int(active[0])
+
+
+def _reference_iterate(T, basis, enter_cols, scan_order, budget):
+    # Pricing over the candidate columns, as it was before the argmin over
+    # every reduced cost.
+    used, smallest = 0, np.inf
+    while used < budget:
+        reduced = T[-1, :enter_cols]
+        candidates = np.nonzero(reduced < -simplex.PIVOT_TOL)[0]
+        if candidates.size == 0:
+            return "optimal", used, smallest
+        col = int(candidates[np.argmin(reduced[candidates])])
+        column = T[:-1, col]
+        rows = np.nonzero(column > simplex.PIVOT_TOL)[0]
+        if rows.size == 0:
+            return "unbounded", used, smallest
+        row = _reference_leaving_row(T, column, rows, scan_order)
+        smallest = min(smallest, float(column[row]))
+        _reference_pivot(T, row, col)
+        basis[row] = col
+        used += 1
+    raise LpFailure(f"simplex did not converge within {budget} pivots")
+
+
+def _solve_both(*args, **kwargs):
+    def run():
+        try:
+            return solve_lp(*args, **kwargs)
+        except LpFailure as exc:
+            return str(exc)
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_iterate", _reference_iterate)
+        mp.setattr(simplex, "_leaving_row", _reference_leaving_row)
+        mp.setattr(simplex, "_pivot", _reference_pivot)
+        want = run()
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pivot_loop_matches_numpy_reference_bitwise(data):
+    # Degenerate LPs of the finite-space kind: block-repeated rows (copies,
+    # and positive multiples that tie in every ratio test up to their own
+    # slack column), zero right-hand sides, small integer entries.
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 6))
+    base = rng.integers(-2, 3, size=(data.draw(st.integers(1, 6)), n)).astype(float)
+    assign = rng.integers(0, base.shape[0], size=data.draw(st.integers(1, 24)))
+    a_ub = base[assign] * rng.choice([0.5, 1.0, 1.0, 2.0], size=(assign.size, 1))
+    b_ub = np.where(rng.random(assign.size) < 0.6, 0.0, rng.integers(-2, 4, assign.size))
+    a_eq = b_eq = None
+    if data.draw(st.booleans()):
+        a_eq = rng.integers(-1, 3, size=(data.draw(st.integers(1, 2)), n)).astype(float)
+        b_eq = rng.integers(0, 3, size=a_eq.shape[0]).astype(float)
+    c = rng.integers(-3, 4, size=n).astype(float)
+    if data.draw(st.booleans()):
+        c = np.array([c, -c])  # a minimum and a maximum, as the Hahn-Banach step asks
+    got, want = _solve_both(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+                            nonneg=data.draw(st.booleans()))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for a, b in [(got.x, want.x), (got.objective, want.objective), (got.duals, want.duals)]:
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_leaving_row_ties_past_the_first_chunk():
+    # Rows 0-2 tie at ratio 0 and, divided by their pivot column, agree on
+    # the scan columns up to 99 (row 1 is twice row 0).  Column 100 drops
+    # row 1, and column 130 puts row 2 below row 0.
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=201)
+    T = np.vstack([base, 2.0 * base, base, rng.normal(size=201)])
+    T[:3, -1] = 0.0
+    T[1, 100] += 2.0
+    T[2, 130] -= 1.0
+    column = np.array([1.0, 2.0, 1.0, -1.0])
+    rows, scan_order = np.array([0, 1, 2]), np.arange(200)
+    assert simplex._leaving_row(T, column, rows, scan_order) == 2
+    assert _reference_leaving_row(T, column, rows, scan_order) == 2
+    # without the columns that tell them apart, the first tied row wins
+    for order in (np.arange(100), np.r_[np.arange(100), np.arange(101, 130)]):
+        assert simplex._leaving_row(T, column, rows, order) == 0
+        assert _reference_leaving_row(T, column, rows, order) == 0
