@@ -130,11 +130,10 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
 
     Rows are compared as ``T[i, scan_order] / column[i]``; with the
     right-hand side scanned first and one identity column per row early in
-    the order, every row is lexicographically positive and the comparison
-    has a unique winner, which makes cycling impossible.  The identity
-    columns need not be unit columns: a slack column starts as ``1 /
-    row_scale`` in its own row, a positive diagonal, and that is all the
-    rule needs.  Columns on which all still-tied rows agree are skipped.
+    the order (positive in that row alone; a slack's entry is ``1 /
+    row_scale``), every row is lexicographically positive and the comparison
+    has a unique winner, which makes cycling impossible.  Columns on which
+    all still-tied rows agree are skipped.
     """
     ratios = T[rows, -1] / column[rows]
     best = ratios.min()
@@ -331,10 +330,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     A[:m_ub, n_var:] = np.eye(m_ub)
     b = np.concatenate([b_ub, b_eq])
 
-    # Mild row equilibration keeps the fixed tolerances meaningful.  The
-    # slack columns are scaled too, so a slack starts at 1 / row_scale in its
-    # own row and its value in the tableau is divided by row_scale; nothing
-    # reads the slack values, and the multipliers undo the scale.
+    # Mild row equilibration keeps the fixed tolerances meaningful.  It
+    # scales the slack columns too: nothing reads a slack's value, and the
+    # multipliers undo the scale.
     row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
     row_scale[row_scale < 1.0] = 1.0
     A /= row_scale[:, None]

@@ -364,8 +364,8 @@ def test_build_measure_audit_off_the_block_constants_is_an_lp(tmp_path, capsys, 
 
 
 def _greedy_designated(fs):
-    # The default designated subspace as it was built before it started from
-    # the indicators: every vector tested in turn.
+    # Reference: the greedy independent union with every vector tested in
+    # turn, the indicators included.
     current = mk.Subspace(fs.ground, ())
     for v in fs.algebra.indicators() + list(fs.domain.basis):
         if not current.contains(v):
