@@ -1,4 +1,4 @@
-"""Symmetric eigensolver: cyclic Jacobi rotations.
+"""Symmetric eigensolver: cyclic Jacobi rotations, and a Cholesky bound.
 
 Matrices here are tiny (Hankel and tridiagonal recurrence matrices, at most
 64x64 by contract), so a hand-rolled Jacobi sweep is adequate and keeps the
@@ -6,6 +6,11 @@ numerical path fully under our control.  Convergence is declared when the
 off-diagonal Frobenius mass drops below 1e-14 of the full Frobenius mass of
 the matrix (an absolute threshold would be unreachable in float64 once
 entries grow large, and a looser one would poison small eigenvalues).
+
+The sweep runs only where a spectrum is reported or a failure is worded.  A
+question that needs only the sign of ``lambda_min + bound`` is settled, when
+the answer is yes, by one LAPACK Cholesky factorization of a shifted matrix
+(:func:`cholesky_clears`); the sweep answers the rest.
 """
 
 from __future__ import annotations
@@ -42,6 +47,12 @@ def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
     The sweeps run on nested lists of Python floats: at these sizes indexing
     numpy scalars costs more than the arithmetic.  Every operation is the
     IEEE double one numpy would do, so the results are bitwise the same.
+
+    ``a`` must be bitwise symmetric, and every rotation keeps it so: a
+    two-sided rotation gives entries (k, p) and (p, k) by the same
+    operations on the same values, so each is computed once and stored in
+    both places.  The 2x2 block keeps the column-then-row order of the
+    two-sided rotation.
     """
     rows = a.tolist()
     vrows = v.tolist() if accumulate else None
@@ -51,9 +62,8 @@ def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
     for sweep in range(max_sweeps + 1):
         off = 0.0
         for p in range(n - 1):
-            rp = rows[p]
-            for q in range(p + 1, n):
-                off += 2.0 * rp[q] * rp[q]
+            for apq in rows[p][p + 1:]:
+                off += 2.0 * apq * apq
         if off <= threshold:
             result = sweep
             break
@@ -75,18 +85,16 @@ def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
                     t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                for rk in rows:
-                    akp = rk[p]
-                    akq = rk[q]
-                    rk[p] = c * akp - s * akq
-                    rk[q] = s * akp + c * akq
                 for k in range(n):
-                    apk = rp[k]
-                    aqk = rq[k]
-                    rp[k] = c * apk - s * aqk
-                    rq[k] = s * apk + c * aqk
-                rp[q] = 0.0
-                rq[p] = 0.0
+                    if k != p and k != q:
+                        rk = rows[k]
+                        akp = rk[p]
+                        akq = rk[q]
+                        rk[p] = rp[k] = c * akp - s * akq
+                        rk[q] = rq[k] = s * akp + c * akq
+                rp[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                rq[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+                rp[q] = rq[p] = 0.0
                 if accumulate:
                     for vk in vrows:
                         vkp = vk[p]
@@ -99,11 +107,13 @@ def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
     return result
 
 
-def jacobi_eigh(matrix, need_vectors: bool = True):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
+def scaled_symmetric(matrix):
+    """``(a, e)`` with ``a`` a bitwise symmetric copy of ``2^-e * matrix``.
 
-    Returns ``(w, V)`` with ``V[:, i]`` the eigenvector for ``w[i]``;
-    ``V`` is None when ``need_vectors`` is false.
+    The matrix must be square, at most SIZE_CAP rows, finite and symmetric
+    to 1e-12 of its largest entry (EigFailure otherwise).  Its entries are
+    scaled by a power of two to magnitudes below 1, so squares of them
+    neither underflow nor overflow; the scaling is exact.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -111,22 +121,57 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     n = a.shape[0]
     if n > SIZE_CAP:
         raise EigFailure(f"matrix size {n} exceeds the {SIZE_CAP}x{SIZE_CAP} cap")
-    if not np.all(np.isfinite(a)):
-        raise EigFailure("matrix contains non-finite entries")
     amax = float(np.abs(a).max()) if n else 0.0
+    if not math.isfinite(amax):
+        raise EigFailure("matrix contains non-finite entries")
     if n and np.abs(a - a.T).max() > 1e-12 * amax:
         raise EigFailure("matrix is not symmetric")
-    # Sweep on 2^-e * A with |entries| < 1, so the squares below neither
-    # underflow nor overflow.  Rotations are scale-free and the scaling is
-    # exact, so the eigenpairs of any other matrix are bitwise unchanged.
     e = math.frexp(amax)[1]
     a = np.ldexp(a, -e)
-    a = 0.5 * (a + a.T)  # exact symmetry for the sweep updates
+    return 0.5 * (a + a.T), e
+
+
+def cholesky_clears(a, bound: float) -> bool:
+    """Whether a Cholesky factorization shows the sweep's ``lambda_min(a) >= -bound``.
+
+    ``a`` is symmetric with entries below 1 in magnitude, as the copies of
+    :func:`scaled_symmetric` are.  If the factorization of
+    ``a + (bound/2) I`` completes, the exact ``lambda_min(a)`` is at least
+    ``-bound/2 - err``, where ``err``, the factorization's backward error
+    plus the rounding of the shift, is below ``(n + 2) n 2^-53 (1 + bound/2)``
+    for entries below 1 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, Thm 10.3, with ``tr(a) < n``).  The shortcut is taken
+    only when ``bound/2`` exceeds four times that plus ``OFFDIAG_MASS_TOL * n``
+    (the sweep stops with off-diagonal mass below ``OFFDIAG_MASS_TOL *
+    ||a||_F``, and ``||a||_F < n``), so what it passes the sweep passes too.
+    False means "not settled here", never "fails": the caller sweeps.
+    """
+    n = a.shape[0]
+    shift = 0.5 * bound
+    if not shift >= 4.0 * (n + 2) * n * 2.0**-53 * (1.0 + shift) + OFFDIAG_MASS_TOL * n:
+        return False
+    try:
+        np.linalg.cholesky(a + shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def jacobi_eigh(matrix, need_vectors: bool = True):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
+
+    Returns ``(w, V)`` with ``V[:, i]`` the eigenvector for ``w[i]``;
+    ``V`` is None when ``need_vectors`` is false.
+    """
+    # Sweep on 2^-e * A: rotations are scale-free and the scaling is exact,
+    # so the eigenpairs of any other matrix are bitwise unchanged.
+    a, e = scaled_symmetric(matrix)
+    n = a.shape[0]
 
     # Threshold on the squared off-diagonal norm: (1e-14 * ||A||_F)^2, so the
     # eigenvalue error stays ~1e-14 relative to the matrix scale.  No floor:
     # max(1, ||A||_F^2) would make it absolute for matrices below norm 1.
-    threshold = OFFDIAG_MASS_TOL**2 * float(np.sum(a * a))
+    threshold = OFFDIAG_MASS_TOL**2 * float((a * a).sum())
     v = np.eye(n) if need_vectors else np.zeros((1, 1))
     result = _jacobi_kernel(a, v, need_vectors, threshold, MAX_SWEEPS)
     bucket = getattr(_stats, "bucket", None)
@@ -136,8 +181,8 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     if result < 0:
         raise EigFailure(f"Jacobi sweeps failed to converge in {MAX_SWEEPS} sweeps")
 
-    w = np.ldexp(np.diag(a), e)
-    order = np.argsort(w, kind="stable")
+    w = np.ldexp(a.diagonal(), e)
+    order = w.argsort(kind="stable")
     w = w[order]
     if need_vectors:
         return w, v[:, order]

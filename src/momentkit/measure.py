@@ -204,9 +204,12 @@ def build_measure(Lbar: Functional, alg: SigmaAlgebra) -> Measure:
     -1e-8 raises :class:`NegativeMass` (the functional is not positive);
     smaller negative dust is clamped to zero.
     """
-    masses = np.empty(alg.n_blocks)
-    for i in range(alg.n_blocks):
-        masses[i] = Lbar(alg.indicator(i))
+    return _measure_of_masses(alg, [Lbar(chi) for chi in alg.indicators()])
+
+
+def _measure_of_masses(alg: SigmaAlgebra, values) -> Measure:
+    """:func:`build_measure` from the indicator values ``Lbar(chi_b)``."""
+    masses = np.array(values, dtype=float)
     if masses.min(initial=0.0) < -MASS_ERROR_TOL:
         worst = int(np.argmin(masses))
         raise NegativeMass(f"indicator of block {worst} evaluates to {masses[worst]:.3e}")
@@ -238,8 +241,10 @@ class DensityReport:
 
 
 def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
-                  tol: float = DENSITY_TOL) -> DensityReport:
+                  tol: float = DENSITY_TOL, indicators=None) -> DensityReport:
     """Seminorm distance from each block indicator to ``span(B)``.
+
+    ``indicators``, when given, is ``alg.indicators()`` already built.
 
     Each distance is ``inf over b of Lbar(|chi - b|)``, computed as the LP
     ``min Lbar(t)`` over ``t`` in Lbar's span with ``t >= chi - b`` and
@@ -258,7 +263,9 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     ])
     c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     distances = []
-    for i, chi in enumerate(alg.indicators()):
+    if indicators is None:
+        indicators = alg.indicators()
+    for i, chi in enumerate(indicators):
         if B.contains(chi):
             distances.append(0.0)
             continue
@@ -345,7 +352,8 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
         if not alg.is_measurable(g):
             raise IntegralOfNonMeasurable(f"domain basis vector {i} is not block-constant")
 
-    targets = list(B.basis) + alg.indicators()
+    indicators = alg.indicators()
+    targets = list(B.basis) + indicators
     if opts.subspace_variant:
         Lt, trace = hb_extend(L, targets, opts.rule)
         notes.append("subspace variant: hull membership not required")
@@ -353,8 +361,9 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
         pending = [t for t in targets if not L.domain.contains(t)]
         Lt, trace = extend_to_hull(L, A, pending, opts.rule)
 
-    density = density_check(B, alg, Lt, opts.tol)
-    mu = build_measure(Lt, alg)
+    density = density_check(B, alg, Lt, opts.tol, indicators)
+    masses = [Lt(chi) for chi in indicators]
+    mu = _measure_of_masses(alg, masses)
 
     residuals = tuple(gap_T(Lt, mu, alg, g) for g in A.basis)
     max_residual = max((abs(r) for r in residuals), default=0.0)
@@ -382,7 +391,7 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
 
     if Lt.domain.dim == alg.n_blocks:
         # the block-constant functions: Lt is least at a vertex chi_b / |b|
-        worst = min(Lt(chi) / len(block) for chi, block in zip(alg.indicators(), alg.blocks))
+        worst = min(mass / len(block) for mass, block in zip(masses, alg.blocks))
         positive_ok = worst >= -opts.tol
     else:
         positive_ok, worst = verify_positive(Lt, opts.tol)

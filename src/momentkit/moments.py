@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import jacobi_eigh, lambda_min
+from .eig import cholesky_clears, jacobi_eigh, lambda_min, scaled_symmetric
 from .errors import (
     DegreeTooHigh,
     LpFailure,
@@ -265,11 +265,23 @@ def _support_violation(m: MomentSequence, tol: float) -> str | None:
 
     A matrix fails when its smallest eigenvalue is below
     ``-tol * max(1, ||H||_F)``; atom recovery and the extension share
-    this rule.
+    this rule.  It is applied in units of ``2^max(e, 0)``, with ``2^-e H``
+    the copy of :func:`scaled_symmetric`, so ``||H||_F`` does not overflow
+    and the entries are below 1 in magnitude.  A shifted
+    Cholesky factorization passes a matrix whose smallest eigenvalue is above
+    half the threshold (:func:`cholesky_clears`), with no sweep.  Only the
+    rest are swept: a failing matrix, one between the threshold and half of
+    it, and any matrix when tol is too small for the factorization's error.
     """
     for H in _support_matrices(m):
-        scale = max(1.0, float(np.sqrt(np.sum(H.matrix * H.matrix))))
-        lam = lambda_min(H.matrix)
+        a, e = scaled_symmetric(H.matrix)
+        k = max(e, 0)
+        if e < 0:
+            a = np.ldexp(a, e)  # H itself: no square of its entries overflows
+        scale = max(math.ldexp(1.0, -k), float(np.sqrt(np.sum(a * a))))
+        if cholesky_clears(a, tol * scale):
+            continue
+        lam = math.ldexp(lambda_min(H.matrix), -k)
         if lam < -tol * scale:
             return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}"
     return None

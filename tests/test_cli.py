@@ -209,6 +209,18 @@ def test_represent_rejects_defective(tmp_path, capsys):
     assert doc["error_kind"] == "NotPSD"
 
 
+@pytest.mark.parametrize("size", [1e154, 1e300])
+def test_represent_rejects_indefinite_at_huge_scale(tmp_path, capsys, size):
+    # ||H||_F^2 overflowed past about 1.3e154, and the gate passed this
+    # indefinite matrix: represent said represented (exit 0) against check.
+    path = write(tmp_path, "m.json", {"moments": [size, 0, -size]})
+    assert main(["represent", path]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["error_kind"]) == ("failed", "NotPSD")
+    assert main(["check", path]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "not-representable"
+
+
 def test_extend_moments_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "good.json", {"moments": [1, 0, 1]})
     bad = write(tmp_path, "bad.json", {"moments": [1, 0, -1]})
@@ -412,6 +424,16 @@ def test_check_eigen_counts(tmp_path, capsys, moments, counts):
     diag = json.loads(capsys.readouterr().out)["diagnostics"]
     assert (diag["eig_calls"], diag["eig_sweeps"]) == counts
     assert (diag["lp_solves"], diag["lp_iterations"]) == (0, 0)
+
+
+@pytest.mark.parametrize("verb, counts", [
+    ("represent", (1, 0)),       # the recurrence matrix only: Cholesky passes the gate
+    ("extend-moments", (1, 1)),  # the extension's lambda_min only
+])
+def test_gate_eigen_counts(tmp_path, capsys, verb, counts):
+    main([verb, write(tmp_path, "m.json", {"moments": [1, 0, 1]})])
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert (diag["eig_calls"], diag["eig_sweeps"]) == counts
 
 
 def test_verify_finite_space_measure(tmp_path, capsys):

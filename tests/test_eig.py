@@ -197,6 +197,16 @@ def test_kernel_bit_identical_to_numpy_indexed(seed, n, hankel, accumulate, log_
     assert v.tobytes() == v_ref.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 13), st.booleans(), st.floats(-8, 8),
+       st.sampled_from([1, 2, MAX_SWEEPS]))
+def test_kernel_keeps_a_bitwise_symmetric(seed, n, hankel, log_scale, max_sweeps):
+    # Each rotated pair (k, p), (p, k) is computed once and stored twice.
+    a = _symmetric(np.random.default_rng(seed), n, hankel, 10.0**log_scale)
+    _jacobi_kernel(a, np.zeros((1, 1)), False, 0.0, max_sweeps)
+    assert a.tobytes() == a.T.copy().tobytes()
+
+
 @pytest.mark.parametrize("accumulate", [False, True])
 def test_kernel_without_sweeps_fails_on_off_diagonal_mass(accumulate):
     a = _symmetric(np.random.default_rng(3), 4, False, 1.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import momentkit as mk
 from momentkit import moments as moments_mod
@@ -389,6 +389,75 @@ def test_recover_zero_sequence():
 def test_recover_rejects_non_psd():
     with pytest.raises(mk.NotPSD):
         mk.recover_atoms(seq(1, 0, -1))
+
+
+@pytest.mark.parametrize("size", [1e150, 1e154, 1e300])
+def test_gate_norm_does_not_overflow(size):
+    # H = diag(s, -s): ||H||_F^2 overflows from s ~ 1.3e154, which made the
+    # threshold -inf and let the gate pass an indefinite matrix.
+    m = seq(size, 0, -size)
+    with pytest.raises(mk.NotPSD, match="scaled smallest eigenvalue -7.071e-01"):
+        mk.recover_atoms(m)
+    assert mk.extend_search(m) is None
+    assert mk.recover_atoms(seq(size, 0, size)).weights == (size,)
+
+
+def _gate_rule(m, tol):
+    """The support gate as the Jacobi sweep alone decides it, for matrices
+    whose squared entries stay finite."""
+    for H in moments_mod._support_matrices(m):
+        scale = max(1.0, float(np.sqrt(np.sum(H.matrix * H.matrix))))
+        lam = mk.lambda_min(H.matrix)
+        if lam < -tol * scale:
+            return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}"
+    return None
+
+
+def _near_gate_threshold(rng, kind, d, tol, log_scale, ratio, localized):
+    """Moments of a measure with at most d + 1 atoms, scaled to sup norm
+    10^log_scale, with one moment moved so that the Hankel (or localizing)
+    matrix has lambda_min near ``-ratio * tol * max(1, ||H||_F)`` (for tol 0,
+    near ``+-ratio * 1e-13`` of that), by Newton steps on the moved moment;
+    returns the sequence and the ratio reached."""
+    support = {"line": mk.Support.line(), "halfline": mk.Support.halfline(),
+               "interval": mk.Support.interval(-1.0, 2.0)}[kind]
+    lo, hi = {"line": (-2.0, 2.0), "halfline": (0.0, 2.0), "interval": (-1.0, 2.0)}[kind]
+    n_atoms = int(rng.integers(1, d + 2))
+    atoms = rng.uniform(lo, hi, n_atoms)
+    mom = np.array(atomic_moments(atoms, rng.uniform(0.2, 2.0, n_atoms), 2 * d))
+    size = 10.0**log_scale
+    mom *= size / np.abs(mom).max()
+    # The moved moment enters the target matrix only in its last diagonal
+    # entry, with this sign.
+    which = int(localized and kind != "line")
+    j, sign = {0: (2 * d, 1.0), 1: (2 * d - 1, 1.0) if kind == "halfline" else (2 * d, -1.0)}[which]
+    aim = -ratio * tol if tol else ratio * 1e-13 * rng.choice([-1.0, 1.0])
+    for _ in range(40):
+        m = mk.MomentSequence(tuple(mom), support)
+        M = moments_mod._support_matrices(m)[which].matrix
+        w, V = np.linalg.eigh(M)
+        scale = max(1.0, float(np.linalg.norm(M)))
+        gap = w[0] - aim * scale
+        slope = sign * V[-1, 0] ** 2
+        if abs(gap) <= 1e-3 * abs(aim) * scale:
+            break
+        if not abs(gap) <= 1e3 * max(1.0, size) * abs(slope):
+            break  # a step that would swamp the measure
+        mom[j] -= gap / slope
+    return m, w[0] / (aim * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["line", "halfline", "interval"]),
+       st.integers(1, 4), st.sampled_from([0.0, 1e-12, 1e-8, 1e-5]), st.floats(-150, 150),
+       st.floats(1 / 3, 3), st.booleans())
+def test_support_gate_matches_the_jacobi_rule(seed, kind, d, tol, log_scale, ratio, localized):
+    # The shifted Cholesky settles a passing matrix without a sweep; every
+    # decision and every failure message must be the sweep's own.
+    m, reached = _near_gate_threshold(np.random.default_rng(seed), kind, d, tol, log_scale,
+                                      ratio, localized)
+    assume(0.25 <= reached <= 4.0)
+    assert moments_mod._support_violation(m, tol) == _gate_rule(m, tol)
 
 
 def test_recover_full_rank_gives_gauss_rule():
