@@ -244,8 +244,6 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
                   tol: float = DENSITY_TOL, indicators=None) -> DensityReport:
     """Seminorm distance from each block indicator to ``span(B)``.
 
-    ``indicators``, when given, is ``alg.indicators()`` already built.
-
     Each distance is ``inf over b of Lbar(|chi - b|)``, computed as the LP
     ``min Lbar(t)`` over ``t`` in Lbar's span with ``t >= chi - b`` and
     ``t >= b - chi`` pointwise.  Dense means every distance is below tol.
@@ -253,6 +251,8 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     An indicator already in ``span(B)`` (:meth:`Subspace.contains`) gets
     distance 0 without an LP: ``b = chi``, ``t = 0`` is feasible with value
     0, and the LP's minimum is reported as ``max(0, min)``.
+
+    ``indicators``, when given, is ``alg.indicators()`` already built.
     """
     M = Lbar.domain.matrix
     N = B.matrix
