@@ -114,6 +114,7 @@ def run(cmd: Command) -> RunResult:
         diag["lp_iterations"] = stats["iterations"]
         diag["eig_calls"] = eig_stats["calls"]
         diag["eig_sweeps"] = eig_stats["sweeps"]
+        diag["chol_calls"] = eig_stats["chol_calls"]
         return result
     except (SchemaError, IoError, DegreeTooHigh) as exc:
         log.error("input error: %s", exc)

@@ -1,4 +1,4 @@
-"""Symmetric eigensolver: cyclic Jacobi rotations, and a Cholesky bound.
+"""Symmetric eigensolver: cyclic Jacobi rotations.
 
 Matrices here are tiny (Hankel and tridiagonal recurrence matrices, at most
 64x64 by contract), so a hand-rolled Jacobi sweep is adequate and keeps the
@@ -7,10 +7,9 @@ off-diagonal Frobenius mass drops below 1e-14 of the full Frobenius mass of
 the matrix (an absolute threshold would be unreachable in float64 once
 entries grow large, and a looser one would poison small eigenvalues).
 
-The sweep runs only where a spectrum is reported or a failure is worded.  A
-question that needs only the sign of ``lambda_min + bound`` is settled, when
-the answer is yes, by one LAPACK Cholesky factorization of a shifted matrix
-(:func:`cholesky_clears`); the sweep answers the rest.
+The sweep runs only where a spectrum is reported or a failure is worded: the
+moment support gate passes what it can from its Cholesky factors, which are
+counted here beside the Jacobi calls (:func:`count`).
 """
 
 from __future__ import annotations
@@ -32,13 +31,21 @@ _stats = threading.local()
 
 @contextmanager
 def collect_eig_stats():
-    """Collect (call count, total sweeps) for every Jacobi call in the block."""
+    """Collect the Jacobi calls, their sweeps and the Cholesky factorizations in the block."""
     prev = getattr(_stats, "bucket", None)
-    _stats.bucket = {"calls": 0, "sweeps": 0}
+    _stats.bucket = {"calls": 0, "sweeps": 0, "chol_calls": 0}
     try:
         yield _stats.bucket
     finally:
         _stats.bucket = prev
+
+
+def count(**counts):
+    """Add ``counts`` to the enclosing :func:`collect_eig_stats` bucket."""
+    bucket = getattr(_stats, "bucket", None)
+    if bucket is not None:
+        for key, n in counts.items():
+            bucket[key] += n
 
 
 def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
@@ -131,32 +138,6 @@ def scaled_symmetric(matrix):
     return 0.5 * (a + a.T), e
 
 
-def cholesky_clears(a, bound: float) -> bool:
-    """Whether a Cholesky factorization shows the sweep's ``lambda_min(a) >= -bound``.
-
-    ``a`` is symmetric with entries below 1 in magnitude, as the copies of
-    :func:`scaled_symmetric` are.  If the factorization of
-    ``a + (bound/2) I`` completes, the exact ``lambda_min(a)`` is at least
-    ``-bound/2 - err``, where ``err``, the factorization's backward error
-    plus the rounding of the shift, is below ``(n + 2) n 2^-53 (1 + bound/2)``
-    for entries below 1 (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, Thm 10.3, with ``tr(a) < n``).  The shortcut is taken
-    only when ``bound/2`` exceeds four times that plus ``OFFDIAG_MASS_TOL * n``
-    (the sweep stops with off-diagonal mass below ``OFFDIAG_MASS_TOL *
-    ||a||_F``, and ``||a||_F < n``), so what it passes the sweep passes too.
-    False means "not settled here", never "fails": the caller sweeps.
-    """
-    n = a.shape[0]
-    shift = 0.5 * bound
-    if not shift >= 4.0 * (n + 2) * n * 2.0**-53 * (1.0 + shift) + OFFDIAG_MASS_TOL * n:
-        return False
-    try:
-        np.linalg.cholesky(a + shift * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def jacobi_eigh(matrix, need_vectors: bool = True):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
@@ -174,19 +155,13 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     threshold = OFFDIAG_MASS_TOL**2 * float((a * a).sum())
     v = np.eye(n) if need_vectors else np.zeros((1, 1))
     result = _jacobi_kernel(a, v, need_vectors, threshold, MAX_SWEEPS)
-    bucket = getattr(_stats, "bucket", None)
-    if bucket is not None:
-        bucket["calls"] += 1
-        bucket["sweeps"] += MAX_SWEEPS if result < 0 else result
+    count(calls=1, sweeps=MAX_SWEEPS if result < 0 else result)
     if result < 0:
         raise EigFailure(f"Jacobi sweeps failed to converge in {MAX_SWEEPS} sweeps")
 
     w = np.ldexp(a.diagonal(), e)
     order = w.argsort(kind="stable")
-    w = w[order]
-    if need_vectors:
-        return w, v[:, order]
-    return w, None
+    return w[order], (v[:, order] if need_vectors else None)
 
 
 def lambda_min(matrix) -> float:

@@ -12,6 +12,7 @@ functional values and integrals together with the domination diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,8 +68,12 @@ class SigmaAlgebra:
         vals[list(self.blocks[block_index])] = 1.0
         return FunctionVec(self.ground, vals)
 
+    @cached_property
+    def _indicators(self) -> tuple[FunctionVec, ...]:  # built once: they are read-only
+        return tuple(self.indicator(i) for i in range(self.n_blocks))
+
     def indicators(self) -> list[FunctionVec]:
-        return [self.indicator(i) for i in range(self.n_blocks)]
+        return list(self._indicators)
 
     def block_values(self, f: FunctionVec, tol: float = MEASURABLE_TOL) -> np.ndarray:
         """Per-block constants of ``f``; raises if ``f`` varies inside a block."""
@@ -241,7 +246,7 @@ class DensityReport:
 
 
 def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
-                  tol: float = DENSITY_TOL, indicators=None) -> DensityReport:
+                  tol: float = DENSITY_TOL) -> DensityReport:
     """Seminorm distance from each block indicator to ``span(B)``.
 
     Each distance is ``inf over b of Lbar(|chi - b|)``, computed as the LP
@@ -251,8 +256,6 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     An indicator already in ``span(B)`` (:meth:`Subspace.contains`) gets
     distance 0 without an LP: ``b = chi``, ``t = 0`` is feasible with value
     0, and the LP's minimum is reported as ``max(0, min)``.
-
-    ``indicators``, when given, is ``alg.indicators()`` already built.
     """
     M = Lbar.domain.matrix
     N = B.matrix
@@ -263,9 +266,7 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     ])
     c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     distances = []
-    if indicators is None:
-        indicators = alg.indicators()
-    for i, chi in enumerate(indicators):
+    for i, chi in enumerate(alg.indicators()):
         if B.contains(chi):
             distances.append(0.0)
             continue
@@ -361,7 +362,7 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
         pending = [t for t in targets if not L.domain.contains(t)]
         Lt, trace = extend_to_hull(L, A, pending, opts.rule)
 
-    density = density_check(B, alg, Lt, opts.tol, indicators)
+    density = density_check(B, alg, Lt, opts.tol)
     masses = [Lt(chi) for chi in indicators]
     mu = _measure_of_masses(alg, masses)
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .eig import cholesky_clears, jacobi_eigh, lambda_min, scaled_symmetric
+from .eig import OFFDIAG_MASS_TOL, count, jacobi_eigh, lambda_min, scaled_symmetric
 from .errors import (
     DegreeTooHigh,
     LpFailure,
@@ -260,31 +261,34 @@ def _support_matrices(m: MomentSequence) -> list[HankelMatrix]:
     return mats
 
 
-def _support_violation(m: MomentSequence, tol: float) -> str | None:
-    """Why a support matrix fails positivity, or None when all pass.
-
-    A matrix fails when its smallest eigenvalue is below
-    ``-tol * max(1, ||H||_F)``; atom recovery and the extension share
-    this rule.  It is applied in units of ``2^max(e, 0)``, with ``2^-e H``
-    the copy of :func:`scaled_symmetric`, so ``||H||_F`` does not overflow
-    and the entries are below 1 in magnitude.  A shifted
-    Cholesky factorization passes a matrix whose smallest eigenvalue is above
-    half the threshold (:func:`cholesky_clears`), with no sweep.  Only the
-    rest are swept: a failing matrix, one between the threshold and half of
-    it, and any matrix when tol is too small for the factorization's error.
+def _gate(m: MomentSequence, tol: float) -> tuple[str | None, list[_Chain]]:
+    """Why a support matrix fails positivity (None when all pass), and the
+    factor of each matrix passed.  A matrix fails when its smallest
+    eigenvalue is below ``-tol * max(1, ||H||_F)``, in units of
+    ``2^max(e, 0)`` (``2^-e H`` is :func:`scaled_symmetric`'s copy) so that
+    ``||H||_F`` does not overflow.  The factor passes a matrix when four times
+    the sum of its bound on ``-lambda_min(H)`` and the sweep's error is at
+    most that threshold; the sweep decides, and words, the rest.
     """
+    chains = []
     for H in _support_matrices(m):
         a, e = scaled_symmetric(H.matrix)
         k = max(e, 0)
-        if e < 0:
-            a = np.ldexp(a, e)  # H itself: no square of its entries overflows
+        a = np.ldexp(a, e - k)  # 2^-k H: no square of its entries overflows
         scale = max(math.ldexp(1.0, -k), float(np.sqrt(np.sum(a * a))))
-        if cholesky_clears(a, tol * scale):
+        chains.append(_leading_chain(H.matrix))
+        # stopping error, rotations' rounding, and that of the chain's copy
+        sweep_error = (H.size + 1) * OFFDIAG_MASS_TOL * scale
+        if 4.0 * (math.ldexp(chains[-1].floor, -k) + sweep_error) <= tol * scale:
             continue
         lam = math.ldexp(lambda_min(H.matrix), -k)
         if lam < -tol * scale:
-            return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}"
-    return None
+            return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}", chains
+    return None, chains
+
+
+def _support_violation(m: MomentSequence, tol: float) -> str | None:
+    return _gate(m, tol)[0]  # the gate's verdict alone
 
 
 def _eigvec_witness(H: HankelMatrix, q: np.ndarray) -> Poly:
@@ -402,32 +406,55 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     raise LpFailure("column generation for the grid check did not settle")
 
 
-def _scaled_cholesky_rank(H: np.ndarray):
-    """Leading-chain numerical rank with diagonally scaled pivots.
+class _Chain(NamedTuple):
+    """Leading-chain factor of H: rows ``0..kept-1`` of its upper Cholesky factor
+    ``R``, the scaled pivot that stopped it (or None), ``lambda_min(H) >= -floor``."""
 
-    Returns ``(rank, R)`` where ``R`` holds the rows of the upper Cholesky
-    factor of the *unscaled* matrix computed so far.  Pivots are measured
-    after symmetric scaling to unit diagonal, so the keep/drop thresholds
-    1e-10 / 1e-12 are scale-free; a pivot inside the band raises
-    :class:`RankDetectionAmbiguous`.
+    kept: int
+    pivot: float | None
+    R: np.ndarray
+    floor: float
+
+    def rank(self) -> int:  # a stopping pivot in the keep/drop band is ambiguous
+        if self.pivot is None or self.pivot < RANK_PIVOT_DROP:
+            return self.kept
+        raise RankDetectionAmbiguous(float(self.pivot), self.kept)
+
+
+@np.errstate(all="ignore")  # a failing matrix may overflow: its floor is then inf or nan
+def _leading_chain(H: np.ndarray) -> _Chain:
+    """Cholesky factorization of H, stopped at the first pivot not above
+    1e-10 of ``Hs = D^-1 H D^-1``, ``D^2 = diag(H)`` (1 where ``H_ii <= 0``).
+    Stopped after rows ``[R11, R12]``, ``Hs = X^T (I + S) X`` with
+    ``X = [[R11, R12], [0, I]]``, ``S = Hs22 - R12^T R12``, so
+    ``lambda_min(H) >= max(D^2) min(0, lambda_min(S))``; Gershgorin bounds
+    lambda_min(S), and the rounding (the partial factorization's backward
+    error, Higham 2002, §10.3, then S and the sums) is below
+    ``(n + 2) 2^-53 (3 ||R1||_F^2 + sum |S + S^T|)``.
     """
+    count(chol_calls=1)
     n = H.shape[0]
-    diag = np.diag(H).copy()
-    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    scale = np.sqrt(np.where(H.diagonal() > 0.0, H.diagonal(), 1.0))
     Hs = H / np.outer(scale, scale)
     Rs = np.zeros((n, n))
-    rank = n
+    kept, pivot = n, None
     for k in range(n):
-        pivot = Hs[k, k] - Rs[:k, k] @ Rs[:k, k]
-        if pivot > RANK_PIVOT_KEEP:
-            Rs[k, k] = math.sqrt(pivot)
-            Rs[k, k + 1:] = (Hs[k, k + 1:] - Rs[:k, k] @ Rs[:k, k + 1:]) / Rs[k, k]
-        elif pivot < RANK_PIVOT_DROP:
-            rank = k
+        p = Hs[k, k] - Rs[:k, k] @ Rs[:k, k]
+        if not p > RANK_PIVOT_KEEP:
+            kept, pivot = k, p
             break
-        else:
-            raise RankDetectionAmbiguous(float(pivot), k)
-    return rank, Rs * scale[None, :]
+        Rs[k, k] = math.sqrt(p)
+        Rs[k, k + 1:] = (Hs[k, k + 1:] - Rs[:k, k] @ Rs[:k, k + 1:]) / Rs[k, k]
+    g, rounding = 0.0, 3.0 * float(np.vdot(Rs, Rs))
+    if kept < n:
+        S = Hs[kept:, kept:] - Rs[:kept, kept:].T @ Rs[:kept, kept:]
+        S2 = S + S.T  # twice the symmetric part
+        rows = np.abs(S2).sum(axis=1)
+        g = 0.5 * float((2.0 * np.maximum(S2.diagonal(), 0.0) - rows).min())
+        rounding += float(rows.sum())
+    smax = max(scale.tolist())
+    deficit = max(-g, 0.0) + (n + 2) * 2.0**-53 * rounding  # max keeps a nan g
+    return _Chain(kept, pivot, Rs * scale[None, :], deficit * smax * smax)
 
 
 def recover_atoms(m: MomentSequence, tol: float = PSD_TOL) -> AtomicMeasure:
@@ -436,37 +463,29 @@ def recover_atoms(m: MomentSequence, tol: float = PSD_TOL) -> AtomicMeasure:
     The atom count ``r`` is the leading-chain numerical rank of the moment
     matrix (capped at d: recovering d+1 atoms would need moments beyond the
     truncation).  Atoms and weights come from the symmetric tridiagonal
-    recurrence matrix built out of Cholesky factor ratios.  A support matrix
-    failing the gate at ``tol`` raises :class:`NotPSD`.
+    recurrence matrix built out of the ratios of the gate's Cholesky factor.
+    A support matrix failing the gate at ``tol`` raises :class:`NotPSD`.
     """
-    violation = _support_violation(m, tol)
+    violation, chains = _gate(m, tol)
     if violation is not None:
         raise NotPSD(violation)
-    rank, _ = _scaled_cholesky_rank(_hankel_array(m.array(), m.d + 1))
-    return _atoms(m, rank)
+    return _atoms(m, chains[0])
 
 
-def _atoms(m: MomentSequence, rank: int) -> AtomicMeasure:
-    """The ``min(rank, d)``-atom measure of ``m``, given the numerical rank
-    of its moment matrix H_d; the support gate is the caller's."""
-    r = min(rank, m.d)
+def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
+    """The ``min(rank, d)``-atom measure of ``m``, given the leading-chain
+    factor of its moment matrix H_d; the support gate is the caller's."""
+    r = min(chain.rank(), m.d)
     if r == 0:
         return AtomicMeasure((), (), m.support)
 
-    # Recurrence coefficients from the Cholesky factor of the (r+1)-sized
-    # leading moment matrix; only rows 0..r-1 are needed (and available).
-    _, R = _scaled_cholesky_rank(_hankel_array(m.array(), r + 1))
-    alpha = np.empty(r)
-    beta = np.empty(max(r - 1, 0))
-    for j in range(r):
-        alpha[j] = R[j, j + 1] / R[j, j]
-        if j >= 1:
-            alpha[j] -= R[j - 1, j] / R[j - 1, j - 1]
-            beta[j - 1] = R[j, j] / R[j - 1, j - 1]
-
-    J = np.diag(alpha)
-    for j in range(r - 1):
-        J[j, j + 1] = J[j + 1, j] = beta[j]
+    # Recurrence from rows 0..r-1 of the factor: alpha_j = R[j, j+1] / R[j, j]
+    # - R[j-1, j] / R[j-1, j-1] and beta_j = R[j+1, j+1] / R[j, j].
+    pivots = chain.R.diagonal()[:r]
+    ratios = chain.R.diagonal(1)[:r] / pivots
+    J = np.diag(ratios - np.append(0.0, ratios[:-1]))
+    j = np.arange(r - 1)
+    J[j, j + 1] = J[j + 1, j] = pivots[1:] / pivots[:-1]
     nodes, vectors = jacobi_eigh(J)
     weights = m.moments[0] * vectors[0, :] ** 2
     return AtomicMeasure(tuple(float(x) for x in nodes),
@@ -518,28 +537,30 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
     measure on [a, inf), since a positive definite H_d needs d+1 atoms.
     A singular H_d extends only by the moments of its unique rank-r atomic
     measure, which must reproduce the sequence through degree 2d inside the
-    support.  Returns None when no extension exists.
+    support.  Returns None when no extension exists.  Only the interval's S
+    is factored here: every other factor read is the gate's.
     """
-    if _support_violation(m, tol) is not None:
+    violation, chains = _gate(m, tol)
+    if violation is not None:
         return None
     arr = m.array()
     d = m.d
-    rank, R = _scaled_cholesky_rank(_hankel_array(arr, d + 1))
-    if rank == d + 1:
-        m_odd = 0.0
+    if chains[0].rank() == d + 1:
         a = {"halfline": 0.0, "interval": m.support.a}.get(m.support.kind)
-        if a is not None:
+        m_odd = 0.0 if a is None else a * arr[-1]
+        if a is not None and d:  # on the halfline S is the gate's localizing matrix
             s = arr[1:] - a * arr[:-1]
-            rank_s, R_s = _scaled_cholesky_rank(_hankel_array(s, d))
-            if rank_s < d:
+            chain_s = (chains[1] if m.support.kind == "halfline"
+                       else _leading_chain(_hankel_array(s, d)))
+            if chain_s.rank() < d:
                 return None
-            y = np.linalg.solve(R_s.T, s[d:])
-            m_odd = a * arr[-1] + y @ y
+            y = np.linalg.solve(chain_s.R.T, s[d:])
+            m_odd += y @ y
         b = np.append(arr[d + 1:], m_odd)
-        y = np.linalg.solve(R.T, b)  # H_d = R^T R, so b^T H_d^{-1} b = |y|^2
+        y = np.linalg.solve(chains[0].R.T, b)  # H_d = R^T R, so b^T H_d^{-1} b = |y|^2
         ext = np.array([m_odd, y @ y])
     else:
-        mu = _atoms(m, rank)
+        mu = _atoms(m, chains[0])
         if not (verify_truncated(m, mu, through_degree=2 * d, tol=tol).passed
                 and mu.within_support()):
             return None

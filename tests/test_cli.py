@@ -426,14 +426,35 @@ def test_check_eigen_counts(tmp_path, capsys, moments, counts):
     assert (diag["lp_solves"], diag["lp_iterations"]) == (0, 0)
 
 
-@pytest.mark.parametrize("verb, counts", [
-    ("represent", (1, 0)),       # the recurrence matrix only: Cholesky passes the gate
-    ("extend-moments", (1, 1)),  # the extension's lambda_min only
-])
-def test_gate_eigen_counts(tmp_path, capsys, verb, counts):
-    main([verb, write(tmp_path, "m.json", {"moments": [1, 0, 1]})])
+HALFLINE = {"type": "halfline"}
+UNIT_INTERVAL = {"type": "interval", "a": 0, "b": 1}
+# verb, moments, support, (eig_calls, eig_sweeps), chol_calls.  The gate
+# factors each support matrix once and passes it from that factor: Jacobi runs
+# only for the recurrence matrix and the extension's lambda_min, also on the
+# flat (singular) matrices from the fourth case on.
+GATE_COUNT_CASES = [
+    ("represent", [1, 0, 1], None, (1, 0), 1),
+    ("extend-moments", [1, 0, 1], None, (1, 1), 1),
+    ("extend-moments", [1, 1, 2], HALFLINE, (1, 3), 2),  # the s-matrix is the localizing one
+    ("represent", [1, 0, 1, 0, 1], None, (1, 1), 1),
+    ("extend-moments", [1, 0, 1, 0, 1], None, (2, 2), 1),
+    ("represent", [1, 1, 1, 1, 1], HALFLINE, (1, 0), 2),
+    ("extend-moments", [1, 1, 1, 1, 1], HALFLINE, (2, 1), 2),
+    ("represent", [1, 0, 0, 0, 1], None, (1, 0), 1),
+    ("extend-moments", [1, 0, 0, 0, 1], None, (1, 0), 1),
+    ("represent", [2, 1, 1, 1, 1, 1, 1], UNIT_INTERVAL, (1, 1), 2),
+    ("extend-moments", [2, 1, 1, 1, 1, 1, 1], UNIT_INTERVAL, (2, 4), 2),
+]
+
+
+@pytest.mark.parametrize("verb, moments, support, counts, chol_calls", GATE_COUNT_CASES,
+                         ids=[f"{case[0]}-counts{i}" for i, case in enumerate(GATE_COUNT_CASES)])
+def test_gate_eigen_counts(tmp_path, capsys, verb, moments, support, counts, chol_calls):
+    doc = {"moments": moments} if support is None else {"moments": moments, "support": support}
+    main([verb, write(tmp_path, "m.json", doc)])
     diag = json.loads(capsys.readouterr().out)["diagnostics"]
     assert (diag["eig_calls"], diag["eig_sweeps"]) == counts
+    assert diag["chol_calls"] == chol_calls
 
 
 def test_verify_finite_space_measure(tmp_path, capsys):

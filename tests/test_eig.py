@@ -109,8 +109,8 @@ def test_eig_stats_count_calls_and_sweeps():
         with collect_eig_stats() as inner:
             lambda_min(A)
         jacobi_eigh(A, need_vectors=False)
-    assert inner == {"calls": 1, "sweeps": 1}
-    assert outer == {"calls": 2, "sweeps": 1}
+    assert inner == {"calls": 1, "sweeps": 1, "chol_calls": 0}
+    assert outer == {"calls": 2, "sweeps": 1, "chol_calls": 0}
 
 
 def test_moment_scale_hankel():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -402,6 +404,22 @@ def test_gate_norm_does_not_overflow(size):
     assert mk.recover_atoms(seq(size, 0, size)).weights == (size,)
 
 
+@pytest.mark.parametrize("moments", [
+    (1, 1e300, 1),                   # pivot 1 - 1e600 overflows
+    (1e-300, 1e300, 1e-300, 0, 1),   # the scaled copy overflows
+    (1, 0, 1, 1e300, 1e-300),
+])
+def test_gate_factor_is_quiet_on_overflow(moments):
+    # The gate factors every support matrix, failing ones included; their
+    # overflow must neither warn nor pass them.
+    m = seq(*moments)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mk.NotPSD, match="scaled smallest eigenvalue -7.071e-01"):
+            mk.recover_atoms(m)
+        assert mk.extend_search(m) is None
+
+
 def _gate_rule(m, tol):
     """The support gate as the Jacobi sweep alone decides it, for matrices
     whose squared entries stay finite."""
@@ -452,8 +470,8 @@ def _near_gate_threshold(rng, kind, d, tol, log_scale, ratio, localized):
        st.integers(1, 4), st.sampled_from([0.0, 1e-12, 1e-8, 1e-5]), st.floats(-150, 150),
        st.floats(1 / 3, 3), st.booleans())
 def test_support_gate_matches_the_jacobi_rule(seed, kind, d, tol, log_scale, ratio, localized):
-    # The shifted Cholesky settles a passing matrix without a sweep; every
-    # decision and every failure message must be the sweep's own.
+    # The leading-chain factor settles a passing matrix without a sweep;
+    # every decision and every failure message must be the sweep's own.
     m, reached = _near_gate_threshold(np.random.default_rng(seed), kind, d, tol, log_scale,
                                       ratio, localized)
     assume(0.25 <= reached <= 4.0)
@@ -609,13 +627,13 @@ def test_extend_search_zero_sequence():
 
 def test_extend_search_singular_runs_the_gate_once(monkeypatch):
     calls = []
-    gate = moments_mod._support_violation
+    gate = moments_mod._gate
 
     def counting(m, tol):
         calls.append(m)
         return gate(m, tol)
 
-    monkeypatch.setattr(moments_mod, "_support_violation", counting)
+    monkeypatch.setattr(moments_mod, "_gate", counting)
     found = mk.extend_search(seq(1, 0, 1, 0, 1))  # rank-2 H_2: atoms -1 and 1
     assert (found.m_next, found.m_next_next) == pytest.approx((0.0, 1.0), abs=1e-12)
     assert len(calls) == 1
