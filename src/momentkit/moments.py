@@ -288,7 +288,8 @@ def _gate(m: MomentSequence, tol: float) -> tuple[str | None, list[_Chain]]:
 
 
 def _support_violation(m: MomentSequence, tol: float) -> str | None:
-    return _gate(m, tol)[0]  # the gate's verdict alone
+    """Why a support matrix fails the gate (:func:`_gate`), or None."""
+    return _gate(m, tol)[0]
 
 
 def _eigvec_witness(H: HankelMatrix, q: np.ndarray) -> Poly:
