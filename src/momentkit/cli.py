@@ -101,42 +101,45 @@ class RunResult:
 
 
 def run(cmd: Command) -> RunResult:
-    """Execute one command; never raises on schema-valid input."""
+    """Execute one command; never raises on schema-valid input.
+
+    Every result but a schema check reports its work in ``diagnostics``,
+    failures included."""
     log.info("run %s on %s", cmd.verb, cmd.input_path)
-    try:
-        with collect_lp_stats() as stats, collect_eig_stats() as eig_stats:
+    with collect_lp_stats() as stats, collect_eig_stats() as eig_stats:
+        try:
             parsed = parse_input(cmd.input_path)
             if cmd.schema_check_only:
                 return RunResult("schema-ok", EXIT_OK, {"verb": cmd.verb})
             result = _dispatch(cmd, parsed)
-        diag = result.payload.setdefault("diagnostics", {})
-        diag["lp_solves"] = stats["solves"]
-        diag["lp_iterations"] = stats["iterations"]
-        diag["eig_calls"] = eig_stats["calls"]
-        diag["eig_sweeps"] = eig_stats["sweeps"]
-        diag["chol_calls"] = eig_stats["chol_calls"]
-        return result
-    except (SchemaError, IoError, DegreeTooHigh) as exc:
-        log.error("input error: %s", exc)
-        return RunResult("input-error", EXIT_INPUT, {"verb": cmd.verb, "error": str(exc)})
-    except (LpFailure, LpUnbounded, EigFailure, RankDetectionAmbiguous) as exc:
-        log.error("numerical failure: %s", exc)
-        return RunResult(
-            "numerical-failure", EXIT_NUMERICAL,
-            {"verb": cmd.verb, "error": str(exc), "error_kind": type(exc).__name__},
-        )
-    except MomentkitError as exc:
-        log.error("negative verdict: %s", exc)
-        return RunResult(
-            "failed", EXIT_NEGATIVE,
-            {"verb": cmd.verb, "error": str(exc), "error_kind": type(exc).__name__},
-        )
-    except Exception as exc:  # defensive: exit-code totality
-        log.exception("unexpected failure")
-        return RunResult(
-            "numerical-failure", EXIT_NUMERICAL,
-            {"verb": cmd.verb, "error": f"unexpected {type(exc).__name__}: {exc}"},
-        )
+        except (SchemaError, IoError, DegreeTooHigh) as exc:
+            log.error("input error: %s", exc)
+            result = RunResult("input-error", EXIT_INPUT, {"verb": cmd.verb, "error": str(exc)})
+        except (LpFailure, LpUnbounded, EigFailure, RankDetectionAmbiguous) as exc:
+            log.error("numerical failure: %s", exc)
+            result = RunResult(
+                "numerical-failure", EXIT_NUMERICAL,
+                {"verb": cmd.verb, "error": str(exc), "error_kind": type(exc).__name__},
+            )
+        except MomentkitError as exc:
+            log.error("negative verdict: %s", exc)
+            result = RunResult(
+                "failed", EXIT_NEGATIVE,
+                {"verb": cmd.verb, "error": str(exc), "error_kind": type(exc).__name__},
+            )
+        except Exception as exc:  # defensive: exit-code totality
+            log.exception("unexpected failure")
+            result = RunResult(
+                "numerical-failure", EXIT_NUMERICAL,
+                {"verb": cmd.verb, "error": f"unexpected {type(exc).__name__}: {exc}"},
+            )
+    diag = result.payload.setdefault("diagnostics", {})
+    diag["lp_solves"] = stats["solves"]
+    diag["lp_iterations"] = stats["iterations"]
+    diag["eig_calls"] = eig_stats["calls"]
+    diag["eig_sweeps"] = eig_stats["sweeps"]
+    diag["chol_calls"] = eig_stats["chol_calls"]
+    return result
 
 
 def _dispatch(cmd: Command, parsed) -> RunResult:

@@ -144,12 +144,12 @@ def hb_extend_step(L: Functional, v: FunctionVec, rule: str = "midpoint"):
     :class:`TargetNotInWC` (``v`` is not sandwiched either) from
     :class:`LpUnbounded`.  A reversed interval beyond 1e-9 raises
     :class:`EmptyInterval`, while a merely degenerate one collapses to its
-    common endpoint.
+    common endpoint.  The grown span is built first, so a target already in
+    the span fails its rank check with ``ValueError`` before any LP.
     """
     if rule not in RULES:
         raise ValueError(f"unknown extension rule {rule!r}")
-    if L.domain.contains(v):
-        raise ValueError("target already lies in the span; nothing to extend")
+    grown = L.domain.extended_by(v)
     sol = solve_lp(np.array([v.values, -v.values]), a_eq=L.domain.matrix.T, b_eq=L.coeffs,
                    nonneg=True)
     if sol.status == "unbounded" or (sol.status == "infeasible"
@@ -170,7 +170,7 @@ def hb_extend_step(L: Functional, v: FunctionVec, rule: str = "midpoint"):
     else:
         chosen = hi
 
-    extended = Functional(L.domain.extended_by(v), np.append(L.coeffs, chosen))
+    extended = Functional(grown, np.append(L.coeffs, chosen))
     return extended, ExtensionStep(v, lo, hi, chosen)
 
 
@@ -178,7 +178,8 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
     """Iterate :func:`hb_extend_step` over ``targets``.
 
     Targets already inside the (growing) span are skipped, so feeding the
-    current domain back in is the identity.  Each step records its target's
+    current domain back in is the identity; this membership test is each
+    target's one projection onto the span.  Each step records its target's
     index; a target failing the sandwich test raises :class:`TargetNotInWC`
     carrying its index.
     """

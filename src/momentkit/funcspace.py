@@ -14,6 +14,7 @@ and the answer is yes with no LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +139,15 @@ class Subspace:
             raise NotInDomain(f"vector is outside the span (residual {residual:.3e})")
         return self._vt.T @ (proj / self._s)
 
+    @cached_property
+    def _basis_ids(self) -> frozenset[int]:
+        return frozenset(map(id, self.basis))
+
     def contains(self, f: FunctionVec, tol: float = INDEPENDENCE_TOL) -> bool:
+        """Is ``f`` in the span?  One of the basis vectors themselves is, with
+        no projection."""
+        if id(f) in self._basis_ids:
+            return True
         try:
             self.coefficients_of(f, tol)
             return True
@@ -148,16 +157,16 @@ class Subspace:
     def extended_by(self, v: FunctionVec) -> "Subspace":
         return Subspace(self.ground, self.basis + (v,))
 
+    @cached_property
+    def _spans_constants(self) -> bool:  # asked once per subspace
+        return self.contains(FunctionVec(self.ground, np.ones(self.ground.size)))
+
 
 def cone_contains(f: FunctionVec, tol: float = 0.0) -> bool:
     """Is ``f`` pointwise nonnegative, allowing dips down to ``-tol``?"""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     return bool(np.all(f.values >= -tol))
-
-
-def _spans_constants(W: Subspace) -> bool:
-    return W.contains(FunctionVec(W.ground, np.ones(W.ground.size)))
 
 
 def hull_contains(A: Subspace, f: FunctionVec) -> bool:
@@ -169,7 +178,7 @@ def hull_contains(A: Subspace, f: FunctionVec) -> bool:
     span coefficients decides it.
     """
     _same_ground(f, A)
-    if _spans_constants(A):
+    if A._spans_constants:
         return True
     return lp_feasible(a_ub=-A.matrix, b_ub=-np.abs(f.values))
 
@@ -183,7 +192,7 @@ def dominates(g: FunctionVec, f: FunctionVec, B: Subspace, eps: float) -> bool:
     if eps <= 0:
         raise ValueError("eps must be positive")
     _same_ground(g, f, B)
-    if _spans_constants(B):
+    if B._spans_constants:
         return True
     deficit = np.abs(g.values) - eps * np.abs(f.values)
     return lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
@@ -271,6 +280,6 @@ def default_candidates(A: Subspace) -> list[FunctionVec]:
         squared = FunctionVec(A.ground, v.values * v.values)
         if A.contains(squared):
             out.append(squared)
-    if _spans_constants(A):
+    if A._spans_constants:
         out.append(FunctionVec(A.ground, np.ones(A.ground.size)))
     return out

@@ -75,18 +75,29 @@ class SigmaAlgebra:
     def indicators(self) -> list[FunctionVec]:
         return list(self._indicators)
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points in block order, and the offset where each block starts."""
+        order = np.array([i for block in self.blocks for i in block])
+        starts = np.cumsum([0] + [len(block) for block in self.blocks[:-1]])
+        return order, starts
+
     def block_values(self, f: FunctionVec, tol: float = MEASURABLE_TOL) -> np.ndarray:
-        """Per-block constants of ``f``; raises if ``f`` varies inside a block."""
+        """Per-block constants of ``f`` (its value at each block's first point);
+        raises, naming the first such block, if ``f`` varies inside a block."""
         _same_ground(f, self)
-        out = np.empty(self.n_blocks)
-        for i, block in enumerate(self.blocks):
-            vals = f.values[list(block)]
-            if vals.max() - vals.min() > tol * max(1.0, np.abs(vals).max()):
-                raise IntegralOfNonMeasurable(
-                    f"function is not constant on block {i} (spread {vals.max() - vals.min():.3e})"
-                )
-            out[i] = vals[0]
-        return out
+        order, starts = self._layout
+        vals = f.values[order]
+        hi = np.maximum.reduceat(vals, starts)
+        lo = np.minimum.reduceat(vals, starts)
+        spread = hi - lo
+        varies = spread > tol * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
+        if varies.any():
+            i = int(np.argmax(varies))
+            raise IntegralOfNonMeasurable(
+                f"function is not constant on block {i} (spread {spread[i]:.3e})"
+            )
+        return vals[starts]
 
     def is_measurable(self, f: FunctionVec, tol: float = MEASURABLE_TOL) -> bool:
         try:
@@ -354,7 +365,8 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
             raise IntegralOfNonMeasurable(f"domain basis vector {i} is not block-constant")
 
     indicators = alg.indicators()
-    targets = list(B.basis) + indicators
+    # The default designated basis holds the indicators themselves: pass each once.
+    targets = list(B.basis) + [chi for chi in indicators if id(chi) not in B._basis_ids]
     if opts.subspace_variant:
         Lt, trace = hb_extend(L, targets, opts.rule)
         notes.append("subspace variant: hull membership not required")

@@ -209,6 +209,32 @@ def test_represent_rejects_defective(tmp_path, capsys):
     assert doc["error_kind"] == "NotPSD"
 
 
+def test_failure_payloads_report_their_work(tmp_path, capsys, monkeypatch):
+    # represent factors the moment matrix in its gate before it fails.
+    path = write(tmp_path, "m.json", {"moments": [1, 0, -1]})
+    assert main(["represent", path]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["error_kind"]) == ("failed", "NotPSD")
+    assert doc["diagnostics"]["chol_calls"] >= 1
+    # An input error stops before any work.
+    bad = write(tmp_path, "bad.json", {"moments": [1, 10**400, 1]})
+    assert main(["check", bad]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "input-error"
+    assert doc["diagnostics"] == {"lp_solves": 0, "lp_iterations": 0, "eig_calls": 0,
+                                  "eig_sweeps": 0, "chol_calls": 0}
+    # A numerical failure after the extension's LPs counts them.
+    def failing(L, tol):
+        raise mk.LpFailure("audit failed")
+
+    monkeypatch.setattr(cli, "verify_positive", failing)
+    fs = write(tmp_path, "fs.json", dict(FS_DOC, targets={"t0": [1, 0]}))
+    assert main(["hb-extend", fs]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["error_kind"]) == ("numerical-failure", "LpFailure")
+    assert doc["diagnostics"]["lp_solves"] == 1
+
+
 @pytest.mark.parametrize("size", [1e154, 1e300])
 def test_represent_rejects_indefinite_at_huge_scale(tmp_path, capsys, size):
     # ||H||_F^2 overflowed past about 1.3e154, and the gate passed this

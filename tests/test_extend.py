@@ -277,6 +277,25 @@ def test_extend_identity_on_in_span_targets():
     assert L2 is L or np.allclose(L2.coeffs, L.coeffs)
 
 
+def test_extend_projects_each_target_once(monkeypatch):
+    # hb_extend's membership test is each target's one projection onto the
+    # span; the step does not ask again.
+    g = ground(4)
+    targets = [vec(g, [2, 2, 2, 2]), vec(g, [1, 0, 0, 0]), vec(g, [3, 0, 0, 0]),
+               vec(g, [0, 1, 0, 0]), vec(g, [1, 1, 0, 0]), vec(g, [0, 0, 1, 0])]
+    projected = []
+    real = mk.Subspace.coefficients_of
+
+    def counted(self, f, *args, **kwargs):
+        projected.append(f)
+        return real(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(mk.Subspace, "coefficients_of", counted)
+    _, trace = mk.hb_extend(unit_functional(g), targets)
+    assert [step.target_index for step in trace.steps] == [1, 3, 5]
+    assert [id(f) for f in projected] == [id(t) for t in targets]
+
+
 def test_extend_records_target_indices():
     g = ground(3)
     L = mk.Functional(span_one(g), [1.0])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
+from momentkit.measure import MEASURABLE_TOL
 from momentkit.simplex import collect_lp_stats
 
 from conftest import density_functional, ground, ones, random_partition, vec
@@ -42,6 +43,58 @@ def test_block_values_rejects_nonmeasurable():
     alg = mk.SigmaAlgebra(g, ((0, 1), (2,)))
     with pytest.raises(mk.IntegralOfNonMeasurable):
         alg.block_values(vec(g, [0, 1, 2]))
+
+
+def _block_values_loop(alg, f, tol):
+    """Reference: one block at a time.  Returns ``(values, None)``, or
+    ``(None, message)`` naming the first block where ``f`` varies."""
+    out = []
+    for i, block in enumerate(alg.blocks):
+        vals = f.values[list(block)]
+        spread = vals.max() - vals.min()
+        if spread > tol * max(1.0, np.abs(vals).max()):
+            return None, f"function is not constant on block {i} (spread {spread:.3e})"
+        out.append(vals[0])
+    return np.array(out), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from(["constant", "near", "varies"]),
+       st.sampled_from([MEASURABLE_TOL, 1e-6, 0.5]))
+def test_block_values_matches_a_per_block_loop(seed, n, kind, tol):
+    rng = np.random.default_rng(seed)
+    g = ground(n)
+    alg = random_partition(rng, g, int(rng.integers(1, n + 1)))
+    values = np.empty(n)
+    for level, block in zip(rng.normal(size=alg.n_blocks) * 10.0 ** rng.integers(-3, 4),
+                            alg.blocks):
+        values[list(block)] = level
+    if kind == "near":  # spreads about the tolerance, on either side of it
+        values += rng.normal(size=n) * tol * rng.choice([0.1, 1.0, 10.0])
+    elif kind == "varies":  # one point moved in each of some blocks of two or more points
+        for block in alg.blocks:
+            if len(block) > 1 and rng.random() < 0.5:
+                i = block[int(rng.integers(len(block)))]
+                near = rng.random() < 0.75  # a spread about the tolerance, or far above it
+                scale = tol * max(1.0, abs(values[i])) * (rng.uniform(0.5, 2.0) if near else 1e6)
+                values[i] += rng.choice([-1.0, 1.0]) * scale
+    f = vec(g, values)
+    want, message = _block_values_loop(alg, f, tol)
+    assert alg.is_measurable(f, tol) == (message is None)
+    if message is None:
+        assert np.array_equal(alg.block_values(f, tol), want)
+    else:
+        with pytest.raises(mk.IntegralOfNonMeasurable) as info:
+            alg.block_values(f, tol)
+        assert str(info.value) == message
+
+
+def test_block_tolerance_scales_with_the_largest_magnitude():
+    g = ground(2)
+    alg = mk.SigmaAlgebra(g, ((0, 1),))
+    f = vec(g, [-10.0, -6.0])  # spread 4 <= 0.5 * 10, though > 0.5 * 6
+    assert alg.block_values(f, tol=0.5).tolist() == [-10.0]
+    assert not alg.is_measurable(vec(g, [-10.0, -4.0]), tol=0.5)
 
 
 # --- seminorm ------------------------------------------------------------------------
@@ -453,3 +506,32 @@ def test_pipeline_rejects_nonmeasurable_domain():
     L = mk.Functional(A, [1.0])
     with pytest.raises(mk.IntegralOfNonMeasurable):
         mk.represent_via_adapted(A, full_simple_domain(g, alg), L, alg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_default_designated_trace_as_with_every_indicator_twice(seed, subspace_variant):
+    # The default designated basis is the indicator tuple itself, so the
+    # target list B.basis + indicators holds every indicator twice; the
+    # pipeline passes each once, and its trace is that list's trace.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    g = ground(n)
+    alg = random_partition(rng, g, int(rng.integers(2, n + 1)))
+    dim = int(rng.integers(1, alg.n_blocks + 1))
+    A = mk.Subspace(g, [ones(g)] + [mk.SimpleFunction(alg, rng.normal(size=alg.n_blocks)).as_vec()
+                                    for _ in range(dim - 1)])
+    L = density_functional(rng, A)
+    B = full_simple_domain(g, alg)
+    targets = list(B.basis) + alg.indicators()
+    if subspace_variant:
+        _, want = mk.hb_extend(L, targets)
+    else:
+        _, want = mk.extend_to_hull(L, A, [t for t in targets if not A.contains(t)])
+    _, report = mk.represent_via_adapted(A, B, L, alg,
+                                         mk.RepresentOptions(subspace_variant=subspace_variant))
+    got = report.trace.steps
+    assert len(got) == len(want.steps) == alg.n_blocks - dim
+    for a, b in zip(got, want.steps):
+        assert a.target is b.target and a.target_index == b.target_index
+        assert (a.interval_lo, a.interval_hi, a.chosen) == (b.interval_lo, b.interval_hi, b.chosen)
