@@ -17,9 +17,8 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +74,7 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     verb: str
     input_path: str
     tol: float = 1e-8
@@ -86,8 +84,7 @@ class Command:
     schema_check_only: bool = False
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     verdict: str
     exit_code: int
     payload: dict
@@ -380,6 +377,14 @@ def _run_verify_finite(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
 
 
 # --- entry point ----------------------------------------------------------------
+
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool, its module imported on first use: a run with one
+    worker, the default, starts none."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
+
 
 def _worker(cmd: Command) -> tuple[str, str, int]:
     result = run(cmd)

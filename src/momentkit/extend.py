@@ -33,7 +33,7 @@ non-degenerate in most cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .errors import (
     LpUnbounded,
     TargetNotInWC,
 )
+from .frozen import Frozen, set_field
 from .funcspace import FunctionVec, Subspace, _same_ground, hull_contains
 from .simplex import lp_feasible, solve_lp
 
@@ -51,23 +52,22 @@ INTERVAL_TOL = 1e-9
 RULES = ("midpoint", "lo", "hi")
 
 
-@dataclass(frozen=True, eq=False)
-class Functional:
+class Functional(Frozen):
     """Linear functional given by its values on a subspace basis."""
 
-    domain: Subspace
-    coeffs: np.ndarray
+    _fields = ("domain", "coeffs")
 
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if coeffs.shape != (self.domain.dim,):
+    def __init__(self, domain: Subspace, coeffs: np.ndarray):
+        coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        if coeffs.shape != (domain.dim,):
             raise ValueError(
-                f"got {coeffs.shape[0]} coefficients for a dimension-{self.domain.dim} domain"
+                f"got {coeffs.shape[0]} coefficients for a dimension-{domain.dim} domain"
             )
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("functional coefficients must be finite")
         coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "domain", domain)
+        set_field(self, "coeffs", coeffs)
 
     def __call__(self, v: FunctionVec) -> float:
         """Value on ``v``; raises NotInDomain when ``v`` is outside the span.
@@ -81,21 +81,24 @@ class Functional:
         return self.domain.ground
 
 
-@dataclass(frozen=True, eq=False)
-class ExtensionStep:
-    target: FunctionVec
-    interval_lo: float
-    interval_hi: float
-    chosen: float
-    target_index: int | None = None  # position in the target list of hb_extend
+class ExtensionStep(Frozen):
+    """One Hahn-Banach step: the admissible interval and the chosen value;
+    ``target_index`` is the target's position in the list given to hb_extend."""
 
-    def __post_init__(self):
-        if not (self.interval_lo - 1e-12 <= self.chosen <= self.interval_hi + 1e-12):
+    _fields = ("target", "interval_lo", "interval_hi", "chosen", "target_index")
+
+    def __init__(self, target: FunctionVec, interval_lo: float, interval_hi: float,
+                 chosen: float, target_index: int | None = None):
+        if not (interval_lo - 1e-12 <= chosen <= interval_hi + 1e-12):
             raise ValueError("chosen extension value escapes its admissible interval")
+        set_field(self, "target", target)
+        set_field(self, "interval_lo", interval_lo)
+        set_field(self, "interval_hi", interval_hi)
+        set_field(self, "chosen", chosen)
+        set_field(self, "target_index", target_index)
 
 
-@dataclass(frozen=True)
-class ExtensionTrace:
+class ExtensionTrace(NamedTuple):
     steps: tuple[ExtensionStep, ...] = ()
 
 
@@ -192,7 +195,7 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
             current, step = hb_extend_step(current, v, rule)
         except TargetNotInWC as exc:
             raise TargetNotInWC(idx) from exc
-        steps.append(replace(step, target_index=idx))
+        steps.append(ExtensionStep(step.target, step.interval_lo, step.interval_hi, step.chosen, idx))
     return current, ExtensionTrace(tuple(steps))
 
 

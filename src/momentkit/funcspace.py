@@ -13,30 +13,31 @@ and the answer is yes with no LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotInDomain
+from .frozen import Frozen, FrozenValue, set_field
 from .simplex import lp_feasible
 
 INDEPENDENCE_TOL = 1e-10
 DEFAULT_EPS_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(FrozenValue):
     """Ordered finite set of named points."""
 
-    labels: tuple[str, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        if len(self.labels) == 0:
+    def __init__(self, labels: tuple[str, ...]):
+        labels = tuple(str(x) for x in labels)
+        if len(labels) == 0:
             raise ValueError("ground set must contain at least one point")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("ground set labels must be unique")
+        set_field(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -47,21 +48,20 @@ class GroundSet:
         return cls(tuple(f"x{i}" for i in range(n)))
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionVec:
+class FunctionVec(Frozen):
     """Real-valued function on a ground set, stored in ground-set order."""
 
-    ground: GroundSet
-    values: np.ndarray
+    _fields = ("ground", "values")
 
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if vals.shape != (self.ground.size,):
-            raise ValueError(f"expected {self.ground.size} values, got shape {vals.shape}")
+    def __init__(self, ground: GroundSet, values: np.ndarray):
+        vals = np.atleast_1d(np.asarray(values, dtype=float))
+        if vals.shape != (ground.size,):
+            raise ValueError(f"expected {ground.size} values, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("function values must be finite")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        set_field(self, "ground", ground)
+        set_field(self, "values", vals)
 
     def abs(self) -> "FunctionVec":
         return FunctionVec(self.ground, np.abs(self.values))
@@ -84,10 +84,11 @@ class FunctionVec:
 
 
 def _same_ground(*objs) -> GroundSet:
-    grounds = {o.ground.labels for o in objs}
-    if len(grounds) != 1:
-        raise ValueError("operands live on different ground sets")
-    return objs[0].ground
+    ground = objs[0].ground
+    for o in objs:  # nearly always one GroundSet object, settled by identity
+        if o.ground is not ground and o.ground.labels != ground.labels:
+            raise ValueError("operands live on different ground sets")
+    return ground
 
 
 class Subspace:
@@ -198,8 +199,7 @@ def dominates(g: FunctionVec, f: FunctionVec, B: Subspace, eps: float) -> bool:
     return lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
 
 
-@dataclass(frozen=True)
-class CandidateTrial:
+class CandidateTrial(NamedTuple):
     candidate_index: int
     results: tuple[tuple[float, bool], ...]
 
@@ -208,8 +208,7 @@ class CandidateTrial:
         return all(ok for _, ok in self.results)
 
 
-@dataclass(frozen=True)
-class AdaptednessEntry:
+class AdaptednessEntry(NamedTuple):
     target_index: int
     witness_index: int | None
     trials: tuple[CandidateTrial, ...]
@@ -219,9 +218,8 @@ class AdaptednessEntry:
         return self.witness_index is not None
 
 
-@dataclass(frozen=True)
-class AdaptednessReport:
-    entries: tuple[AdaptednessEntry, ...] = field(default_factory=tuple)
+class AdaptednessReport(NamedTuple):
+    entries: tuple[AdaptednessEntry, ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, np.ndarray)) or type(obj) is tuple:  # no NamedTuple record
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -171,14 +171,12 @@ def load_json(path: str) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class MomentInput:
+class MomentInput(NamedTuple):
     sequence: MomentSequence
     atomic: AtomicMeasure | None
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSpaceInput:
+class FiniteSpaceInput(NamedTuple):
     ground: GroundSet
     domain: Subspace
     basis_names: tuple[str, ...]
@@ -189,6 +187,8 @@ class FiniteSpaceInput:
     witnesses: dict[int, FunctionVec]
     subspace_variant: bool
     measure: Measure | None
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # by identity
 
 
 def parse_support(doc: dict, path: str = "support") -> Support:

@@ -11,8 +11,8 @@ functional values and integrals together with the domination diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     RangeViolation,
 )
 from .extend import ExtensionTrace, Functional, extend_to_hull, hb_extend, verify_positive
+from .frozen import Frozen, FrozenValue, set_field
 from .funcspace import (
     DEFAULT_EPS_SCHEDULE,
     AdaptednessReport,
@@ -42,22 +43,21 @@ DENSITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class SigmaAlgebra:
+class SigmaAlgebra(FrozenValue):
     """Finite sigma-algebra, stored as the partition generating it."""
 
-    ground: GroundSet
-    blocks: tuple[tuple[int, ...], ...]
+    _fields = ("ground", "blocks")
 
-    def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in block) for block in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, ground: GroundSet, blocks: tuple[tuple[int, ...], ...]):
+        blocks = tuple(tuple(int(i) for i in block) for block in blocks)
         seen = [i for block in blocks for i in block]
-        n = self.ground.size
+        n = ground.size
         if any(len(block) == 0 for block in blocks):
             raise ValueError("partition blocks must be nonempty")
         if sorted(seen) != list(range(n)):
             raise ValueError("blocks must partition the ground set (cover, disjoint)")
+        set_field(self, "ground", ground)
+        set_field(self, "blocks", blocks)
 
     @property
     def n_blocks(self) -> int:
@@ -107,19 +107,18 @@ class SigmaAlgebra:
             return False
 
 
-@dataclass(frozen=True, eq=False)
-class SimpleFunction:
+class SimpleFunction(Frozen):
     """Block-constant function given by one value per partition block."""
 
-    algebra: SigmaAlgebra
-    block_values: np.ndarray
+    _fields = ("algebra", "block_values")
 
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.block_values, dtype=float))
-        if vals.shape != (self.algebra.n_blocks,):
-            raise ValueError(f"expected {self.algebra.n_blocks} block values, got {vals.shape}")
+    def __init__(self, algebra: SigmaAlgebra, block_values: np.ndarray):
+        vals = np.atleast_1d(np.asarray(block_values, dtype=float))
+        if vals.shape != (algebra.n_blocks,):
+            raise ValueError(f"expected {algebra.n_blocks} block values, got {vals.shape}")
         vals.setflags(write=False)
-        object.__setattr__(self, "block_values", vals)
+        set_field(self, "algebra", algebra)
+        set_field(self, "block_values", vals)
 
     def as_vec(self) -> FunctionVec:
         out = np.empty(self.algebra.ground.size)
@@ -128,22 +127,21 @@ class SimpleFunction:
         return FunctionVec(self.algebra.ground, out)
 
 
-@dataclass(frozen=True, eq=False)
-class Measure:
+class Measure(Frozen):
     """Nonnegative mass per partition block."""
 
-    algebra: SigmaAlgebra
-    block_mass: np.ndarray
+    _fields = ("algebra", "block_mass")
 
-    def __post_init__(self):
-        mass = np.atleast_1d(np.asarray(self.block_mass, dtype=float))
-        if mass.shape != (self.algebra.n_blocks,):
-            raise ValueError(f"expected {self.algebra.n_blocks} masses, got {mass.shape}")
+    def __init__(self, algebra: SigmaAlgebra, block_mass: np.ndarray):
+        mass = np.atleast_1d(np.asarray(block_mass, dtype=float))
+        if mass.shape != (algebra.n_blocks,):
+            raise ValueError(f"expected {algebra.n_blocks} masses, got {mass.shape}")
         if mass.min(initial=0.0) < -1e-12:
             raise ValueError("block masses must be nonnegative (clamp upstream)")
         mass = np.where(mass < 0.0, 0.0, mass)
         mass.setflags(write=False)
-        object.__setattr__(self, "block_mass", mass)
+        set_field(self, "algebra", algebra)
+        set_field(self, "block_mass", mass)
 
     @property
     def total(self) -> float:
@@ -153,19 +151,19 @@ class Measure:
         return float(sum(self.block_mass[i] for i in block_indices))
 
 
-@dataclass(frozen=True)
-class BinningSpec:
+class BinningSpec(FrozenValue):
     """Uniform binning of the value range [a, b) into n bins."""
 
-    a: float
-    b: float
-    n: int
+    _fields = ("a", "b", "n")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)) or self.a >= self.b:
+    def __init__(self, a: float, b: float, n: int):
+        if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
             raise ValueError("binning requires finite a < b")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("bin count must be at least 1")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "n", n)
 
     @property
     def width(self) -> float:
@@ -242,8 +240,7 @@ def integrate(f: FunctionVec, mu: Measure, alg: SigmaAlgebra) -> float:
     return float(values @ mu.block_mass)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     distances: tuple[float, ...]
     tol: float
 
@@ -299,8 +296,7 @@ def gap_T(Ltilde: Functional, mu: Measure, alg: SigmaAlgebra, f: FunctionVec) ->
     return Ltilde(f) - integrate(f, mu, alg)
 
 
-@dataclass(frozen=True)
-class RepresentOptions:
+class RepresentOptions(NamedTuple):
     rule: str = "midpoint"
     tol: float = DENSITY_TOL
     subspace_variant: bool = False
@@ -308,8 +304,7 @@ class RepresentOptions:
     strict: bool = False
 
 
-@dataclass(frozen=True)
-class TDecayEntry:
+class TDecayEntry(NamedTuple):
     """``ok`` when ``T(g) <= eps*T(f) + 1e-8`` for every eps of the schedule;
     a witness that is not block-constant has a NaN gap and is never ok."""
     target_index: int
@@ -318,8 +313,7 @@ class TDecayEntry:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(NamedTuple):
     residuals: tuple[float, ...]
     max_residual: float
     density: DensityReport
@@ -329,7 +323,7 @@ class RepresentationReport:
     worst_positive_value: float
     trace: ExtensionTrace
     extended: Functional  # the functional the measure was built from
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     @property
     def density_ok(self) -> bool:

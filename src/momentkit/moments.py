@@ -13,7 +13,6 @@ whose first eigenvector components give the weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     NotPSD,
     RankDetectionAmbiguous,
 )
+from .frozen import FrozenValue, set_field
 from .simplex import SIZE_CAP, solve_lp
 
 PSD_TOL = 1e-8
@@ -32,22 +32,22 @@ RANK_PIVOT_KEEP = 1e-10
 RANK_PIVOT_DROP = 1e-12
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(FrozenValue):
     """Support class of the sought measure: line, halfline or interval."""
 
-    kind: str
-    a: float | None = None
-    b: float | None = None
+    _fields = ("kind", "a", "b")
 
-    def __post_init__(self):
-        if self.kind not in ("line", "halfline", "interval"):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == "interval":
-            if self.a is None or self.b is None or not (self.a < self.b):
+    def __init__(self, kind: str, a: float | None = None, b: float | None = None):
+        if kind not in ("line", "halfline", "interval"):
+            raise ValueError(f"unknown support kind {kind!r}")
+        if kind == "interval":
+            if a is None or b is None or not (a < b):
                 raise ValueError("interval support needs finite a < b")
-        elif self.a is not None or self.b is not None:
-            raise ValueError(f"{self.kind} support takes no endpoints")
+        elif a is not None or b is not None:
+            raise ValueError(f"{kind} support takes no endpoints")
+        set_field(self, "kind", kind)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @classmethod
     def line(cls):
@@ -69,20 +69,19 @@ class Support:
         return self.a - tol <= x <= self.b + tol
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(FrozenValue):
     """Moments m_0..m_{2d} plus the declared support class."""
 
-    moments: tuple[float, ...]
-    support: Support = field(default_factory=Support.line)
+    _fields = ("moments", "support")
 
-    def __post_init__(self):
-        ms = tuple(float(x) for x in self.moments)
-        object.__setattr__(self, "moments", ms)
+    def __init__(self, moments: tuple[float, ...], support: Support = Support.line()):
+        ms = tuple(float(x) for x in moments)
         if len(ms) == 0 or len(ms) % 2 == 0:
             raise ValueError("need an odd count of moments m_0..m_{2d}")
         if not all(math.isfinite(x) for x in ms):
             raise ValueError("moments must be finite")
+        set_field(self, "moments", ms)
+        set_field(self, "support", support)
 
     @property
     def max_degree(self) -> int:
@@ -100,19 +99,18 @@ class MomentSequence:
         return np.asarray(self.moments, dtype=float)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(FrozenValue):
     """Dense univariate polynomial, coefficients in ascending degree."""
 
-    coeffs: tuple[float, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        cs = [float(c) for c in self.coeffs]
+    def __init__(self, coeffs: tuple[float, ...]):
+        cs = [float(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0.0:
             cs.pop()
         if not cs:
             cs = [0.0]
-        object.__setattr__(self, "coeffs", tuple(cs))
+        set_field(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -126,54 +124,52 @@ class Poly:
         return cls((0.0, 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class HankelMatrix:
+class HankelMatrix(NamedTuple):
     """Moment matrix H[i][j] = L(w(x) x^{i+j}) for an optional weight w."""
 
     matrix: np.ndarray
     weight: Poly | None
     label: str
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # by identity
+
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class MatrixWitness:
+class MatrixWitness(NamedTuple):
     label: str
     size: int
     lambda_min: float
     witness: Poly | None  # nonnegative-on-support polynomial with negative value, when failing
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     verdict: str  # "representable" | "not-representable" | "inconclusive"
     witnesses: tuple[MatrixWitness, ...]
     tol: float
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(FrozenValue):
     """Finite atomic measure: strictly increasing atoms with positive weights."""
 
-    atoms: tuple[float, ...]
-    weights: tuple[float, ...]
-    support: Support = field(default_factory=Support.line)
+    _fields = ("atoms", "weights", "support")
 
-    def __post_init__(self):
-        atoms = tuple(float(a) for a in self.atoms)
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, atoms: tuple[float, ...], weights: tuple[float, ...],
+                 support: Support = Support.line()):
+        atoms = tuple(float(a) for a in atoms)
+        weights = tuple(float(w) for w in weights)
         if len(atoms) != len(weights):
             raise ValueError("atom and weight counts differ")
         if any(not (w > 0.0) for w in weights):
             raise ValueError("weights must be strictly positive")
         if any(b <= a for a, b in zip(atoms, atoms[1:])):
             raise ValueError("atoms must be strictly increasing")
+        set_field(self, "atoms", atoms)
+        set_field(self, "weights", weights)
+        set_field(self, "support", support)
 
     @property
     def n_atoms(self) -> int:
@@ -191,8 +187,7 @@ class AtomicMeasure:
         return all(self.support.contains(a, tol) for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(NamedTuple):
     residuals: tuple[float, ...]
     max_relative_residual: float
     through_degree: int
@@ -204,8 +199,7 @@ class TruncationReport:
         return self.max_relative_residual <= self.tol
 
 
-@dataclass(frozen=True)
-class ExtensionCandidate:
+class ExtensionCandidate(NamedTuple):
     m_next: float
     m_next_next: float
     lambda_min: float

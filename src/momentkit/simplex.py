@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +100,7 @@ def _record(iterations: int) -> None:
         bucket["iterations"] += iterations
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | np.ndarray | None

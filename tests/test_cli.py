@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,15 @@ def test_canonical_json_shape():
 def test_canonical_json_rejects_nonfinite():
     with pytest.raises(ValueError):
         dumps_canonical({"x": float("nan")})
+
+
+def test_canonical_json_refuses_records():
+    assert dumps_canonical({"a": (1, 2.5)}) == '{"a":[1,2.5]}'
+    records = [mk.LpSolution("infeasible", None, None, 3),
+               mk.Certificate("representable", (), 1e-8)]
+    for record in records:  # a NamedTuple is a tuple, but no JSON array
+        with pytest.raises(ValueError, match=f"^cannot serialize {type(record).__name__}$"):
+            dumps_canonical({"x": [record]})
 
 
 def test_canonical_roundtrips_doubles():
@@ -578,6 +591,22 @@ def test_extend_moments_halfline_flat_extension(tmp_path, capsys):
     assert doc["verdict"] == "extended"
     ext = doc["extension"]
     assert (ext["m_next"], ext["m_next_next"]) == pytest.approx((4.0, 8.0), abs=1e-12)
+
+
+def test_start_up_imports_no_pool_and_no_dataclasses(tmp_path):
+    path = write(tmp_path, "m.json", {"moments": [1, 0, 1]})
+    code = (
+        "import sys\n"
+        "import momentkit.cli\n"
+        "assert 'dataclasses' not in sys.modules and 'concurrent.futures' not in sys.modules\n"
+        "assert momentkit.cli.main(['check', sys.argv[1]]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules  # one input, default --jobs\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "representable"
 
 
 def test_jobs_capped_by_inputs_and_cores(tmp_path, monkeypatch):

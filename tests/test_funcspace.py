@@ -26,6 +26,47 @@ def test_function_vec_validation():
         vec(g, [1.0, np.inf, 0.0])
 
 
+def test_operands_on_equal_ground_sets_combine():
+    a = vec(mk.GroundSet(("p", "q")), [1, 2])
+    b = vec(mk.GroundSet(("p", "q")), [3, 4])  # another object, equal labels
+    assert a.ground is not b.ground
+    assert (a + b).values.tolist() == [4, 6]
+    assert mk.Subspace(a.ground, [b]).contains(b * 2.0)
+    with pytest.raises(ValueError, match="^operands live on different ground sets$"):
+        a - vec(mk.GroundSet(("p", "r")), [3, 4])
+    with pytest.raises(ValueError, match="^operands live on different ground sets$"):
+        mk.Subspace(a.ground, [b, vec(mk.GroundSet(("q", "p")), [0, 1])])
+
+
+def test_value_classes_are_immutable():
+    g = ground(2)
+    f = vec(g, [1, 2])
+    alg = mk.SigmaAlgebra(g, ((0,), (1,)))
+    support = mk.Support.interval(0, 1)
+    values = [g, alg, mk.BinningSpec(0.0, 1.0, 4), support, mk.Poly((1.0, 2.0)),
+              mk.MomentSequence((1, 0.5, 0.5), support), mk.AtomicMeasure((0.5,), (1.0,))]
+    by_identity = [f, mk.Functional(mk.Subspace(g, [f]), [1.0]),
+                   mk.ExtensionStep(f, 0.0, 1.0, 0.5), mk.SimpleFunction(alg, [1.0, 2.0]),
+                   mk.Measure(alg, [1.0, 2.0]), mk.hankel(mk.MomentSequence((1, 0, 1)), 2)]
+    for obj in values + by_identity:
+        name = obj._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        assert repr(obj).startswith(f"{type(obj).__name__}({name}=")
+    for obj in values:  # equal, and hashing alike, when the fields are
+        twin = type(obj)(*(getattr(obj, name) for name in obj._fields))
+        assert twin == obj and hash(twin) == hash(obj)
+    assert mk.Poly((1.0, 2.0)) != (1.0, 2.0)
+    assert mk.MomentSequence((1, 0, 1)).support == mk.Support.line()
+    for obj in by_identity:
+        twin = type(obj)(*(getattr(obj, name) for name in obj._fields))
+        assert twin != obj and obj == obj
+    for arr in (f.values, by_identity[1].coeffs, by_identity[3].block_values,
+                by_identity[4].block_mass):
+        assert not arr.flags.writeable
+    assert alg.indicators()[0] is alg.indicators()[0]  # cached_property still caches
+
+
 def test_subspace_rejects_dependent_basis():
     g = ground(3)
     a = vec(g, [1, 0, 1])
