@@ -195,7 +195,8 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
             current, step = hb_extend_step(current, v, rule)
         except TargetNotInWC as exc:
             raise TargetNotInWC(idx) from exc
-        steps.append(ExtensionStep(step.target, step.interval_lo, step.interval_hi, step.chosen, idx))
+        steps.append(ExtensionStep(step.target, step.interval_lo, step.interval_hi,
+                                   step.chosen, idx))
     return current, ExtensionTrace(tuple(steps))
 
 
