@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .eig import collect_eig_stats
+from . import __version__, counters
 from .errors import (
     DegreeTooHigh,
     EigFailure,
@@ -62,7 +61,6 @@ from .moments import (
     riesz,
     verify_truncated,
 )
-from .simplex import collect_lp_stats
 
 log = logging.getLogger("momentkit")
 
@@ -103,7 +101,7 @@ def run(cmd: Command) -> RunResult:
     Every result but a schema check reports its work in ``diagnostics``,
     failures included."""
     log.info("run %s on %s", cmd.verb, cmd.input_path)
-    with collect_lp_stats() as stats, collect_eig_stats() as eig_stats:
+    with counters.collect() as work:
         try:
             parsed = parse_input(cmd.input_path)
             if cmd.schema_check_only:
@@ -130,12 +128,7 @@ def run(cmd: Command) -> RunResult:
                 "numerical-failure", EXIT_NUMERICAL,
                 {"verb": cmd.verb, "error": f"unexpected {type(exc).__name__}: {exc}"},
             )
-    diag = result.payload.setdefault("diagnostics", {})
-    diag["lp_solves"] = stats["solves"]
-    diag["lp_iterations"] = stats["iterations"]
-    diag["eig_calls"] = eig_stats["calls"]
-    diag["eig_sweeps"] = eig_stats["sweeps"]
-    diag["chol_calls"] = eig_stats["chol_calls"]
+    result.payload["diagnostics"] = work
     return result
 
 
@@ -282,14 +275,10 @@ def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
 
 
 def _default_designated(fs: FiniteSpaceInput) -> Subspace:
-    """Default designated subspace: block indicators completed by the domain
-    basis (greedy independent union).  The indicators have disjoint nonempty
-    supports, so all of them are kept; only the domain vectors are tested."""
-    current = Subspace(fs.ground, fs.algebra.indicators())
-    for v in fs.domain.basis:
-        if not current.contains(v):
-            current = current.extended_by(v)
-    return current
+    """Default designated subspace: the block indicators.  They span every
+    block-constant function, and ``represent_via_adapted`` rejects a domain
+    vector that is not block-constant, so no domain vector would extend it."""
+    return Subspace(fs.ground, fs.algebra.indicators())
 
 
 def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:

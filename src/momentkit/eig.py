@@ -8,44 +8,23 @@ the matrix (an absolute threshold would be unreachable in float64 once
 entries grow large, and a looser one would poison small eigenvalues).
 
 The sweep runs only where a spectrum is reported or a failure is worded: the
-moment support gate passes what it can from its Cholesky factors, which are
-counted here beside the Jacobi calls (:func:`count`).
+moment support gate passes what it can from its Cholesky factors.  Each call
+counts itself and its sweeps in :mod:`momentkit.counters`, where the gate
+counts its factorizations.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
+from .counters import count
 from .errors import EigFailure
 
 SIZE_CAP = 64
 OFFDIAG_MASS_TOL = 1e-14
 MAX_SWEEPS = 60
-
-_stats = threading.local()
-
-
-@contextmanager
-def collect_eig_stats():
-    """Collect the Jacobi calls, their sweeps and the Cholesky factorizations in the block."""
-    prev = getattr(_stats, "bucket", None)
-    _stats.bucket = {"calls": 0, "sweeps": 0, "chol_calls": 0}
-    try:
-        yield _stats.bucket
-    finally:
-        _stats.bucket = prev
-
-
-def count(**counts):
-    """Add ``counts`` to the enclosing :func:`collect_eig_stats` bucket."""
-    bucket = getattr(_stats, "bucket", None)
-    if bucket is not None:
-        for key, n in counts.items():
-            bucket[key] += n
 
 
 def _jacobi_kernel(a, v, accumulate, threshold, max_sweeps):
@@ -155,7 +134,7 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     threshold = OFFDIAG_MASS_TOL**2 * float((a * a).sum())
     v = np.eye(n) if need_vectors else np.zeros((1, 1))
     result = _jacobi_kernel(a, v, need_vectors, threshold, MAX_SWEEPS)
-    count(calls=1, sweeps=MAX_SWEEPS if result < 0 else result)
+    count(eig_calls=1, eig_sweeps=MAX_SWEEPS if result < 0 else result)
     if result < 0:
         raise EigFailure(f"Jacobi sweeps failed to converge in {MAX_SWEEPS} sweeps")
 

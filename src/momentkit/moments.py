@@ -17,9 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eig import OFFDIAG_MASS_TOL, count, jacobi_eigh, lambda_min, scaled_symmetric
+from .counters import count
+from .eig import OFFDIAG_MASS_TOL, jacobi_eigh, lambda_min, scaled_symmetric
 from .errors import (
     DegreeTooHigh,
+    EigFailure,
     LpFailure,
     NotPSD,
     RankDetectionAmbiguous,
@@ -281,11 +283,6 @@ def _gate(m: MomentSequence, tol: float) -> tuple[str | None, list[_Chain]]:
     return None, chains
 
 
-def _support_violation(m: MomentSequence, tol: float) -> str | None:
-    """Why a support matrix fails the gate (:func:`_gate`), or None."""
-    return _gate(m, tol)[0]
-
-
 def _eigvec_witness(H: HankelMatrix, q: np.ndarray) -> Poly:
     """Square of the polynomial with coefficients ``q``, times the weight.
 
@@ -476,11 +473,16 @@ def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
 
     # Recurrence from rows 0..r-1 of the factor: alpha_j = R[j, j+1] / R[j, j]
     # - R[j-1, j] / R[j-1, j-1] and beta_j = R[j+1, j+1] / R[j, j].
+    # An atom beyond the double range (m = (1e-320, 1e-10, 1) has one near
+    # 1e310) overflows here, in the unscaled factor and the scaled one alike.
     pivots = chain.R.diagonal()[:r]
-    ratios = chain.R.diagonal(1)[:r] / pivots
-    J = np.diag(ratios - np.append(0.0, ratios[:-1]))
-    j = np.arange(r - 1)
-    J[j, j + 1] = J[j + 1, j] = pivots[1:] / pivots[:-1]
+    with np.errstate(all="ignore"):
+        ratios = chain.R.diagonal(1)[:r] / pivots
+        J = np.diag(ratios - np.append(0.0, ratios[:-1]))
+        j = np.arange(r - 1)
+        J[j, j + 1] = J[j + 1, j] = pivots[1:] / pivots[:-1]
+    if not np.isfinite(J).all():
+        raise EigFailure("the atoms' recurrence matrix overflows the double range")
     nodes, vectors = jacobi_eigh(J)
     weights = m.moments[0] * vectors[0, :] ** 2
     return AtomicMeasure(tuple(float(x) for x in nodes),

@@ -53,6 +53,9 @@ that fails is rebuilt from those rows, and pivoting resumes: dual simplex
 pivots restore feasibility and primal ones optimality.  A tableau that
 passes is read as it is, so no clean result changes.
 
+Every call that returns counts one solve and its pivots (``lp_solves`` and
+``lp_iterations`` in :mod:`momentkit.counters`).
+
 Deliberately dense and deliberately small: problems are capped at 500
 constraint rows and 500 structural columns (``2n + m_ub``, or ``n + m_ub``
 with ``nonneg``), counted before the merge.
@@ -60,12 +63,11 @@ with ``nonneg``), counted before the merge.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
+from .counters import count
 from .errors import LpFailure
 
 FEAS_TOL = 1e-9
@@ -78,27 +80,6 @@ PIVOT_TOL = 1e-9
 SMALL_PIVOT = 1e-3
 SIZE_CAP = 500
 MAX_ITERATIONS = 50_000
-
-_stats = threading.local()
-
-
-@contextmanager
-def collect_lp_stats():
-    """Collect (solve count, total pivots) for every LP run in the block."""
-    prev = getattr(_stats, "bucket", None)
-    _stats.bucket = {"solves": 0, "iterations": 0}
-    try:
-        yield _stats.bucket
-    finally:
-        _stats.bucket = prev
-
-
-def _record(iterations: int) -> None:
-    bucket = getattr(_stats, "bucket", None)
-    if bucket is not None:
-        bucket["solves"] += 1
-        bucket["iterations"] += iterations
-
 
 class LpSolution(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -275,7 +256,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     fails, ``"unbounded"`` when any objective is unbounded (the rows after
     it are not solved), and ``"optimal"`` otherwise.  ``iterations`` counts
     phase 1 once plus every phase 2, and the call counts as one solve in
-    :func:`collect_lp_stats`.
+    :mod:`momentkit.counters`.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.ndim > 2 or c.ndim == 2 and c.shape[0] == 0:
@@ -379,7 +360,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         if status != "optimal":
             raise LpFailure("phase 1 reported an unbounded artificial objective")
         if -T[-1, -1] > FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
-            _record(iterations)
+            count(lp_solves=1, lp_iterations=iterations)
             return LpSolution("infeasible", None, None, iterations)
         # Pivot lingering artificials out of the basis where possible.
         keep = np.ones(m, dtype=bool)
@@ -421,7 +402,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
                                    MAX_ITERATIONS - iterations)
             iterations += used
         if status == "unbounded":
-            _record(iterations)
+            count(lp_solves=1, lp_iterations=iterations)
             return LpSolution("unbounded", None, None, iterations)
 
         full = np.zeros(n_total)
@@ -445,7 +426,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
             duals[m_caller - m_eq:] = y[m_ub:]
             y = duals
         ys.append(y)
-    _record(iterations)
+    count(lp_solves=1, lp_iterations=iterations)
 
     if c.ndim == 1:
         return LpSolution("optimal", xs[0], objs[0], iterations, ys[0])

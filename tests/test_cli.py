@@ -2,16 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import momentkit as mk
-from momentkit import cli, measure
+from momentkit import cli, counters, measure
 from momentkit.cli import main
 from momentkit.jsonio import dumps_canonical, parse_input
-from momentkit.simplex import collect_lp_stats
 
 from conftest import atomic_moments
 
@@ -248,6 +248,59 @@ def test_failure_payloads_report_their_work(tmp_path, capsys, monkeypatch):
     assert doc["diagnostics"]["lp_solves"] == 1
 
 
+MOMENTS_DOC = {"moments": [1, 0, 1]}
+# verb: an input it succeeds on, and the library call its handler makes
+DIAGNOSTICS_VERBS = {
+    "check": (MOMENTS_DOC, "positivity_certificate"),
+    "represent": (MOMENTS_DOC, "recover_atoms"),
+    "extend-moments": (MOMENTS_DOC, "extend_search"),
+    "hb-extend": (dict(FS_DOC, targets={"t0": [1, 0]}), "hb_extend"),
+    "build-measure": (FS_DOC, "represent_via_adapted"),
+    "verify": (dict(MOMENTS_DOC, atomic_measure={"atoms": [-1, 1], "weights": [0.5, 0.5]}),
+               "verify_truncated"),
+}
+OUTCOME_EXIT = {"success": 0, "failed": 1, "input-error": 2, "numerical-failure": 3,
+                "schema-ok": 0}
+
+
+@pytest.mark.parametrize("outcome", sorted(OUTCOME_EXIT))
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_diagnostics_hold_the_collectors_keys(tmp_path, capsys, monkeypatch, verb, outcome):
+    doc, call = DIAGNOSTICS_VERBS[verb]
+    if outcome == "input-error":  # the other kind of input file
+        doc = FS_DOC if "moments" in doc else MOMENTS_DOC
+    forced = {"failed": mk.NotPSD, "numerical-failure": mk.EigFailure}.get(outcome)
+    if forced is not None:  # the call does its work, then fails
+        real = getattr(cli, call)
+
+        def failing(*args, **kwargs):
+            real(*args, **kwargs)
+            raise forced("forced")
+
+        monkeypatch.setattr(cli, call, failing)
+    args = [verb, write(tmp_path, "in.json", doc)]
+    assert main(args + ["--schema-check-only"] * (outcome == "schema-ok")) == OUTCOME_EXIT[outcome]
+    out = json.loads(capsys.readouterr().out)
+    if outcome == "schema-ok":
+        assert out["verdict"] == "schema-ok" and "diagnostics" not in out
+        return
+    assert outcome == "success" or out["verdict"] == outcome
+    assert sorted(out["diagnostics"]) == sorted(counters.KEYS)
+    assert all(type(n) is int and n >= 0 for n in out["diagnostics"].values())
+
+
+@pytest.mark.parametrize("verb", ["represent", "extend-moments"])
+def test_subnormal_moment_fails_without_warning(tmp_path, capsys, verb):
+    # The one atom of (1e-320, 1e-10, 1) is about 1e310, beyond the double range.
+    path = write(tmp_path, "m.json", {"moments": [1e-320, 1e-10, 1]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, path]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["error_kind"]) == ("numerical-failure", "EigFailure")
+    assert "overflows" in out["error"]
+
+
 @pytest.mark.parametrize("size", [1e154, 1e300])
 def test_represent_rejects_indefinite_at_huge_scale(tmp_path, capsys, size):
     # ||H||_F^2 overflowed past about 1.3e154, and the gate passed this
@@ -398,7 +451,7 @@ def test_build_measure_audit_off_the_block_constants_is_an_lp(tmp_path, capsys, 
         return real(L, tol)
 
     def uncounted(L, tol):
-        with collect_lp_stats():
+        with counters.collect():
             return real(L, tol)
 
     runs = []
@@ -424,22 +477,35 @@ def _greedy_designated(fs):
     return current
 
 
+def _three_block_doc(basis):
+    return {"points": [f"p{i}" for i in range(6)], "basis": basis,
+            "functional": {name: 1.0 for name in basis},
+            "sigma_algebra": [[0, 1], [2, 3], [4, 5]]}
+
+
 @pytest.mark.parametrize("basis", [
     {"one": [1.0] * 6},
     {"one": [1.0] * 6, "g": [2.0, 2.0, -1.0, -1.0, 0.5, 0.5]},   # in the indicators' span
-    {"one": [1.0] * 6, "ramp": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]},  # outside it
-    {"ramp": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "sq": [0.0, 1.0, 4.0, 9.0, 16.0, 25.0],
-     "one": [1.0] * 6},
 ])
 def test_default_designated_equals_greedy_union(tmp_path, basis):
-    doc = {"points": [f"p{i}" for i in range(6)], "basis": basis,
-           "functional": {name: 1.0 for name in basis},
-           "sigma_algebra": [[0, 1], [2, 3], [4, 5]]}
-    fs = parse_input(write(tmp_path, "fs.json", doc))
+    fs = parse_input(write(tmp_path, "fs.json", _three_block_doc(basis)))
     got, want = cli._default_designated(fs), _greedy_designated(fs)
     assert got.dim == want.dim
     assert all(np.array_equal(a.values, b.values) for a, b in zip(got.basis, want.basis))
     assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("basis", [
+    {"one": [1.0] * 6, "ramp": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]},
+    {"ramp": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "sq": [0.0, 1.0, 4.0, 9.0, 16.0, 25.0],
+     "one": [1.0] * 6},
+])
+def test_build_measure_rejects_domain_off_the_blocks(tmp_path, capsys, basis):
+    # Only a domain vector that is not block-constant lies outside the
+    # indicators' span, and build-measure rejects such a domain.
+    assert main(["build-measure", write(tmp_path, "fs.json", _three_block_doc(basis))]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["error_kind"]) == ("failed", "IntegralOfNonMeasurable")
 
 
 def test_build_measure_negative_functional_names_the_block(tmp_path, capsys):

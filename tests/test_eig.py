@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from momentkit import counters
 from momentkit.eig import (
     MAX_SWEEPS,
     OFFDIAG_MASS_TOL,
     _jacobi_kernel,
-    collect_eig_stats,
     jacobi_eigh,
     lambda_min,
 )
@@ -104,13 +104,15 @@ def test_lambda_min_at_extreme_scales(s):
 
 def test_eig_stats_count_calls_and_sweeps():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    with collect_eig_stats() as outer:
+    with counters.collect() as outer:
         jacobi_eigh(np.eye(3))
-        with collect_eig_stats() as inner:
+        with counters.collect() as inner:
             lambda_min(A)
         jacobi_eigh(A, need_vectors=False)
-    assert inner == {"calls": 1, "sweeps": 1, "chol_calls": 0}
-    assert outer == {"calls": 2, "sweeps": 1, "chol_calls": 0}
+    assert inner == {"lp_solves": 0, "lp_iterations": 0, "eig_calls": 1, "eig_sweeps": 1,
+                     "chol_calls": 0}
+    assert outer == {"lp_solves": 0, "lp_iterations": 0, "eig_calls": 2, "eig_sweeps": 1,
+                     "chol_calls": 0}
 
 
 def test_moment_scale_hankel():

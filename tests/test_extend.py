@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
 import momentkit.extend
-from momentkit.simplex import LpSolution, collect_lp_stats
+from momentkit import counters
+from momentkit.simplex import LpSolution
 
 from conftest import density_functional, ground, ones, random_subspace_with_one, scipy_lp, vec
 
@@ -38,9 +39,9 @@ def test_cone_plus_zero_subspace():
 def test_zero_subspace_asks_one_lp(question):
     # the empty span is an LP with no columns, asked like any other span
     g = ground(2)
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         question(mk.Subspace(g, []), vec(g, [1, 2]))
-    assert stats["solves"] == 1
+    assert stats["lp_solves"] == 1
 
 
 def test_sublinear_p_zero_subspace():
@@ -184,9 +185,9 @@ def test_step_rejects_unsandwiched_target():
 def test_step_solves_one_lp_for_both_bounds():
     g = ground(3)
     L = mk.Functional(span_one(g), [1.0])
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         mk.hb_extend_step(L, vec(g, [0, 1, 2]))
-    assert stats["solves"] == 1
+    assert stats["lp_solves"] == 1
 
 
 def test_step_unbounded_bound_is_not_a_sandwich_failure():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
+from momentkit import counters
 from momentkit.funcspace import INDEPENDENCE_TOL
-from momentkit.simplex import collect_lp_stats, lp_feasible
+from momentkit.simplex import lp_feasible
 
 from conftest import ground, ones, random_subspace_with_one, vec
 
@@ -267,13 +268,13 @@ def test_hull_and_dominates_match_the_lp(seed, with_one):
     gv, fv = (vec(g, rng.normal(size=g.size) * 10.0 ** rng.uniform(-2, 2)) for _ in range(2))
     eps = float(10.0 ** rng.uniform(-6, 0))
     expected_solves = 0 if B.contains(ones(g)) else 1
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         hull = mk.hull_contains(B, fv)
-    assert stats["solves"] == expected_solves
+    assert stats["lp_solves"] == expected_solves
     assert hull == lp_feasible(a_ub=-B.matrix, b_ub=-np.abs(fv.values))
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         dom = mk.dominates(gv, fv, B, eps)
-    assert stats["solves"] == expected_solves
+    assert stats["lp_solves"] == expected_solves
     deficit = np.abs(gv.values) - eps * np.abs(fv.values)
     assert dom == lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
 
@@ -342,14 +343,14 @@ def test_adapted_passing_candidate_costs_one_lp():
     g = ground(3)
     A = mk.Subspace(g, [ones(g), vec(g, [0, 1, 2])])
     B = mk.Subspace(g, [vec(g, [1, 2, 3])])  # no constants: one LP each
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         report = mk.check_adapted(A, B, candidates=[ones(g)])
     assert report.passed
-    assert stats["solves"] == A.dim
+    assert stats["lp_solves"] == A.dim
     # with the constants in the span the same report costs no LP
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         assert mk.check_adapted(A, A, candidates=[ones(g)]) == report
-    assert stats["solves"] == 0
+    assert stats["lp_solves"] == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
+from momentkit import counters
 from momentkit.measure import MEASURABLE_TOL
-from momentkit.simplex import collect_lp_stats
 
 from conftest import density_functional, ground, ones, random_partition, vec
 
@@ -340,10 +340,10 @@ def test_density_span_shortcut_matches_lp(seed, variant):
     B = independent(g, vectors)
     domain = independent(g, [ones(g)] + chis + list(B.basis))
     Lbar = density_functional(rng, domain)
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         report = mk.density_check(B, alg, Lbar)
     if variant == "indicators":
-        assert stats["solves"] == 0
+        assert stats["lp_solves"] == 0
     tol = 1e-9 * max(1.0, Lbar(ones(g)))
     assert report.distances == pytest.approx(lp_distances(B, alg, Lbar), rel=0, abs=tol)
 
@@ -486,10 +486,10 @@ def test_positivity_audit_agrees_with_its_lp(seed, tol):
         A = mk.Subspace(g, vectors)
         omega = rng.uniform(0.0, 2.0, g.size) * (rng.random(g.size) < 0.7)
         L = mk.Functional(A, [float(omega @ v.values) for v in A.basis])
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         mu, report = mk.represent_via_adapted(A, B, L, alg, mk.RepresentOptions(tol=tol))
     if A is B:
-        assert stats["solves"] == 0  # nothing to extend, no density LP, no audit LP
+        assert stats["lp_solves"] == 0  # nothing to extend, no density LP, no audit LP
     Lt = report.extended
     assert Lt.domain.dim == alg.n_blocks
     ok, worst = mk.verify_positive(Lt, tol)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import momentkit as mk
+from momentkit import counters
 from momentkit import moments as moments_mod
-from momentkit.simplex import collect_lp_stats
 
 from conftest import atomic_moments
 from test_acceptance import _known_measure
@@ -210,11 +210,12 @@ def test_grid_check_regression_negative_optimum():
                            0.5209198043550766, 0.6687372456551537, 0.26369583193272583,
                            0.35078449838029335, 0.16020046602839486, 0.2033151483195303,
                            0.10358905298949096, 0.12306727971771826), mk.Support.interval(-1, 1))
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         ok, witness = mk.haviland_grid_check(m, np.linspace(-1, 1, 200), 1e-7)
     assert not ok
     assert mk.riesz(m, witness) == pytest.approx(-4.42294260e-7, rel=1e-6)
-    assert stats == {"solves": 1, "iterations": 79}
+    assert stats == {"lp_solves": 1, "lp_iterations": 79, "eig_calls": 0, "eig_sweeps": 0,
+                     "chol_calls": 0}
 
 
 def _highs_grid_minimum(m, grid):
@@ -355,9 +356,9 @@ def test_grid_check_at_high_degree_keeps_the_lp_under_the_cap():
     m = mk.MomentSequence(atomic_moments(atoms, rng.uniform(0.2, 2.0, 5), 2 * d),
                           mk.Support.interval(-1, 1))
     grid = np.linspace(-1.0, 1.0, 1000)
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
-    assert stats["solves"] > 1
+    assert stats["lp_solves"] > 1
     assert witness(grid).min() >= -1e-12
     assert np.abs(witness.coeffs).sum() <= 1 + 1e-9
     assert ok == (mk.riesz(m, witness) >= -1e-7)
@@ -475,7 +476,7 @@ def test_support_gate_matches_the_jacobi_rule(seed, kind, d, tol, log_scale, rat
     m, reached = _near_gate_threshold(np.random.default_rng(seed), kind, d, tol, log_scale,
                                       ratio, localized)
     assume(0.25 <= reached <= 4.0)
-    assert moments_mod._support_violation(m, tol) == _gate_rule(m, tol)
+    assert moments_mod._gate(m, tol)[0] == _gate_rule(m, tol)
 
 
 def test_recover_full_rank_gives_gauss_rule():
@@ -608,7 +609,7 @@ def test_extend_search_refuses_unrepresentable(moments, support):
 
 def _passes_gate(m, found, tol=1e-8):
     ext = mk.MomentSequence(m.moments + (found.m_next, found.m_next_next), m.support)
-    return moments_mod._support_violation(ext, tol) is None
+    return moments_mod._gate(ext, tol)[0] is None
 
 
 def test_extend_search_halfline_keeps_localizing_psd():

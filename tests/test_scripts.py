@@ -14,6 +14,7 @@ SCRIPTS = {
     "certificate_boundary_sweep.py": ["--steps", "3"],
     "extension_rules_demo.py": ["--points", "4", "--dim-w", "2", "--targets", "2"],
     "roundtrip_stats.py": ["--trials", "20", "--max-atoms", "3"],
+    "src_lines.py": [],
 }
 
 

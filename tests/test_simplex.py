@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentkit import simplex
+from momentkit import counters, simplex
 from momentkit.errors import LpFailure
-from momentkit.simplex import _merge_copies, collect_lp_stats, lp_feasible, solve_lp
+from momentkit.simplex import _merge_copies, lp_feasible, solve_lp
 
 from conftest import scipy_lp
 
@@ -110,11 +110,11 @@ def test_feasibility_probe():
 
 
 def test_stats_collection():
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-3.0])
         solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
-    assert stats["solves"] == 2
-    assert stats["iterations"] >= 1
+    assert stats["lp_solves"] == 2
+    assert stats["lp_iterations"] >= 1
 
 
 def test_degenerate_vertex_converges():
@@ -413,12 +413,13 @@ def _assert_phase_one_counted_once(c, **constraints):
     phase1 = solve_lp(np.zeros(c.shape[1]), **constraints).iterations
     assert phase1 > 0
     singles = [solve_lp(row, **constraints) for row in c]
-    with collect_lp_stats() as stats:
+    with counters.collect() as stats:
         sol = solve_lp(c, **constraints)
     assert sol.optimal
     assert sol.objective == pytest.approx([s.objective for s in singles])
     assert sol.iterations == sum(s.iterations for s in singles) - (len(c) - 1) * phase1
-    assert stats == {"solves": 1, "iterations": sol.iterations}
+    assert stats == {"lp_solves": 1, "lp_iterations": sol.iterations, "eig_calls": 0,
+                     "eig_sweeps": 0, "chol_calls": 0}
 
 
 def test_many_objectives_count_phase_one_once():
