@@ -13,6 +13,12 @@ example of two commits::
         --seeds 7 8 --blocks 2 --out old.jsonl
     python3 scripts/compare_outputs.py diff old.jsonl new.jsonl
 
+The ``edge`` workload is a fixed corpus instead of generated inputs (seeds
+and blocks do not apply to it): it reaches every verdict of the CLI's exit
+code table, including an input of the wrong kind, a JSON syntax error and a
+``--schema-check-only`` run, which the benchmark's inputs never produce.
+It runs once, in its own directory, so no path differs between dumps.
+
 ``diff`` prints, per workload, the operations whose verdict or exit code
 differ, how many outputs changed with and without their ``diagnostics``,
 and the largest float drift |a - b| / max(1, |a|), overall and per JSON
@@ -23,13 +29,55 @@ verdict or an exit code differs or an operation is missing on one side.
 import argparse
 import importlib.util
 import json
+import os
 import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("moment-check", "moment-extend", "finite-space")
+GENERATED = ("moment-check", "moment-extend", "finite-space")
+WORKLOADS = GENERATED + ("edge",)
+
+_MOMENTS = {"moments": [1, 0, 1]}
+_NOT_PSD = {"moments": [1, 0, -1]}
+_FINITE = {"points": ["p0", "p1"], "basis": {"one": [1, 1]}, "functional": {"one": 2.0},
+           "sigma_algebra": [[0], [1]]}
+_NOT_POSITIVE = {"points": ["a", "b"], "basis": {"one": [1, 1], "g": [1, 0]},
+                 "functional": {"one": 1.0, "g": -5e-9}, "sigma_algebra": [[0], [1]]}
+# (input name, verb, document or raw text, Command fields)
+EDGE = [
+    ("representable", "check", _MOMENTS, {}),
+    ("not_representable", "check", _NOT_PSD, {}),
+    ("inconclusive", "check", {"moments": [1, 0, 1, 0, 1]}, {}),
+    ("interval_grid", "check", {"moments": [1, 0, 0.5], "support": {"type": "interval",
+                                                                   "a": -1, "b": 1}}, {}),
+    ("represented", "represent", _MOMENTS, {}),
+    ("not_psd", "represent", _NOT_PSD, {}),
+    ("atom_overflows", "represent", {"moments": [1e-320, 1e-10, 1]}, {}),
+    ("extended", "extend-moments", _MOMENTS, {}),
+    ("no_extension", "extend-moments", _NOT_PSD, {}),
+    ("verified", "verify", dict(_MOMENTS, atomic_measure={"atoms": [-1, 1],
+                                                          "weights": [0.5, 0.5]}), {}),
+    ("misfit", "verify", dict(_MOMENTS, atomic_measure={"atoms": [1], "weights": [1]}), {}),
+    ("no_fit", "verify", _MOMENTS, {}),
+    ("blocks_verified", "verify", dict(_FINITE, measure={"mass": [1.0, 1.0]}), {}),
+    ("extended_positive", "hb-extend", dict(_FINITE, targets={"t0": [1, 0]}), {}),
+    ("positivity_failed", "hb-extend", _NOT_POSITIVE, {"tol": 1e-9}),
+    ("not_sandwiched", "hb-extend", {"points": ["p0", "p1"], "basis": {"e0": [1, 0]},
+                                     "functional": {"e0": 1.0},
+                                     "targets": {"t0": [2, 0], "t1": [0, 1]}}, {}),
+    ("certified", "build-measure", _FINITE, {}),
+    ("density_failed", "build-measure", dict(_FINITE, b_basis={"one": [1, 1]}), {}),
+    ("not_certified", "build-measure", _NOT_POSITIVE, {"tol": 1e-9}),
+    ("negative_block", "build-measure", dict(_NOT_POSITIVE, functional={"one": 1.0, "g": 2.0}),
+     {}),
+    ("wrong_kind_moments", "check", _FINITE, {}),
+    ("wrong_kind_finite", "build-measure", _MOMENTS, {}),
+    ("syntax_error", "check", '{"moments": [1, 0, 1]', {}),
+    ("schema_ok", "check", _MOMENTS, {"schema_check_only": True}),
+    ("schema_bad", "check", {"moments": [1, 0]}, {"schema_check_only": True}),
+]
 
 
 def _load_runner(root: Path):
@@ -48,19 +96,42 @@ def dump(args) -> int:
 
     runner.configure_logging()
     with tempfile.TemporaryDirectory() as tmp, open(args.out, "w", encoding="utf-8") as out:
+        def record(workload, seed, command):
+            result = cli.run(command)
+            out.write(json.dumps({
+                "workload": workload, "seed": seed, "verb": command.verb,
+                "input": Path(command.input_path).name, "verdict": result.verdict,
+                "exit_code": result.exit_code, "output": result.to_json(),
+            }) + "\n")
+
         for workload in args.workload:
+            if workload == "edge":
+                _dump_edge(Path(tmp), record, cli.Command)
+                continue
             for seed in args.seeds:
                 for index in range(args.blocks):
                     block = Path(tmp) / f"{workload}-s{seed}-b{index:03d}"
                     block.mkdir()
                     for verb, path in runner.block_ops(workload, seed, index, block):
-                        result = cli.run(cli.Command(verb, path))
-                        out.write(json.dumps({
-                            "workload": workload, "seed": seed, "verb": verb,
-                            "input": Path(path).name, "verdict": result.verdict,
-                            "exit_code": result.exit_code, "output": result.to_json(),
-                        }) + "\n")
+                        record(workload, seed, cli.Command(verb, path))
     return 0
+
+
+def _dump_edge(tmp: Path, record, command) -> None:
+    """Record the edge corpus, run with relative paths from its own
+    directory: a syntax error's message names the file."""
+    block = tmp / "edge"
+    block.mkdir()
+    here = os.getcwd()
+    os.chdir(block)
+    try:
+        for name, verb, doc, fields in EDGE:
+            path = f"{name}.json"
+            Path(path).write_text(doc if isinstance(doc, str) else json.dumps(doc),
+                                  encoding="utf-8")
+            record("edge", None, command(verb, path, **fields))
+    finally:
+        os.chdir(here)
 
 
 def _read(path):
@@ -146,7 +217,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("dump", help="run the workload inputs and write JSONL")
     p.add_argument("--workload", nargs="+", choices=WORKLOADS, required=True)
-    p.add_argument("--seeds", nargs="+", type=int, required=True)
+    p.add_argument("--seeds", nargs="+", type=int, default=[],
+                   help="input seeds of the generated workloads (edge takes none)")
     p.add_argument("--blocks", type=int, default=1, help="input blocks per seed (default 1)")
     p.add_argument("--root", default=str(ROOT),
                    help="checkout whose src/ and benchmark/ are used (default: this one)")
@@ -157,6 +229,8 @@ def main(argv=None) -> int:
     p.add_argument("b")
     p.set_defaults(func=diff)
     args = parser.parse_args(argv)
+    if args.command == "dump" and not args.seeds and set(args.workload) & set(GENERATED):
+        parser.error("--seeds is required for a generated workload")
     return args.func(args)
 
 

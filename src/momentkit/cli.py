@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Verbs: check, represent, extend-moments, hb-extend, build-measure, verify.
-Each run reads one JSON input file, dispatches to the library, and emits a
-canonical JSON result; multiple inputs fan out with ``--jobs``.  Exit codes
-are a stable contract:
+Each run reads one JSON input file, hands it to the library, and emits a
+canonical JSON result; multiple inputs fan out with ``--jobs``.  Two tables
+hold the stable contract: :data:`VERBS` gives each verb's input kind and
+handler, and :data:`EXIT_CODES` each verdict's exit code:
 
     0  positive verdict / representation verified
     1  negative verdict (with a witness or reason in the payload)
@@ -34,17 +35,8 @@ from .errors import (
     SchemaError,
 )
 from .extend import hb_extend, verify_positive
-from .funcspace import FunctionVec, Subspace
-from .jsonio import (
-    FiniteSpaceInput,
-    MomentInput,
-    dumps_canonical,
-    encode_atomic,
-    encode_measure,
-    encode_poly,
-    encode_support,
-    parse_input,
-)
+from .funcspace import FunctionVec
+from .jsonio import FiniteSpaceInput, MomentInput, dumps_canonical, encode_support, parse_input
 from .measure import (
     BinningSpec,
     RepresentOptions,
@@ -64,12 +56,25 @@ from .moments import (
 
 log = logging.getLogger("momentkit")
 
-VERBS = ("check", "represent", "extend-moments", "hb-extend", "build-measure", "verify")
-
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
-EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
+EXIT_CODES = {
+    "schema-ok": 0,
+    "representable": 0,
+    "represented": 0,
+    "extended": 0,
+    "extended-positive": 0,
+    "measure-certified": 0,
+    "verified": 0,
+    "failed": 1,
+    "not-representable": 1,
+    "verification-failed": 1,
+    "no-positive-extension": 1,
+    "positivity-failed": 1,
+    "density-failed": 1,
+    "not-certified": 1,
+    "input-error": 2,
+    "inconclusive": 3,
+    "numerical-failure": 3,
+}
 
 
 class Command(NamedTuple):
@@ -84,8 +89,11 @@ class Command(NamedTuple):
 
 class RunResult(NamedTuple):
     verdict: str
-    exit_code: int
     payload: dict
+
+    @property
+    def exit_code(self) -> int:
+        return EXIT_CODES[self.verdict]
 
     def to_json(self) -> str:
         doc = dict(self.payload)
@@ -98,96 +106,63 @@ class RunResult(NamedTuple):
 def run(cmd: Command) -> RunResult:
     """Execute one command; never raises on schema-valid input.
 
-    Every result but a schema check reports its work in ``diagnostics``,
-    failures included."""
+    Every payload names its verb, and every one but a schema check's reports
+    its work in ``diagnostics``, failures included."""
     log.info("run %s on %s", cmd.verb, cmd.input_path)
     with counters.collect() as work:
         try:
             parsed = parse_input(cmd.input_path)
             if cmd.schema_check_only:
-                return RunResult("schema-ok", EXIT_OK, {"verb": cmd.verb})
-            result = _dispatch(cmd, parsed)
+                return RunResult("schema-ok", {"verb": cmd.verb})
+            if cmd.verb not in VERBS:
+                raise SchemaError("verb", f"unknown verb {cmd.verb!r}")
+            kind, handler = VERBS[cmd.verb]
+            if kind is not None and not isinstance(parsed, kind):
+                raise SchemaError("", f"verb {cmd.verb!r} expects {_KIND_NAMES[kind]} input file")
+            result = handler(cmd, parsed)
         except (SchemaError, IoError, DegreeTooHigh) as exc:
             log.error("input error: %s", exc)
-            result = RunResult("input-error", EXIT_INPUT, {"verb": cmd.verb, "error": str(exc)})
+            result = RunResult("input-error", {"error": str(exc)})
         except (LpFailure, LpUnbounded, EigFailure, RankDetectionAmbiguous) as exc:
             log.error("numerical failure: %s", exc)
-            result = RunResult(
-                "numerical-failure", EXIT_NUMERICAL,
-                {"verb": cmd.verb, "error": str(exc), "error_kind": type(exc).__name__},
-            )
+            result = RunResult("numerical-failure",
+                               {"error": str(exc), "error_kind": type(exc).__name__})
         except MomentkitError as exc:
             log.error("negative verdict: %s", exc)
-            result = RunResult(
-                "failed", EXIT_NEGATIVE,
-                {"verb": cmd.verb, "error": str(exc), "error_kind": type(exc).__name__},
-            )
+            result = RunResult("failed", {"error": str(exc), "error_kind": type(exc).__name__})
         except Exception as exc:  # defensive: exit-code totality
             log.exception("unexpected failure")
-            result = RunResult(
-                "numerical-failure", EXIT_NUMERICAL,
-                {"verb": cmd.verb, "error": f"unexpected {type(exc).__name__}: {exc}"},
-            )
-    result.payload["diagnostics"] = work
+            result = RunResult("numerical-failure",
+                               {"error": f"unexpected {type(exc).__name__}: {exc}"})
+    result.payload.update(verb=cmd.verb, diagnostics=work)
     return result
-
-
-def _dispatch(cmd: Command, parsed) -> RunResult:
-    verb = cmd.verb
-    if verb == "check":
-        return _run_check(cmd, _as_moments(parsed, verb))
-    if verb == "represent":
-        return _run_represent(cmd, _as_moments(parsed, verb))
-    if verb == "extend-moments":
-        return _run_extend_moments(cmd, _as_moments(parsed, verb))
-    if verb == "hb-extend":
-        return _run_hb_extend(cmd, _as_finite(parsed, verb))
-    if verb == "build-measure":
-        return _run_build_measure(cmd, _as_finite(parsed, verb))
-    if verb == "verify":
-        if isinstance(parsed, MomentInput):
-            return _run_verify_moments(cmd, parsed)
-        return _run_verify_finite(cmd, parsed)
-    raise SchemaError("verb", f"unknown verb {verb!r}")
-
-
-def _as_moments(parsed, verb: str) -> MomentInput:
-    if not isinstance(parsed, MomentInput):
-        raise SchemaError("", f"verb {verb!r} expects a moment-sequence input file")
-    return parsed
-
-
-def _as_finite(parsed, verb: str) -> FiniteSpaceInput:
-    if not isinstance(parsed, FiniteSpaceInput):
-        raise SchemaError("", f"verb {verb!r} expects a finite-space input file")
-    return parsed
 
 
 # --- verb handlers ------------------------------------------------------------
 
+def _moment_payload(seq, **fields) -> dict:
+    """A moment verb's payload: the input sequence and support, then ``fields``."""
+    return {"moments": list(seq.moments), "support": encode_support(seq.support), **fields}
+
+
 def _run_check(cmd: Command, inp: MomentInput) -> RunResult:
     seq = inp.sequence
     cert = positivity_certificate(seq, cmd.tol)
-    payload = {
-        "verb": "check",
-        "moments": list(seq.moments),
-        "support": encode_support(seq.support),
-        "certificate": {
-            "verdict": cert.verdict,
-            "tol": cert.tol,
-            "matrices": [
-                {
-                    "label": w.label,
-                    "size": w.size,
-                    "lambda_min": w.lambda_min,
-                    **({"witness_poly": encode_poly(w.witness),
-                        "witness_value": riesz(seq, w.witness)} if w.witness else {}),
-                }
-                for w in cert.witnesses
-            ],
-            "notes": list(cert.notes),
-        },
-    }
+    payload = _moment_payload(seq, certificate={
+        "verdict": cert.verdict,
+        "tol": cert.tol,
+        "matrices": [
+            {
+                "label": w.label,
+                "size": w.size,
+                "lambda_min": w.lambda_min,
+                **({"witness_poly": list(w.witness.coeffs),
+                    "witness_value": riesz(seq, w.witness)} if w.witness else {}),
+            }
+            for w in cert.witnesses
+        ],
+        "notes": list(cert.notes),
+    })
     grid_info = {"ran": False}
     if seq.support.kind == "interval" and cmd.grid >= 2:
         grid = np.linspace(seq.support.a, seq.support.b, cmd.grid)
@@ -196,16 +171,11 @@ def _run_check(cmd: Command, inp: MomentInput) -> RunResult:
             "ran": True,
             "points": cmd.grid,
             "passed": ok,
-            "witness_poly": encode_poly(worst),
+            "witness_poly": list(worst.coeffs),
             "witness_value": riesz(seq, worst),
         }
     payload["grid_check"] = grid_info
-
-    if cert.verdict == "representable":
-        return RunResult("representable", EXIT_OK, payload)
-    if cert.verdict == "not-representable":
-        return RunResult("not-representable", EXIT_NEGATIVE, payload)
-    return RunResult("inconclusive", EXIT_NUMERICAL, payload)
+    return RunResult(cert.verdict, payload)
 
 
 def _verification(report) -> dict:
@@ -222,35 +192,17 @@ def _run_represent(cmd: Command, inp: MomentInput) -> RunResult:
     seq = inp.sequence
     mu = recover_atoms(seq)
     report = verify_truncated(seq, mu, tol=cmd.tol)
-    payload = {
-        "verb": "represent",
-        "moments": list(seq.moments),
-        "support": encode_support(seq.support),
-        "atomic_measure": encode_atomic(mu),
-        "verification": _verification(report),
-    }
-    if report.passed:
-        return RunResult("represented", EXIT_OK, payload)
-    return RunResult("verification-failed", EXIT_NEGATIVE, payload)
+    payload = _moment_payload(seq,
+                              atomic_measure={"atoms": list(mu.atoms), "weights": list(mu.weights)},
+                              verification=_verification(report))
+    return RunResult("represented" if report.passed else "verification-failed", payload)
 
 
 def _run_extend_moments(cmd: Command, inp: MomentInput) -> RunResult:
-    seq = inp.sequence
-    found = extend_search(seq, cmd.tol)
-    payload = {
-        "verb": "extend-moments",
-        "moments": list(seq.moments),
-        "support": encode_support(seq.support),
-    }
+    found = extend_search(inp.sequence, cmd.tol)
     if found is None:
-        payload["extension"] = None
-        return RunResult("no-positive-extension", EXIT_NEGATIVE, payload)
-    payload["extension"] = {
-        "m_next": found.m_next,
-        "m_next_next": found.m_next_next,
-        "lambda_min": found.lambda_min,
-    }
-    return RunResult("extended", EXIT_OK, payload)
+        return RunResult("no-positive-extension", _moment_payload(inp.sequence, extension=None))
+    return RunResult("extended", _moment_payload(inp.sequence, extension=found._asdict()))
 
 
 def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
@@ -261,7 +213,6 @@ def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
     names = list(fs.basis_names) + step_names
     ok, worst = verify_positive(current, cmd.tol)
     payload = {
-        "verb": "hb-extend",
         "rule": cmd.rule,
         "trace": [{"target": name, "interval_lo": step.interval_lo,
                    "interval_hi": step.interval_hi, "chosen": step.chosen}
@@ -269,16 +220,7 @@ def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
         "functional": {name: float(c) for name, c in zip(names, current.coeffs)},
         "positivity": {"ok": ok, "worst_value": worst, "tol": cmd.tol},
     }
-    if ok:
-        return RunResult("extended-positive", EXIT_OK, payload)
-    return RunResult("positivity-failed", EXIT_NEGATIVE, payload)
-
-
-def _default_designated(fs: FiniteSpaceInput) -> Subspace:
-    """Default designated subspace: the block indicators.  They span every
-    block-constant function, and ``represent_via_adapted`` rejects a domain
-    vector that is not block-constant, so no domain vector would extend it."""
-    return Subspace(fs.ground, fs.algebra.indicators())
+    return RunResult("extended-positive" if ok else "positivity-failed", payload)
 
 
 def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
@@ -286,14 +228,13 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
         raise SchemaError("functional", "build-measure requires functional values")
     if fs.algebra is None:
         raise SchemaError("sigma_algebra", "build-measure requires a partition")
-    designated = fs.designated if fs.designated is not None else _default_designated(fs)
     opts = RepresentOptions(
         rule=cmd.rule,
         tol=cmd.tol,
         subspace_variant=fs.subspace_variant,
         witnesses=fs.witnesses or None,
     )
-    mu, report = represent_via_adapted(fs.domain, designated, fs.functional, fs.algebra, opts)
+    mu, report = represent_via_adapted(fs.domain, fs.designated, fs.functional, fs.algebra, opts)
 
     binning = []
     if cmd.bins >= 1 and fs.domain.dim:
@@ -314,8 +255,7 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
             })
 
     payload = {
-        "verb": "build-measure",
-        "measure": encode_measure(mu),
+        "measure": {"blocks": [list(b) for b in mu.algebra.blocks], "mass": list(mu.block_mass)},
         "density": {
             "distances": list(report.density.distances),
             "tol": report.density.tol,
@@ -337,32 +277,39 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
         "notes": list(report.notes),
         "certified": report.certified,
     }
-    if report.certified:
-        return RunResult("measure-certified", EXIT_OK, payload)
-    verdict = "density-failed" if not report.density_ok else "not-certified"
-    return RunResult(verdict, EXIT_NEGATIVE, payload)
+    verdict = ("measure-certified" if report.certified
+               else "not-certified" if report.density_ok else "density-failed")
+    return RunResult(verdict, payload)
 
 
-def _run_verify_moments(cmd: Command, inp: MomentInput) -> RunResult:
-    if inp.atomic is None:
-        raise SchemaError("atomic_measure", "verify requires an atomic_measure alongside moments")
-    report = verify_truncated(inp.sequence, inp.atomic, tol=cmd.tol)
-    payload = {"verb": "verify", "verification": _verification(report)}
-    if report.passed:
-        return RunResult("verified", EXIT_OK, payload)
-    return RunResult("verification-failed", EXIT_NEGATIVE, payload)
+def _run_verify(cmd: Command, inp) -> RunResult:
+    if isinstance(inp, MomentInput):
+        if inp.atomic is None:
+            raise SchemaError("atomic_measure", "verify requires an atomic_measure alongside moments")
+        report = verify_truncated(inp.sequence, inp.atomic, tol=cmd.tol)
+        payload, passed = {"verification": _verification(report)}, report.passed
+    else:
+        if inp.functional is None or inp.algebra is None or inp.measure is None:
+            raise SchemaError("measure",
+                              "finite-space verify requires functional, sigma_algebra and measure")
+        residuals = {name: gap_T(inp.functional, inp.measure, inp.algebra, g)
+                     for name, g in zip(inp.basis_names, inp.domain.basis)}
+        worst = max((abs(r) for r in residuals.values()), default=0.0)
+        payload = {"residuals": residuals, "max_residual": worst, "tol": cmd.tol}
+        passed = worst <= cmd.tol
+    return RunResult("verified" if passed else "verification-failed", payload)
 
 
-def _run_verify_finite(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
-    if fs.functional is None or fs.algebra is None or fs.measure is None:
-        raise SchemaError("measure", "finite-space verify requires functional, sigma_algebra and measure")
-    residuals = {name: gap_T(fs.functional, fs.measure, fs.algebra, g)
-                 for name, g in zip(fs.basis_names, fs.domain.basis)}
-    worst = max((abs(r) for r in residuals.values()), default=0.0)
-    payload = {"verb": "verify", "residuals": residuals, "max_residual": worst, "tol": cmd.tol}
-    if worst <= cmd.tol:
-        return RunResult("verified", EXIT_OK, payload)
-    return RunResult("verification-failed", EXIT_NEGATIVE, payload)
+# verb -> (the input kind it takes, None for either; its handler)
+VERBS = {
+    "check": (MomentInput, _run_check),
+    "represent": (MomentInput, _run_represent),
+    "extend-moments": (MomentInput, _run_extend_moments),
+    "hb-extend": (FiniteSpaceInput, _run_hb_extend),
+    "build-measure": (FiniteSpaceInput, _run_build_measure),
+    "verify": (None, _run_verify),
+}
+_KIND_NAMES = {MomentInput: "a moment-sequence", FiniteSpaceInput: "a finite-space"}
 
 
 # --- entry point ----------------------------------------------------------------
@@ -411,39 +358,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cannot_write(target: Path, reason: str) -> int:
-    print(f"momentkit: cannot write {target}: {reason}", file=sys.stderr)
-    return EXIT_INPUT
+def _refuse(message: str) -> int:
+    print(f"momentkit: {message}", file=sys.stderr)
+    return EXIT_CODES["input-error"]
 
 
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     if args.tol <= 0:
-        print("momentkit: --tol must be positive", file=sys.stderr)
-        return EXIT_INPUT
+        return _refuse("--tol must be positive")
     if args.grid < 2:
-        print("momentkit: --grid must be at least 2", file=sys.stderr)
-        return EXIT_INPUT
+        return _refuse("--grid must be at least 2")
     if args.bins < 1:
-        print("momentkit: --bins must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
+        return _refuse("--bins must be at least 1")
 
     multi = len(args.inputs) > 1
     out = None if args.output is None else Path(args.output)
     if out is not None and multi:
         if out.exists() and not out.is_dir():
-            return _cannot_write(out, "it exists and is not a directory")
+            return _refuse(f"cannot write {out}: it exists and is not a directory")
         seen = {}
         for path in args.inputs:
             name = Path(path).stem + ".out.json"
             if name in seen:
-                print(f"momentkit: {seen[name]} and {path} would both write "
-                      f"{out / name}", file=sys.stderr)
-                return EXIT_INPUT
+                return _refuse(f"{seen[name]} and {path} would both write {out / name}")
             seen[name] = path
     elif out is not None and not out.parent.is_dir():
-        return _cannot_write(out, f"{out.parent} is not a directory")
+        return _refuse(f"cannot write {out}: {out.parent} is not a directory")
 
     jobs = [Command(args.verb, path, tol=args.tol, grid=args.grid, bins=args.bins,
                     rule=args.rule, schema_check_only=args.schema_check_only)
@@ -457,7 +399,7 @@ def main(argv=None) -> int:
     else:
         results = [_worker(j) for j in jobs]
 
-    worst = EXIT_OK
+    worst = 0
     for path, text, code in results:
         worst = max(worst, code)
         if out is None:
@@ -469,7 +411,7 @@ def main(argv=None) -> int:
                 out.mkdir(parents=True, exist_ok=True)
             target.write_text(text, encoding="utf-8")
         except OSError as exc:
-            return _cannot_write(target, exc.strerror or str(exc))
+            return _refuse(f"cannot write {target}: {exc.strerror or exc}")
     return worst
 
 

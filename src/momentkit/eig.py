@@ -138,12 +138,22 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     if result < 0:
         raise EigFailure(f"Jacobi sweeps failed to converge in {MAX_SWEEPS} sweeps")
 
-    w = np.ldexp(a.diagonal(), e)
+    with np.errstate(over="ignore"):  # beyond the double range: inf, for finite() to refuse
+        w = np.ldexp(a.diagonal(), e)
     order = w.argsort(kind="stable")
     return w[order], (v[:, order] if need_vectors else None)
+
+
+def finite(what: str, *values: float) -> None:
+    """EigFailure unless every value is finite: an eigenvalue or moment that
+    is reported must lie in the double range."""
+    if not all(map(math.isfinite, values)):
+        raise EigFailure(f"{what} overflows the double range")
 
 
 def lambda_min(matrix) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     w, _ = jacobi_eigh(matrix, need_vectors=False)
-    return float(w[0])
+    lam = float(w[0])
+    finite("the smallest eigenvalue", lam)
+    return lam

@@ -42,10 +42,11 @@ from .errors import (
     HullMembershipFailed,
     LpFailure,
     LpUnbounded,
+    RankDetectionAmbiguous,
     TargetNotInWC,
 )
 from .frozen import Frozen, set_field
-from .funcspace import FunctionVec, Subspace, _same_ground, hull_contains
+from .funcspace import DependentBasis, FunctionVec, Subspace, _same_ground, hull_contains
 from .simplex import lp_feasible, solve_lp
 
 INTERVAL_TOL = 1e-9
@@ -184,7 +185,10 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
     current domain back in is the identity; this membership test is each
     target's one projection onto the span.  Each step records its target's
     index; a target failing the sandwich test raises :class:`TargetNotInWC`
-    carrying its index.
+    carrying its index.  A target outside the span by that test whose grown
+    basis still fails the rank check (a residual just above the membership
+    tolerance on a basis of mixed scale) raises
+    :class:`RankDetectionAmbiguous`: the two tests disagree about it.
     """
     current = L
     steps = []
@@ -195,6 +199,9 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
             current, step = hb_extend_step(current, v, rule)
         except TargetNotInWC as exc:
             raise TargetNotInWC(idx) from exc
+        except DependentBasis as exc:
+            raise RankDetectionAmbiguous(None, idx, f"target {idx} lies outside the span by its "
+                                         "residual, yet the grown basis fails the rank check") from exc
         steps.append(ExtensionStep(step.target, step.interval_lo, step.interval_hi,
                                    step.chosen, idx))
     return current, ExtensionTrace(tuple(steps))

@@ -91,11 +91,16 @@ def _same_ground(*objs) -> GroundSet:
     return ground
 
 
+class DependentBasis(ValueError):
+    """A basis fails the rank check of :class:`Subspace`."""
+
+
 class Subspace:
     """Span of finitely many function vectors (possibly empty).
 
     The basis must be linearly independent; dependence is detected by a
-    singular-value rank check at tolerance 1e-10.  The thin SVD
+    singular-value rank check at tolerance 1e-10, which raises
+    :class:`DependentBasis`.  The thin SVD
     ``matrix = U diag(s) Vt`` from that check is kept and answers every
     membership question: ``U @ U.T`` projects onto the span, and the
     coefficients of a member ``f`` are ``Vt.T @ (U.T @ f / s)``.
@@ -112,7 +117,7 @@ class Subspace:
         self._u, self._s, self._vt = np.linalg.svd(self._matrix, full_matrices=False)
         if basis and (len(basis) > ground.size
                       or self._s[-1] <= INDEPENDENCE_TOL * max(1.0, self._s[0])):
-            raise ValueError("basis vectors are linearly dependent")
+            raise DependentBasis("basis vectors are linearly dependent")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -362,21 +362,9 @@ def parse_input(path: str):
 
 # --- encoding helpers for results --------------------------------------------
 
-def encode_atomic(mu: AtomicMeasure) -> dict:
-    return {"atoms": list(mu.atoms), "weights": list(mu.weights)}
-
 def encode_support(s: Support) -> dict:
     out = {"type": s.kind}
     if s.kind == "interval":
         out["a"] = s.a
         out["b"] = s.b
     return out
-
-def encode_measure(mu: Measure) -> dict:
-    return {
-        "blocks": [list(b) for b in mu.algebra.blocks],
-        "mass": list(mu.block_mass),
-    }
-
-def encode_poly(p) -> list:
-    return list(p.coeffs)

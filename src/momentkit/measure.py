@@ -334,7 +334,7 @@ class RepresentationReport(NamedTuple):
         return self.density_ok and self.positive_ok and self.max_residual <= RESIDUAL_TOL
 
 
-def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
+def represent_via_adapted(A: Subspace, B: Subspace | None, L: Functional,
                           alg: SigmaAlgebra, opts: RepresentOptions = RepresentOptions()):
     """Full representation pipeline; returns ``(measure, report)``.
 
@@ -352,6 +352,10 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
     count) the slice is the simplex with vertices ``chi_b / |b|`` and the
     minimum is ``min_b Lt(chi_b) / |b|``, with no LP; otherwise it is
     :func:`verify_positive`'s LP.
+
+    ``B=None`` means the block indicators: they span every block-constant
+    function, and a domain vector that is not block-constant is rejected
+    (:class:`IntegralOfNonMeasurable`), so no domain vector would extend them.
     """
     notes = []
     for i, g in enumerate(A.basis):
@@ -359,8 +363,10 @@ def represent_via_adapted(A: Subspace, B: Subspace, L: Functional,
             raise IntegralOfNonMeasurable(f"domain basis vector {i} is not block-constant")
 
     indicators = alg.indicators()
-    # The default designated basis holds the indicators themselves: pass each once.
-    targets = list(B.basis) + [chi for chi in indicators if id(chi) not in B._basis_ids]
+    if B is None:  # its basis is the indicators, each a target once
+        B, targets = Subspace(alg.ground, indicators), indicators
+    else:
+        targets = list(B.basis) + indicators
     if opts.subspace_variant:
         Lt, trace = hb_extend(L, targets, opts.rule)
         notes.append("subspace variant: hull membership not required")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .counters import count
-from .eig import OFFDIAG_MASS_TOL, jacobi_eigh, lambda_min, scaled_symmetric
+from .eig import OFFDIAG_MASS_TOL, finite, jacobi_eigh, lambda_min, scaled_symmetric
 from .errors import (
     DegreeTooHigh,
     EigFailure,
@@ -183,7 +183,10 @@ class AtomicMeasure(FrozenValue):
     def moments_to(self, degree: int) -> tuple[float, ...]:
         xs = np.asarray(self.atoms)
         ws = np.asarray(self.weights)
-        return tuple(float(ws @ xs**k) for k in range(degree + 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+            moments = tuple(float(ws @ xs**k) for k in range(degree + 1))
+        finite("a moment of the atomic measure", *moments)
+        return moments
 
     def within_support(self, tol: float = 1e-8) -> bool:
         return all(self.support.contains(a, tol) for a in self.atoms)
@@ -262,7 +265,8 @@ def _gate(m: MomentSequence, tol: float) -> tuple[str | None, list[_Chain]]:
     factor of each matrix passed.  A matrix fails when its smallest
     eigenvalue is below ``-tol * max(1, ||H||_F)``, in units of
     ``2^max(e, 0)`` (``2^-e H`` is :func:`scaled_symmetric`'s copy) so that
-    ``||H||_F`` does not overflow.  The factor passes a matrix when four times
+    neither ``||H||_F`` nor the eigenvalue, taken of that rescaled copy,
+    overflows.  The factor passes a matrix when four times
     the sum of its bound on ``-lambda_min(H)`` and the sweep's error is at
     most that threshold; the sweep decides, and words, the rest.
     """
@@ -270,14 +274,14 @@ def _gate(m: MomentSequence, tol: float) -> tuple[str | None, list[_Chain]]:
     for H in _support_matrices(m):
         a, e = scaled_symmetric(H.matrix)
         k = max(e, 0)
-        a = np.ldexp(a, e - k)  # 2^-k H: no square of its entries overflows
+        a = np.ldexp(a, e - k)  # 2^-k H: neither its squares nor its eigenvalues overflow
         scale = max(math.ldexp(1.0, -k), float(np.sqrt(np.sum(a * a))))
         chains.append(_leading_chain(H.matrix))
         # stopping error, rotations' rounding, and that of the chain's copy
         sweep_error = (H.size + 1) * OFFDIAG_MASS_TOL * scale
         if 4.0 * (math.ldexp(chains[-1].floor, -k) + sweep_error) <= tol * scale:
             continue
-        lam = math.ldexp(lambda_min(H.matrix), -k)
+        lam = lambda_min(a)
         if lam < -tol * scale:
             return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}", chains
     return None, chains
@@ -300,30 +304,26 @@ def positivity_certificate(m: MomentSequence, tol: float = PSD_TOL) -> Certifica
     """Support-class positivity test on the moment matrices.
 
     line: plain Hankel; halfline: plus the x-shifted matrix; interval:
-    plus the (b-x)(x-a)-localized matrix.  Verdict is representable when
-    every matrix clears +tol, not-representable when some matrix dips below
-    -tol (with an explicit witness polynomial), inconclusive in between.
+    plus the (b-x)(x-a)-localized matrix.  The verdict is read off the
+    smallest eigenvalue of them all: representable above +tol,
+    not-representable below -tol (each matrix below it gets an explicit
+    witness polynomial), inconclusive in between.
     """
     witnesses = []
-    verdicts = []
     for H in _support_matrices(m):
         w, V = jacobi_eigh(H.matrix)
         lam = float(w[0])
-        failing = lam < -tol
+        finite(f"the {H.label} matrix's smallest eigenvalue", lam)
         witnesses.append(
-            MatrixWitness(H.label, H.size, lam, _eigvec_witness(H, V[:, 0]) if failing else None)
+            MatrixWitness(H.label, H.size, lam, _eigvec_witness(H, V[:, 0]) if lam < -tol else None)
         )
-        verdicts.append(-1 if failing else (1 if lam > tol else 0))
-    if any(v < 0 for v in verdicts):
-        verdict = "not-representable"
-        notes = ()
-    elif all(v > 0 for v in verdicts):
-        verdict = "representable"
-        notes = ()
-    else:
-        verdict = "inconclusive"
-        notes = (f"some eigenvalue sits in the boundary band |lambda| <= {tol:g}",)
-    return Certificate(verdict, tuple(witnesses), tol, notes)
+    lam = min(w.lambda_min for w in witnesses)
+    if lam < -tol:
+        return Certificate("not-representable", tuple(witnesses), tol)
+    if lam > tol:
+        return Certificate("representable", tuple(witnesses), tol)
+    notes = (f"some eigenvalue sits in the boundary band |lambda| <= {tol:g}",)
+    return Certificate("inconclusive", tuple(witnesses), tol, notes)
 
 
 def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
@@ -484,6 +484,7 @@ def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
     if not np.isfinite(J).all():
         raise EigFailure("the atoms' recurrence matrix overflows the double range")
     nodes, vectors = jacobi_eigh(J)
+    finite("an atom", *nodes)
     weights = m.moments[0] * vectors[0, :] ** 2
     return AtomicMeasure(tuple(float(x) for x in nodes),
                          tuple(float(w) for w in weights), m.support)
@@ -520,6 +521,7 @@ def verify_truncated(m: MomentSequence, mu: AtomicMeasure,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an extension beyond the double range is refused
 def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate | None:
     """Two more moments m_{2d+1}, m_{2d+2} keeping the bigger moment matrix PSD.
 
@@ -562,5 +564,6 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
                 and mu.within_support()):
             return None
         ext = np.asarray(mu.moments_to(2 * d + 2)[-2:])
+    finite("an extension moment", *ext)
     lam = lambda_min(_hankel_array(np.concatenate([arr, ext]), d + 2))
     return ExtensionCandidate(float(ext[0]), float(ext[1]), float(lam))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -289,16 +290,44 @@ def test_diagnostics_hold_the_collectors_keys(tmp_path, capsys, monkeypatch, ver
     assert all(type(n) is int and n >= 0 for n in out["diagnostics"].values())
 
 
-@pytest.mark.parametrize("verb", ["represent", "extend-moments"])
-def test_subnormal_moment_fails_without_warning(tmp_path, capsys, verb):
-    # The one atom of (1e-320, 1e-10, 1) is about 1e310, beyond the double range.
-    path = write(tmp_path, "m.json", {"moments": [1e-320, 1e-10, 1]})
+SUBNORMAL = [1e-320, 1e-10, 1]      # its one atom is about 1e310
+LAMBDA_MIN_HUGE = [1e308, 1.7e308, -1.7e308]  # lambda_min(H) is about -2.5e308
+LAMBDA_MAX_HUGE = [1.0, 1.3e308, 1.7e308]     # lambda_max(H) about 2.4e308, lambda_min not
+ATOMS_1E77 = [1, 0, 1e154, 0, 1e308]       # atoms +-1e77: the extension's m_6 is about 1e462
+
+
+@pytest.mark.parametrize("verb, moments, code, kind", [
+    pytest.param("represent", SUBNORMAL, 3, "EigFailure", id="represent"),
+    pytest.param("extend-moments", SUBNORMAL, 3, "EigFailure", id="extend-moments"),
+    pytest.param("check", LAMBDA_MIN_HUGE, 3, "EigFailure", id="check-lambda-min-overflows"),
+    pytest.param("represent", LAMBDA_MIN_HUGE, 1, "NotPSD", id="represent-lambda-min-overflows"),
+    pytest.param("extend-moments", LAMBDA_MIN_HUGE, 1, None,
+                 id="extend-moments-lambda-min-overflows"),
+    pytest.param("check", LAMBDA_MAX_HUGE, 1, None, id="check-lambda-max-overflows"),
+    pytest.param("represent", LAMBDA_MAX_HUGE, 1, "NotPSD", id="represent-lambda-max-overflows"),
+    pytest.param("extend-moments", LAMBDA_MAX_HUGE, 1, None,
+                 id="extend-moments-lambda-max-overflows"),
+    pytest.param("extend-moments", ATOMS_1E77, 3, "EigFailure", id="extend-moments-moment-overflows"),
+    pytest.param("extend-moments", [1, 0, 1e200], 3, "EigFailure",  # flat m_4 = 1e400
+                 id="extend-moments-flat-extension-overflows"),
+    pytest.param("verify", {"moments": [1, 1e200, 1e300],  # the atom's m_2 is 1e400
+                            "atomic_measure": {"atoms": [1e200], "weights": [1]}},
+                 3, "EigFailure", id="verify-moment-overflows"),
+])
+def test_subnormal_moment_fails_without_warning(tmp_path, capsys, verb, moments, code, kind):
+    # Values beyond the double range end in a verdict, with no warning: an
+    # eigenvalue or a moment that is reported and overflows is an EigFailure.
+    doc = moments if isinstance(moments, dict) else {"moments": moments}
+    path = write(tmp_path, "m.json", doc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([verb, path]) == 3
+        assert main([verb, path]) == code
     out = json.loads(capsys.readouterr().out)
-    assert (out["verdict"], out["error_kind"]) == ("numerical-failure", "EigFailure")
-    assert "overflows" in out["error"]
+    assert out["exit_code"] == code and out.get("error_kind") == kind
+    if kind == "EigFailure":
+        assert out["verdict"] == "numerical-failure" and "overflows" in out["error"]
+    if kind == "NotPSD":  # the gate words the eigenvalue of its own rescaled copy
+        assert np.isfinite(float(out["error"].rsplit(" ", 1)[1]))
 
 
 @pytest.mark.parametrize("size", [1e154, 1e300])
@@ -487,12 +516,29 @@ def _three_block_doc(basis):
     {"one": [1.0] * 6},
     {"one": [1.0] * 6, "g": [2.0, 2.0, -1.0, -1.0, 0.5, 0.5]},   # in the indicators' span
 ])
-def test_default_designated_equals_greedy_union(tmp_path, basis):
+def test_default_designated_equals_greedy_union(tmp_path, monkeypatch, basis):
+    # B=None designates the block indicators: the subspace the pipeline
+    # checks for density is the greedy union, and so is everything it reports.
     fs = parse_input(write(tmp_path, "fs.json", _three_block_doc(basis)))
-    got, want = cli._default_designated(fs), _greedy_designated(fs)
+    want = _greedy_designated(fs)
+    checked = []
+    real = measure.density_check
+
+    def spy(B, *args, **kwargs):
+        checked.append(B)
+        return real(B, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "density_check", spy)
+    mu, report = mk.represent_via_adapted(fs.domain, None, fs.functional, fs.algebra)
+    want_mu, want_report = mk.represent_via_adapted(fs.domain, want, fs.functional, fs.algebra)
+    got = checked[0]
     assert got.dim == want.dim
     assert all(np.array_equal(a.values, b.values) for a, b in zip(got.basis, want.basis))
     assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(mu.block_mass, want_mu.block_mass)
+    assert report.density == want_report.density and report.residuals == want_report.residuals
+    assert [(s.target, s.chosen, s.target_index) for s in report.trace.steps] == \
+        [(s.target, s.chosen, s.target_index) for s in want_report.trace.steps]
 
 
 @pytest.mark.parametrize("basis", [
@@ -698,6 +744,72 @@ def test_jobs_capped_by_inputs_and_cores(tmp_path, monkeypatch):
     assert main(["check", *paths[:2], "--jobs", "5000", "--output", out_dir]) == 0
     assert main(["check", *paths, "--jobs", "5000", "--output", out_dir]) == 0
     assert sizes == [2, 3]
+
+
+FS_NOT_POSITIVE = {"points": ["a", "b"], "basis": {"one": [1, 1], "g": [1, 0]},
+                   "functional": {"one": 1.0, "g": -5e-9}, "sigma_algebra": [[0], [1]]}
+# verdict -> (verb, input, extra arguments) that reach it
+VERDICT_CASES = {
+    "schema-ok": ("check", MOMENTS_DOC, ["--schema-check-only"]),
+    "representable": ("check", MOMENTS_DOC, []),
+    "not-representable": ("check", {"moments": [1, 0, -1]}, []),
+    "inconclusive": ("check", {"moments": [1, 0, 1, 0, 1]}, []),
+    "represented": ("represent", MOMENTS_DOC, []),
+    "failed": ("represent", {"moments": [1, 0, -1]}, []),
+    "extended": ("extend-moments", MOMENTS_DOC, []),
+    "no-positive-extension": ("extend-moments", {"moments": [1, 0, -1]}, []),
+    "extended-positive": ("hb-extend", dict(FS_DOC, targets={"t0": [1, 0]}), []),
+    "positivity-failed": ("hb-extend", FS_NOT_POSITIVE, ["--tol", "1e-9"]),
+    "measure-certified": ("build-measure", FS_DOC, []),
+    "density-failed": ("build-measure", dict(FS_DOC, b_basis={"one": [1, 1]}), []),
+    "not-certified": ("build-measure", FS_NOT_POSITIVE, ["--tol", "1e-9"]),
+    "verified": ("verify", DIAGNOSTICS_VERBS["verify"][0], []),
+    "verification-failed": ("verify", dict(MOMENTS_DOC, atomic_measure={"atoms": [1],
+                                                                        "weights": [1]}), []),
+    "input-error": ("check", FS_DOC, []),
+    "numerical-failure": ("represent", {"moments": SUBNORMAL}, []),
+}
+
+
+def test_verdict_cases_cover_the_exit_code_table():
+    assert set(VERDICT_CASES) == set(cli.EXIT_CODES)
+
+
+def test_readme_exit_code_table_is_the_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \|.*\| (\d) \|$", readme, re.M)
+    assert len(rows) == len(cli.EXIT_CODES)
+    assert {verdict: int(code) for verdict, code in rows} == cli.EXIT_CODES
+
+
+@pytest.mark.parametrize("verdict", sorted(VERDICT_CASES))
+def test_each_verdict_exits_with_its_table_code(tmp_path, capsys, verdict):
+    verb, doc, extra = VERDICT_CASES[verdict]
+    assert main([verb, write(tmp_path, "in.json", doc), *extra]) == cli.EXIT_CODES[verdict]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert (out["verdict"], out["exit_code"], out["verb"]) == (verdict, cli.EXIT_CODES[verdict],
+                                                                verb)
+
+
+def test_wrong_input_kind_names_the_kind(tmp_path, capsys):
+    for verb, doc, kind in [("check", FS_DOC, "moment-sequence"),
+                            ("build-measure", MOMENTS_DOC, "finite-space")]:
+        assert main([verb, write(tmp_path, "in.json", doc)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == f": verb {verb!r} expects a {kind} input file"
+
+
+def test_hb_extend_mixed_scale_target_is_a_named_numerical_failure(tmp_path, capsys, caplog):
+    # t is outside span{big} by its residual (1e-9 against 1e-10 max(1, |t|)),
+    # yet [big, t] fails the rank check (s_min / s_max about 1e-15).
+    doc = {"points": ["a", "b"], "basis": {"big": [1e6, 1e6]}, "functional": {"big": 2e6},
+           "sigma_algebra": [[0], [1]], "targets": {"t": [1.0, 1.000000002]}}
+    assert main(["hb-extend", write(tmp_path, "hb.json", doc)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["error_kind"]) == ("numerical-failure", "RankDetectionAmbiguous")
+    assert not any("unexpected" in r.getMessage() for r in caplog.records)
 
 
 def test_exit_code_totality(tmp_path):

@@ -511,9 +511,10 @@ def test_pipeline_rejects_nonmeasurable_domain():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
 def test_default_designated_trace_as_with_every_indicator_twice(seed, subspace_variant):
-    # The default designated basis is the indicator tuple itself, so the
-    # target list B.basis + indicators holds every indicator twice; the
-    # pipeline passes each once, and its trace is that list's trace.
+    # A designated basis of the indicator objects themselves makes the
+    # target list B.basis + indicators hold every indicator twice; each
+    # second copy is a basis vector of the grown span by then and is
+    # skipped, so the trace is that list's trace.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 12))
     g = ground(n)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from momentkit.cli import EXIT_CODES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
@@ -34,10 +36,15 @@ def test_script_runs(script):
 
 def test_compare_outputs_self_diff(tmp_path):
     dump = tmp_path / "dump.jsonl"
-    proc = _run("compare_outputs.py", "dump", "--workload", "moment-extend", "--seeds", "7",
-                "--out", str(dump))
+    proc = _run("compare_outputs.py", "dump", "--workload", "moment-extend", "edge",
+                "--seeds", "7", "--out", str(dump))
     assert proc.returncode == 0, proc.stderr
-    assert dump.read_text(encoding="utf-8").count("\n") > 0
+    rows = [json.loads(line) for line in dump.read_text(encoding="utf-8").splitlines()]
+    assert any(r["workload"] == "moment-extend" for r in rows)
+    # the edge corpus reaches every verdict of the exit-code table, each with its code
+    edge = [r for r in rows if r["workload"] == "edge"]
+    assert {r["verdict"] for r in edge} == set(EXIT_CODES)
+    assert all(r["exit_code"] == EXIT_CODES[r["verdict"]] for r in edge)
     proc = _run("compare_outputs.py", "diff", str(dump), str(dump))
     assert proc.returncode == 0, proc.stderr
     assert "0 outputs changed" in proc.stdout
