@@ -20,6 +20,7 @@ import argparse
 import numpy as np
 
 import momentkit as mk
+from momentkit.tolerances import GRID_TOL_FLOOR, VERDICT_TOL
 
 
 def run(lo: float, hi: float, steps: int, tol: float) -> None:
@@ -32,7 +33,7 @@ def run(lo: float, hi: float, steps: int, tol: float) -> None:
         grid_col = "-"
         if 0 <= t <= 1:
             m_int = mk.MomentSequence((1.0, 0.0, t, 0.0, t), mk.Support.interval(-1, 1))
-            ok, _ = mk.haviland_grid_check(m_int, grid, max(tol, 1e-7))
+            ok, _ = mk.haviland_grid_check(m_int, grid, max(tol, GRID_TOL_FLOOR))
             grid_col = "pass" if ok else "fail"
         print(f"{t:>10.4f} {lam:>12.3e} {cert.verdict:>18} {grid_col:>11}")
 
@@ -42,6 +43,6 @@ if __name__ == "__main__":
     parser.add_argument("--lo", type=float, default=-0.2)
     parser.add_argument("--hi", type=float, default=1.0)
     parser.add_argument("--steps", type=int, default=13)
-    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--tol", type=float, default=VERDICT_TOL)
     args = parser.parse_args()
     run(args.lo, args.hi, args.steps, args.tol)

@@ -23,13 +23,11 @@ from .errors import (
     TargetNotInWC,
 )
 from .funcspace import (
-    DEFAULT_EPS_SCHEDULE,
     AdaptednessReport,
     FunctionVec,
     GroundSet,
     Subspace,
     check_adapted,
-    cone_contains,
     default_candidates,
     dominates,
     hull_contains,

@@ -53,6 +53,7 @@ from .moments import (
     riesz,
     verify_truncated,
 )
+from .tolerances import BIN_PAD, GRID_TOL_FLOOR, VERDICT_TOL
 
 log = logging.getLogger("momentkit")
 
@@ -80,7 +81,7 @@ EXIT_CODES = {
 class Command(NamedTuple):
     verb: str
     input_path: str
-    tol: float = 1e-8
+    tol: float = VERDICT_TOL
     grid: int = 200
     bins: int = 64
     rule: str = "midpoint"
@@ -166,7 +167,7 @@ def _run_check(cmd: Command, inp: MomentInput) -> RunResult:
     grid_info = {"ran": False}
     if seq.support.kind == "interval" and cmd.grid >= 2:
         grid = np.linspace(seq.support.a, seq.support.b, cmd.grid)
-        ok, worst = haviland_grid_check(seq, grid, max(cmd.tol, 1e-7))
+        ok, worst = haviland_grid_check(seq, grid, max(cmd.tol, GRID_TOL_FLOOR))
         grid_info = {
             "ran": True,
             "points": cmd.grid,
@@ -190,7 +191,7 @@ def _verification(report) -> dict:
 
 def _run_represent(cmd: Command, inp: MomentInput) -> RunResult:
     seq = inp.sequence
-    mu = recover_atoms(seq)
+    mu = recover_atoms(seq, cmd.tol)
     report = verify_truncated(seq, mu, tol=cmd.tol)
     payload = _moment_payload(seq,
                               atomic_measure={"atoms": list(mu.atoms), "weights": list(mu.weights)},
@@ -242,7 +243,7 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
         for name, g in zip(fs.basis_names, fs.domain.basis):
             lo = float(g.values.min())
             hi = float(g.values.max())
-            spec = BinningSpec(lo, hi + max(1.0, hi - lo) * 1e-9, cmd.bins)
+            spec = BinningSpec(lo, hi + max(1.0, hi - lo) * BIN_PAD, cmd.bins)
             phi = approx_below(g, spec)
             rho = seminorm_rho(report.extended, g - phi.as_vec())
             bound = Lt_one * spec.width
@@ -343,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"momentkit {__version__}")
     parser.add_argument("verb", choices=VERBS)
     parser.add_argument("inputs", nargs="+", metavar="INPUT", help="input JSON file(s)")
-    parser.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance (default 1e-8)")
+    parser.add_argument("--tol", type=float, default=VERDICT_TOL,
+                        help=f"verdict tolerance (default {VERDICT_TOL:g})")
     parser.add_argument("--grid", type=int, default=200,
                         help="grid size for the interval cross-check (default 200)")
     parser.add_argument("--bins", type=int, default=64,

@@ -21,9 +21,9 @@ import numpy as np
 
 from .counters import count
 from .errors import EigFailure
+from .tolerances import OFFDIAG_MASS_TOL, SYMMETRY_TOL
 
 SIZE_CAP = 64
-OFFDIAG_MASS_TOL = 1e-14
 MAX_SWEEPS = 60
 
 
@@ -110,7 +110,7 @@ def scaled_symmetric(matrix):
     amax = float(np.abs(a).max()) if n else 0.0
     if not math.isfinite(amax):
         raise EigFailure("matrix contains non-finite entries")
-    if n and np.abs(a - a.T).max() > 1e-12 * amax:
+    if n and np.abs(a - a.T).max() > SYMMETRY_TOL * amax:
         raise EigFailure("matrix is not symmetric")
     e = math.frexp(amax)[1]
     a = np.ldexp(a, -e)

@@ -48,8 +48,8 @@ from .errors import (
 from .frozen import Frozen, set_field
 from .funcspace import DependentBasis, FunctionVec, Subspace, _same_ground, hull_contains
 from .simplex import lp_feasible, solve_lp
+from .tolerances import CHOSEN_SLACK, INTERVAL_TOL, VERDICT_TOL
 
-INTERVAL_TOL = 1e-9
 RULES = ("midpoint", "lo", "hi")
 
 
@@ -90,7 +90,7 @@ class ExtensionStep(Frozen):
 
     def __init__(self, target: FunctionVec, interval_lo: float, interval_hi: float,
                  chosen: float, target_index: int | None = None):
-        if not (interval_lo - 1e-12 <= chosen <= interval_hi + 1e-12):
+        if not (interval_lo - CHOSEN_SLACK <= chosen <= interval_hi + CHOSEN_SLACK):
             raise ValueError("chosen extension value escapes its admissible interval")
         set_field(self, "target", target)
         set_field(self, "interval_lo", interval_lo)
@@ -232,7 +232,7 @@ def extend_to_hull(L: Functional, A: Subspace, hull_basis, rule: str = "midpoint
     return hb_extend(L, hull_basis, rule)
 
 
-def verify_positive(L: Functional, tol: float = 1e-8):
+def verify_positive(L: Functional, tol: float = VERDICT_TOL):
     """Minimum of ``L`` over the normalized cone slice of its domain.
 
     Solves ``min L(v)`` over ``v`` in the span with ``v >= 0`` pointwise and

@@ -1,14 +1,12 @@
 """Finite models of function spaces over a finite ground set.
 
 A function on ``n`` named points is just a length-``n`` vector; subspaces
-are spanned by finitely many of them.  The three structural questions asked
-downstream (is a function in the nonnegative cone, is it absolutely
-dominated by the span, is it dominated up to ``eps`` plus a correction term)
-are settled as follows.  The cone question is a pointwise sign test.  The
-other two are linear-program feasibility over span coefficients, except when
-the span contains the constant function: every function on a finite set is
-bounded, so ``c * 1`` with ``c`` the largest value to dominate lies above it,
-and the answer is yes with no LP.
+are spanned by finitely many of them.  The two structural questions asked
+downstream (is a function absolutely dominated by the span, is it dominated
+up to ``eps`` plus a correction term) are linear-program feasibility over
+span coefficients, except when the span contains the constant function:
+every function on a finite set is bounded, so ``c * 1`` with ``c`` the
+largest value to dominate lies above it, and the answer is yes with no LP.
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ import numpy as np
 from .errors import NotInDomain
 from .frozen import Frozen, FrozenValue, set_field
 from .simplex import lp_feasible
-
-INDEPENDENCE_TOL = 1e-10
-DEFAULT_EPS_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+from .tolerances import ADAPTED_EPS, INDEPENDENCE_TOL
 
 
 class GroundSet(FrozenValue):
@@ -99,7 +95,7 @@ class Subspace:
     """Span of finitely many function vectors (possibly empty).
 
     The basis must be linearly independent; dependence is detected by a
-    singular-value rank check at tolerance 1e-10, which raises
+    singular-value rank check at ``INDEPENDENCE_TOL``, which raises
     :class:`DependentBasis`.  The thin SVD
     ``matrix = U diag(s) Vt`` from that check is kept and answers every
     membership question: ``U @ U.T`` projects onto the span, and the
@@ -132,16 +128,16 @@ class Subspace:
         coefficients = np.asarray(coefficients, dtype=float)
         return FunctionVec(self.ground, self._matrix @ coefficients)
 
-    def coefficients_of(self, f: FunctionVec, tol: float = INDEPENDENCE_TOL) -> np.ndarray:
+    def coefficients_of(self, f: FunctionVec) -> np.ndarray:
         """Basis coefficients of ``f``; raises NotInDomain outside the span.
 
         ``f`` is outside when its distance to the span, the sup norm of
-        ``f`` minus its projection, exceeds ``tol * max(1, |f|_inf)``.
+        ``f`` minus its projection, exceeds ``INDEPENDENCE_TOL * max(1, |f|_inf)``.
         """
         _same_ground(f, self)
         proj = self._u.T @ f.values
         residual = np.abs(self._u @ proj - f.values).max()
-        if residual > tol * max(1.0, np.abs(f.values).max()):
+        if residual > INDEPENDENCE_TOL * max(1.0, np.abs(f.values).max()):
             raise NotInDomain(f"vector is outside the span (residual {residual:.3e})")
         return self._vt.T @ (proj / self._s)
 
@@ -149,13 +145,13 @@ class Subspace:
     def _basis_ids(self) -> frozenset[int]:
         return frozenset(map(id, self.basis))
 
-    def contains(self, f: FunctionVec, tol: float = INDEPENDENCE_TOL) -> bool:
+    def contains(self, f: FunctionVec) -> bool:
         """Is ``f`` in the span?  One of the basis vectors themselves is, with
         no projection."""
         if id(f) in self._basis_ids:
             return True
         try:
-            self.coefficients_of(f, tol)
+            self.coefficients_of(f)
             return True
         except NotInDomain:
             return False
@@ -166,13 +162,6 @@ class Subspace:
     @cached_property
     def _spans_constants(self) -> bool:  # asked once per subspace
         return self.contains(FunctionVec(self.ground, np.ones(self.ground.size)))
-
-
-def cone_contains(f: FunctionVec, tol: float = 0.0) -> bool:
-    """Is ``f`` pointwise nonnegative, allowing dips down to ``-tol``?"""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return bool(np.all(f.values >= -tol))
 
 
 def hull_contains(A: Subspace, f: FunctionVec) -> bool:
@@ -204,19 +193,9 @@ def dominates(g: FunctionVec, f: FunctionVec, B: Subspace, eps: float) -> bool:
     return lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
 
 
-class CandidateTrial(NamedTuple):
-    candidate_index: int
-    results: tuple[tuple[float, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.results)
-
-
 class AdaptednessEntry(NamedTuple):
     target_index: int
     witness_index: int | None
-    trials: tuple[CandidateTrial, ...]
 
     @property
     def passed(self) -> bool:
@@ -231,27 +210,16 @@ class AdaptednessReport(NamedTuple):
         return all(e.passed for e in self.entries)
 
 
-def check_adapted(
-    A: Subspace,
-    B: Subspace,
-    eps_schedule=DEFAULT_EPS_SCHEDULE,
-    candidates=None,
-) -> AdaptednessReport:
-    """For each basis vector ``g`` of ``A``, find the first candidate ``f``
-    with ``|g| <= eps*|f| + h`` solvable for every ``eps`` in the schedule.
+def check_adapted(A: Subspace, B: Subspace, candidates=None) -> AdaptednessReport:
+    """For each basis vector ``g`` of ``A``, the first candidate ``f`` with
+    ``|g| <= eps*|f| + h`` solvable at ``eps = ADAPTED_EPS``.
 
-    The per-candidate, per-eps feasibility rows are kept in the report so a
-    feasibility threshold inside the schedule stays visible.  An ``h`` that
-    works at ``eps`` works at every larger one, so the schedule is walked up
-    from its smallest ``eps`` and the rows above the first feasible one are
-    inferred: a passing candidate costs one :func:`dominates` call, which is
-    one LP, or none when ``span(B)`` contains the constants.
+    The paper asks for an ``h`` in ``span(B)`` at every ``eps > 0``.  An ``h``
+    that works at ``eps`` works at every larger one, so a finite check is
+    settled by its smallest ``eps`` alone: each candidate costs one
+    :func:`dominates` call, which is one LP, or none when ``span(B)``
+    contains the constants.
     """
-    eps_schedule = tuple(float(e) for e in eps_schedule)
-    if not eps_schedule or any(e <= 0 for e in eps_schedule):
-        raise ValueError("eps schedule must be nonempty and positive")
-    if any(later >= earlier for earlier, later in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
     if candidates is None:
         candidates = default_candidates(A)
     candidates = list(candidates)
@@ -260,18 +228,9 @@ def check_adapted(
 
     entries = []
     for gi, g in enumerate(A.basis):
-        trials = []
-        witness = None
-        for ci, f in enumerate(candidates):
-            k = len(eps_schedule)  # rows [0, k) are feasible
-            while k and not dominates(g, f, B, eps_schedule[k - 1]):
-                k -= 1
-            results = tuple((eps, i < k) for i, eps in enumerate(eps_schedule))
-            trials.append(CandidateTrial(ci, results))
-            if all(ok for _, ok in results):
-                witness = ci
-                break
-        entries.append(AdaptednessEntry(gi, witness, tuple(trials)))
+        witness = next((ci for ci, f in enumerate(candidates)
+                        if dominates(g, f, B, ADAPTED_EPS)), None)
+        entries.append(AdaptednessEntry(gi, witness))
     return AdaptednessReport(tuple(entries))
 
 

@@ -22,6 +22,7 @@ from .funcspace import FunctionVec, GroundSet, Subspace
 from .extend import Functional
 from .measure import Measure, SigmaAlgebra
 from .moments import AtomicMeasure, MomentSequence, Support
+from .tolerances import MASS_DUST
 
 SCHEMA_VERSION = "1"
 
@@ -326,7 +327,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         mass = _number_list(raw.get("mass", []), "measure.mass")
         _require(len(mass) == algebra.n_blocks, "measure.mass",
                  f"expected {algebra.n_blocks} masses")
-        _require(all(v >= -1e-12 for v in mass), "measure.mass", "masses must be nonnegative")
+        _require(all(v >= -MASS_DUST for v in mass), "measure.mass", "masses must be nonnegative")
         measure = Measure(algebra, np.asarray(mass))
 
     return FiniteSpaceInput(

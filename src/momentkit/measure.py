@@ -26,7 +26,6 @@ from .errors import (
 from .extend import ExtensionTrace, Functional, extend_to_hull, hb_extend, verify_positive
 from .frozen import Frozen, FrozenValue, set_field
 from .funcspace import (
-    DEFAULT_EPS_SCHEDULE,
     AdaptednessReport,
     FunctionVec,
     GroundSet,
@@ -36,11 +35,8 @@ from .funcspace import (
     default_candidates,
 )
 from .simplex import solve_lp
-
-MEASURABLE_TOL = 1e-10
-MASS_ERROR_TOL = 1e-8
-DENSITY_TOL = 1e-8
-RESIDUAL_TOL = 1e-7
+from .tolerances import (ADAPTED_EPS, DENSITY_TOL, MASS_DUST, MASS_ERROR_TOL, MEASURABLE_TOL,
+                         RESIDUAL_TOL, T_DECAY_SLACK)
 
 
 class SigmaAlgebra(FrozenValue):
@@ -82,16 +78,17 @@ class SigmaAlgebra(FrozenValue):
         starts = np.cumsum([0] + [len(block) for block in self.blocks[:-1]])
         return order, starts
 
-    def block_values(self, f: FunctionVec, tol: float = MEASURABLE_TOL) -> np.ndarray:
+    def block_values(self, f: FunctionVec) -> np.ndarray:
         """Per-block constants of ``f`` (its value at each block's first point);
-        raises, naming the first such block, if ``f`` varies inside a block."""
+        raises, naming the first such block, if ``f`` varies inside a block:
+        its spread there exceeds ``MEASURABLE_TOL * max(1, largest |value|)``."""
         _same_ground(f, self)
         order, starts = self._layout
         vals = f.values[order]
         hi = np.maximum.reduceat(vals, starts)
         lo = np.minimum.reduceat(vals, starts)
         spread = hi - lo
-        varies = spread > tol * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
+        varies = spread > MEASURABLE_TOL * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
         if varies.any():
             i = int(np.argmax(varies))
             raise IntegralOfNonMeasurable(
@@ -99,9 +96,9 @@ class SigmaAlgebra(FrozenValue):
             )
         return vals[starts]
 
-    def is_measurable(self, f: FunctionVec, tol: float = MEASURABLE_TOL) -> bool:
+    def is_measurable(self, f: FunctionVec) -> bool:
         try:
-            self.block_values(f, tol)
+            self.block_values(f)
             return True
         except IntegralOfNonMeasurable:
             return False
@@ -136,7 +133,7 @@ class Measure(Frozen):
         mass = np.atleast_1d(np.asarray(block_mass, dtype=float))
         if mass.shape != (algebra.n_blocks,):
             raise ValueError(f"expected {algebra.n_blocks} masses, got {mass.shape}")
-        if mass.min(initial=0.0) < -1e-12:
+        if mass.min(initial=0.0) < -MASS_DUST:
             raise ValueError("block masses must be nonnegative (clamp upstream)")
         mass = np.where(mass < 0.0, 0.0, mass)
         mass.setflags(write=False)
@@ -215,8 +212,8 @@ def build_measure(Lbar: Functional, alg: SigmaAlgebra) -> Measure:
     """Measure with ``mass(block) = Lbar(indicator)``.
 
     Additivity on block unions is linear algebra.  A block value below
-    -1e-8 raises :class:`NegativeMass` (the functional is not positive);
-    smaller negative dust is clamped to zero.
+    ``-MASS_ERROR_TOL`` raises :class:`NegativeMass` (the functional is not
+    positive); smaller negative dust is clamped to zero.
     """
     return _measure_of_masses(alg, [Lbar(chi) for chi in alg.indicators()])
 
@@ -305,12 +302,20 @@ class RepresentOptions(NamedTuple):
 
 
 class TDecayEntry(NamedTuple):
-    """``ok`` when ``T(g) <= eps*T(f) + 1e-8`` for every eps of the schedule;
-    a witness that is not block-constant has a NaN gap and is never ok."""
+    """The gap ``T(g)`` of a target and ``T(f)`` of its domination witness;
+    a witness that is not block-constant has a NaN gap."""
     target_index: int
     t_target: float
     t_witness: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        """``T(g) <= eps*T(f) + T_DECAY_SLACK`` for every eps in
+        ``[ADAPTED_EPS, 1]``, the range the adaptedness check stands for.
+        The right-hand side, rounding included, is monotone in eps, so the
+        two ends decide it; a NaN gap is never ok."""
+        return all(self.t_target <= eps * self.t_witness + T_DECAY_SLACK
+                   for eps in (1.0, ADAPTED_EPS))
 
 
 class RepresentationReport(NamedTuple):
@@ -395,12 +400,9 @@ def represent_via_adapted(A: Subspace, B: Subspace | None, L: Functional,
             if entry.witness_index is not None:
                 witness_map[entry.target_index] = candidates[entry.witness_index]
 
-    t_decay = []
-    for gi, witness in sorted(witness_map.items()):
-        t_g = residuals[gi]
-        t_f = gap_T(Lt, mu, alg, witness) if alg.is_measurable(witness) else float("nan")
-        ok = all(t_g <= eps * t_f + 1e-8 for eps in DEFAULT_EPS_SCHEDULE)
-        t_decay.append(TDecayEntry(gi, t_g, t_f, ok))
+    t_decay = [TDecayEntry(gi, residuals[gi],
+                           gap_T(Lt, mu, alg, w) if alg.is_measurable(w) else float("nan"))
+               for gi, w in sorted(witness_map.items())]
 
     if Lt.domain.dim == alg.n_blocks:
         # the block-constant functions: Lt is least at a vertex chi_b / |b|

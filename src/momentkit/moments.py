@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .counters import count
-from .eig import OFFDIAG_MASS_TOL, finite, jacobi_eigh, lambda_min, scaled_symmetric
+from .eig import finite, jacobi_eigh, lambda_min, scaled_symmetric
 from .errors import (
     DegreeTooHigh,
     EigFailure,
@@ -28,10 +28,8 @@ from .errors import (
 )
 from .frozen import FrozenValue, set_field
 from .simplex import SIZE_CAP, solve_lp
-
-PSD_TOL = 1e-8
-RANK_PIVOT_KEEP = 1e-10
-RANK_PIVOT_DROP = 1e-12
+from .tolerances import (GRID_SUPPORT_TOL, GRID_VIOLATION_TOL, OFFDIAG_MASS_TOL, PSD_TOL,
+                         RANK_PIVOT_DROP, RANK_PIVOT_KEEP, SUPPORT_TOL, TRUNCATION_TOL)
 
 
 class Support(FrozenValue):
@@ -63,12 +61,13 @@ class Support(FrozenValue):
     def interval(cls, a: float, b: float):
         return cls("interval", float(a), float(b))
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
+    def contains(self, x: float) -> bool:
+        """Is ``x`` in the support, or within ``SUPPORT_TOL`` of it?"""
         if self.kind == "line":
             return True
         if self.kind == "halfline":
-            return x >= -tol
-        return self.a - tol <= x <= self.b + tol
+            return x >= -SUPPORT_TOL
+        return self.a - SUPPORT_TOL <= x <= self.b + SUPPORT_TOL
 
 
 class MomentSequence(FrozenValue):
@@ -177,9 +176,6 @@ class AtomicMeasure(FrozenValue):
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def moment(self, k: int) -> float:
-        return float(sum(w * a**k for a, w in zip(self.atoms, self.weights)))
-
     def moments_to(self, degree: int) -> tuple[float, ...]:
         xs = np.asarray(self.atoms)
         ws = np.asarray(self.weights)
@@ -188,8 +184,8 @@ class AtomicMeasure(FrozenValue):
         finite("a moment of the atomic measure", *moments)
         return moments
 
-    def within_support(self, tol: float = 1e-8) -> bool:
-        return all(self.support.contains(a, tol) for a in self.atoms)
+    def within_support(self) -> bool:
+        return all(self.support.contains(a) for a in self.atoms)
 
 
 class TruncationReport(NamedTuple):
@@ -357,7 +353,7 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
         raise ValueError("grid must be nonempty")
     s = m.support
     lo, hi = {"line": (-np.inf, np.inf), "halfline": (0.0, np.inf)}.get(s.kind, (s.a, s.b))
-    if not np.all((grid >= lo - 1e-12) & (grid <= hi + 1e-12)):
+    if not np.all((grid >= lo - GRID_SUPPORT_TOL) & (grid <= hi + GRID_SUPPORT_TOL)):
         raise ValueError("grid points must lie inside the declared support")
     n_coef = m.max_degree + 1
     vander = np.vander(grid, n_coef, increasing=True)
@@ -385,7 +381,7 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     for _ in range(60):
         coeffs, lam = _witness(active)
         values = vander @ coeffs
-        violated = np.nonzero(values < -1e-12)[0]
+        violated = np.nonzero(values < -GRID_VIOLATION_TOL)[0]
         worst = violated[np.argsort(values[violated])[:16]]
         new = worst[~np.isin(worst, active)]
         if not new.size:
@@ -492,7 +488,7 @@ def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
 
 def verify_truncated(m: MomentSequence, mu: AtomicMeasure,
                      through_degree: int | None = None,
-                     tol: float = 1e-7) -> TruncationReport:
+                     tol: float = TRUNCATION_TOL) -> TruncationReport:
     """Relative moment residuals of the measure against the sequence.
 
     Defaults to degrees 0..2d-1 (the guaranteed range); the degree-2d

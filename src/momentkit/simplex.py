@@ -69,15 +69,8 @@ import numpy as np
 
 from .counters import count
 from .errors import LpFailure
+from .tolerances import FEAS_TOL, LEX_TIE_TOL, PIVOT_TOL, RATIO_TIE_TOL, SMALL_PIVOT
 
-FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-9
-# A pivot on an element below SMALL_PIVOT (rows start at largest entry 1)
-# scales the rounding already in the tableau by its inverse, so a tableau
-# that took one is checked on the rows as posed before it is read.  No
-# finite-space LP of the benchmark pivots below it; about a quarter of the
-# grid check's LPs do.
-SMALL_PIVOT = 1e-3
 SIZE_CAP = 500
 MAX_ITERATIONS = 50_000
 
@@ -117,7 +110,7 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
     """
     ratios = T[rows, -1] / column[rows]
     best = ratios.min()
-    tied = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
+    tied = rows[ratios <= best + RATIO_TIE_TOL * max(1.0, abs(best))]
     if tied.size == 1:
         return int(tied[0])
     # The tie-break runs on 331 of the 3,622 pivots of finite-space seed 7,
@@ -128,13 +121,14 @@ def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
     # as Python float lists: per column, the same min, max and comparisons
     # as numpy's, so the same row wins, at a fraction of the call overhead.
     inv = 1.0 / column[tied]
+    lex_tie_tol = LEX_TIE_TOL  # a local: read once per column of the loop below
     for pos in range(0, scan_order.size, 64):
         chunk = T[np.ix_(tied, scan_order[pos:pos + 64])] * inv[:, None]
         keep = list(range(tied.size))
         for values in chunk.T.tolist():
             vals = [values[i] for i in keep]
             low = min(vals)
-            tol = 1e-15 * max(1.0, abs(low))
+            tol = lex_tie_tol * max(1.0, abs(low))
             if max(vals) - low > tol:
                 keep = [i for i, v in zip(keep, vals) if v <= low + tol]
                 if len(keep) == 1:

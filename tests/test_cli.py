@@ -854,3 +854,15 @@ def test_extend_moments_loose_tol(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "extended"
     assert (doc["extension"]["m_next"], doc["extension"]["m_next_next"]) == (0, 0)
+
+
+def test_represent_loose_tol(tmp_path, capsys):
+    # represent's support gate reads --tol, as extend-moments' does: both
+    # accept (1, 0, -1e-6) at 1e-5, and both refuse it at the default.
+    path = write(tmp_path, "m.json", {"moments": [1, 0, -1e-6]})
+    assert main(["represent", path, "--tol", "1e-5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "represented"
+    assert doc["atomic_measure"] == {"atoms": [0.0], "weights": [1.0]}
+    assert main(["represent", path]) == 1
+    assert json.loads(capsys.readouterr().out)["error_kind"] == "NotPSD"

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from momentkit import counters
-from momentkit.eig import (
-    MAX_SWEEPS,
-    OFFDIAG_MASS_TOL,
-    _jacobi_kernel,
-    jacobi_eigh,
-    lambda_min,
-)
+from momentkit.eig import MAX_SWEEPS, _jacobi_kernel, jacobi_eigh, lambda_min
 from momentkit.errors import EigFailure
+from momentkit.tolerances import OFFDIAG_MASS_TOL
 
 
 def test_identity():

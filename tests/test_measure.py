@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import momentkit as mk
 from momentkit import counters
-from momentkit.measure import MEASURABLE_TOL
+from momentkit.measure import TDecayEntry
+from momentkit.tolerances import MEASURABLE_TOL
 
 from conftest import density_functional, ground, ones, random_partition, vec
 
@@ -45,14 +46,14 @@ def test_block_values_rejects_nonmeasurable():
         alg.block_values(vec(g, [0, 1, 2]))
 
 
-def _block_values_loop(alg, f, tol):
+def _block_values_loop(alg, f):
     """Reference: one block at a time.  Returns ``(values, None)``, or
     ``(None, message)`` naming the first block where ``f`` varies."""
     out = []
     for i, block in enumerate(alg.blocks):
         vals = f.values[list(block)]
         spread = vals.max() - vals.min()
-        if spread > tol * max(1.0, np.abs(vals).max()):
+        if spread > MEASURABLE_TOL * max(1.0, np.abs(vals).max()):
             return None, f"function is not constant on block {i} (spread {spread:.3e})"
         out.append(vals[0])
     return np.array(out), None
@@ -60,41 +61,46 @@ def _block_values_loop(alg, f, tol):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from(["constant", "near", "varies"]),
-       st.sampled_from([MEASURABLE_TOL, 1e-6, 0.5]))
-def test_block_values_matches_a_per_block_loop(seed, n, kind, tol):
+       st.sampled_from([1e-9, 1.0, 1e9]))
+def test_block_values_matches_a_per_block_loop(seed, n, kind, scale):
+    # Levels from 1e-12 to 1e12 reach both sides of the max(1, |value|)
+    # floor, so the spread rule is met both as absolute and as relative.
     rng = np.random.default_rng(seed)
     g = ground(n)
     alg = random_partition(rng, g, int(rng.integers(1, n + 1)))
     values = np.empty(n)
-    for level, block in zip(rng.normal(size=alg.n_blocks) * 10.0 ** rng.integers(-3, 4),
+    for level, block in zip(rng.normal(size=alg.n_blocks) * 10.0 ** rng.integers(-3, 4) * scale,
                             alg.blocks):
         values[list(block)] = level
     if kind == "near":  # spreads about the tolerance, on either side of it
-        values += rng.normal(size=n) * tol * rng.choice([0.1, 1.0, 10.0])
+        values += (rng.normal(size=n) * MEASURABLE_TOL * np.maximum(1.0, np.abs(values))
+                   * rng.choice([0.1, 1.0, 10.0]))
     elif kind == "varies":  # one point moved in each of some blocks of two or more points
         for block in alg.blocks:
             if len(block) > 1 and rng.random() < 0.5:
                 i = block[int(rng.integers(len(block)))]
                 near = rng.random() < 0.75  # a spread about the tolerance, or far above it
-                scale = tol * max(1.0, abs(values[i])) * (rng.uniform(0.5, 2.0) if near else 1e6)
-                values[i] += rng.choice([-1.0, 1.0]) * scale
+                spread = MEASURABLE_TOL * max(1.0, abs(values[i]))
+                values[i] += rng.choice([-1.0, 1.0]) * spread * (
+                    rng.uniform(0.5, 2.0) if near else 1e6)
     f = vec(g, values)
-    want, message = _block_values_loop(alg, f, tol)
-    assert alg.is_measurable(f, tol) == (message is None)
+    want, message = _block_values_loop(alg, f)
+    assert alg.is_measurable(f) == (message is None)
     if message is None:
-        assert np.array_equal(alg.block_values(f, tol), want)
+        assert np.array_equal(alg.block_values(f), want)
     else:
         with pytest.raises(mk.IntegralOfNonMeasurable) as info:
-            alg.block_values(f, tol)
+            alg.block_values(f)
         assert str(info.value) == message
 
 
 def test_block_tolerance_scales_with_the_largest_magnitude():
     g = ground(2)
     alg = mk.SigmaAlgebra(g, ((0, 1),))
-    f = vec(g, [-10.0, -6.0])  # spread 4 <= 0.5 * 10, though > 0.5 * 6
-    assert alg.block_values(f, tol=0.5).tolist() == [-10.0]
-    assert not alg.is_measurable(vec(g, [-10.0, -4.0]), tol=0.5)
+    # spread 1 <= MEASURABLE_TOL * 1e10, though > MEASURABLE_TOL * (1e10 - 1)
+    f = vec(g, [-1e10, -1e10 + 1.0])
+    assert alg.block_values(f).tolist() == [-1e10]
+    assert not alg.is_measurable(vec(g, [-1e10, -1e10 + 2.0]))
 
 
 # --- seminorm ------------------------------------------------------------------------
@@ -435,6 +441,28 @@ def test_t_decay_nonmeasurable_witness_is_not_ok():
     _, report = mk.represent_via_adapted(A, full_simple_domain(g, alg), L, alg, opts)
     (entry,) = report.t_decay
     assert np.isnan(entry.t_witness) and not entry.ok
+
+
+_GAPS = (st.floats() | st.floats(-1e-6, 1e-6)
+         | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, float("nan")]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_GAPS, _GAPS)
+@example(1e-8, 0.0)
+@example(1.0000000000000002e-8, -0.0)
+@example(2e-8, 1e-2)
+@example(1e-8, -1e-300)
+@example(float("nan"), 1.0)
+@example(1.0, float("nan"))
+@example(5e-324, -5e-324)
+def test_t_decay_ends_decide_the_schedule(t_g, t_f):
+    # The gap decay once read a 7-point eps schedule; its right-hand side,
+    # rounding included, is monotone in eps, so the schedule's two ends
+    # decide the same test, NaN, signed zeros and subnormals included.
+    schedule = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    entry = TDecayEntry(0, t_g, t_f)
+    assert entry.ok == all(t_g <= eps * t_f + 1e-8 for eps in schedule)
 
 
 @settings(max_examples=40, deadline=None)
