@@ -457,9 +457,9 @@ _GAPS = (st.floats() | st.floats(-1e-6, 1e-6)
 @example(1.0, float("nan"))
 @example(5e-324, -5e-324)
 def test_t_decay_ends_decide_the_schedule(t_g, t_f):
-    # The gap decay once read a 7-point eps schedule; its right-hand side,
-    # rounding included, is monotone in eps, so the schedule's two ends
-    # decide the same test, NaN, signed zeros and subnormals included.
+    # The reference is the test on a 7-point eps schedule.  Its right-hand
+    # side, rounding included, is monotone in eps, so the schedule's two
+    # ends decide it, NaN, signed zeros and subnormals included.
     schedule = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     entry = TDecayEntry(0, t_g, t_f)
     assert entry.ok == all(t_g <= eps * t_f + 1e-8 for eps in schedule)

@@ -32,8 +32,8 @@ def _small_float(text: str) -> bool:
 def _names_read(path: Path) -> set[str]:
     """The names a module uses outside its import statements."""
     names, statement = set(), []
-    for tok in _tokens(path) + [None]:
-        if tok is None or tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+    for tok in _tokens(path):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
             if statement and statement[0].string not in ("import", "from"):
                 names.update(t.string for t in statement if t.type == tokenize.NAME)
             statement = []
