@@ -29,9 +29,23 @@ cost.  Plain smallest-index (Bland) pricing was tried first and stalled for
 tens of thousands of degenerate pivots on the grid-positivity LPs.  The
 rule needs each row to start with a positive entry in a column of its own:
 an artificial column, or its slack column, which is scaled with its row to
-``1 / row_scale``.  Ties in the ratio test are broken by walking the tied
-rows over the scan order as Python float lists; the LPs here are small, so
-the pivot loop's cost is interpreter overhead more than arithmetic.
+``1 / row_scale``.
+
+The LPs here are small (a Hahn-Banach step on the finite-space benchmark
+inputs has 1-7 rows and takes about 6 pivots), so a solve costs interpreter
+overhead more than arithmetic, in two parts.  The fixed work per solve builds
+the tableau in place (rows, slacks, the free-variable split, right-hand
+side, equilibration and sign flips written straight into it), prices each
+objective with one reduction over the basic rows that carry a cost, and
+reads out ``x`` and the multipliers with the per-call constants worked out
+once.  The work per pivot is the ratio test on the entering column and the
+right-hand side, run on Python float lists as is the lexicographic
+tie-break, and the elimination.  Both keep the operation order of a plain
+numpy solve, so every pivot and every rounding is the same: the solver
+returns bit for bit the status, pivots, ``x``, objective and multipliers
+(signs of zero included) of the reference kept in ``tests/test_simplex.py``,
+which builds a separate constraint matrix and prices with a loop of row
+subtractions.
 
 Before the tableau is built, inequality rows with equal coefficients are
 merged into one row at their smallest right-hand side, kept in the order of
@@ -97,30 +111,36 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T -= factors[:, None] * T[row]
 
 
-def _leaving_row(T: np.ndarray, column: np.ndarray, rows: np.ndarray,
-                 scan_order: np.ndarray) -> int:
+def _leaving_row(T: np.ndarray, column: list, rows: list, scan_order: np.ndarray) -> int:
     """Min-ratio row, ties broken by the lexicographic rule.
 
-    Rows are compared as ``T[i, scan_order] / column[i]``; with the
-    right-hand side scanned first and one identity column per row early in
-    the order (positive in that row alone; a slack's entry is ``1 /
-    row_scale``), every row is lexicographically positive and the comparison
-    has a unique winner, which makes cycling impossible.  Columns on which
-    all still-tied rows agree are skipped.
+    ``column`` is the entering column as a list of Python floats and ``rows``
+    the rows where it is above ``PIVOT_TOL``.  Rows are compared as
+    ``T[i, scan_order] / column[i]``; with the right-hand side scanned first
+    and one identity column per row early in the order (positive in that row
+    alone; a slack's entry is ``1 / row_scale``), every row is
+    lexicographically positive and the comparison has a unique winner, which
+    makes cycling impossible.  Columns on which all still-tied rows agree are
+    skipped.
     """
-    ratios = T[rows, -1] / column[rows]
-    best = ratios.min()
-    tied = rows[ratios <= best + RATIO_TIE_TOL * max(1.0, abs(best))]
-    if tied.size == 1:
-        return int(tied[0])
+    # The ratio test and the tie-break run on Python floats: per value, the
+    # same IEEE divisions, min, max and comparisons as numpy's, so the same
+    # row wins, at a fraction of the call overhead on these short columns.
+    rhs = T[:, -1].tolist()
+    ratios = [rhs[i] / column[i] for i in rows]
+    best = min(ratios)
+    bound = best + RATIO_TIE_TOL * max(1.0, abs(best))
+    tied = [i for i, r in zip(rows, ratios) if r <= bound]
+    if len(tied) == 1:
+        return tied[0]
     # The tie-break runs on 331 of the 3,622 pivots of finite-space seed 7,
     # blocks 0-1, but on only 9 of the 858 grid-check pivots of moment-check
     # seeds 7 and 8, block 0.  Its first informative column is nearly always
     # among the first 20 of the scan order, so the tied rows are gathered in
     # 64-column chunks (a grid tableau has hundreds of columns) and walked
-    # as Python float lists: per column, the same min, max and comparisons
-    # as numpy's, so the same row wins, at a fraction of the call overhead.
-    inv = 1.0 / column[tied]
+    # as lists.
+    inv = 1.0 / np.array([column[i] for i in tied])
+    tied = np.array(tied)
     lex_tie_tol = LEX_TIE_TOL  # a local: read once per column of the loop below
     for pos in range(0, scan_order.size, 64):
         chunk = T[np.ix_(tied, scan_order[pos:pos + 64])] * inv[:, None]
@@ -142,23 +162,37 @@ def _iterate(T: np.ndarray, basis: np.ndarray, enter_cols: int,
     """Pivot until optimal/unbounded; returns (status, pivots used, smallest
     pivot element)."""
     used, smallest = 0, np.inf
+    reduced = T[-1, :enter_cols]
     while used < budget:
-        reduced = T[-1, :enter_cols]
         col = int(reduced.argmin()) if enter_cols else 0  # the first on a tie
         if not enter_cols or reduced[col] >= -PIVOT_TOL:
             return "optimal", used, smallest
 
-        column = T[:-1, col]
-        rows = np.nonzero(column > PIVOT_TOL)[0]
-        if rows.size == 0:
+        column = T[:-1, col].tolist()
+        rows = [i for i, v in enumerate(column) if v > PIVOT_TOL]
+        if not rows:
             return "unbounded", used, smallest
         row = _leaving_row(T, column, rows, scan_order)
 
-        smallest = min(smallest, float(column[row]))
+        smallest = min(smallest, column[row])
         _pivot(T, row, col)
         basis[row] = col
         used += 1
     raise LpFailure(f"simplex did not converge within {budget} pivots")
+
+
+def _price(T: np.ndarray, rows: np.ndarray, prices, cost: np.ndarray) -> None:
+    """Set the objective row ``T[-1]`` to ``cost`` minus ``prices[i] * T[rows[i]]``
+    for each i in turn; ``prices`` is a column, one price per row, or 1.0.
+
+    The subtractions are one reduction over the stacked rows, in row order:
+    the roundings of a loop of in-place subtractions, which a matrix product
+    would not keep.
+    """
+    stack = np.empty((rows.size + 1, T.shape[1]))
+    stack[0] = cost
+    np.multiply(prices, T[rows], out=stack[1:])
+    np.subtract.reduce(stack, axis=0, out=T[-1])
 
 
 def _merge_copies(a_ub: np.ndarray, b_ub: np.ndarray):
@@ -252,17 +286,20 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     phase 1 once plus every phase 2, and the call counts as one solve in
     :mod:`momentkit.counters`.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+    # Reshapes in place of np.atleast_1d and np.atleast_2d, which cost more
+    # per call than these small LPs can spare.
+    c = np.asarray(c, dtype=float)
+    c = c.reshape(1) if c.ndim == 0 else c
     if c.ndim > 2 or c.ndim == 2 and c.shape[0] == 0:
         raise LpFailure(f"objective must have shape (n,) or (k, n) with k >= 1, got {c.shape}")
-    costs = np.atleast_2d(c)  # one row per objective
+    costs = c[None] if c.ndim == 1 else c  # one row per objective
     k, n = costs.shape
 
     def _block(a, b, name):
         if a is None:
             return np.zeros((0, n)), np.zeros(0)
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        a, b = (a.reshape(1, -1) if a.ndim < 2 else a), (b.reshape(1) if b.ndim == 0 else b)
         if a.shape != (b.shape[0], n):
             raise LpFailure(f"{name} shape mismatch: {a.shape} vs rhs {b.shape} and {n} vars")
         return a, b
@@ -278,8 +315,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         raise LpFailure(
             f"problem exceeds desk-scale cap: {m} rows, {n_struct} structural columns (max {SIZE_CAP})"
         )
-    if not (np.isfinite(a_ub).all() and np.isfinite(b_ub).all() and np.isfinite(a_eq).all()
-            and np.isfinite(b_eq).all() and np.isfinite(costs).all()):
+    # The largest magnitude in each row and each objective: a NaN or an
+    # infinity shows in them, and they are the row and objective scales.
+    ub_max = np.maximum.reduce(np.abs(a_ub), axis=1, initial=1.0)
+    eq_max = np.maximum.reduce(np.abs(a_eq), axis=1, initial=1.0)
+    obj_scales = np.maximum.reduce(np.abs(costs), axis=1, initial=1.0)
+    if not np.isfinite(np.concatenate([ub_max, eq_max, obj_scales, b_ub, b_eq])).all():
         raise LpFailure("LP data contains non-finite entries")
 
     # Presolve: copied inequality rows become one row at their smallest
@@ -289,106 +330,116 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     if m_ub > 1 and n:
         ub_rows = _merge_copies(a_ub, b_ub)
         if ub_rows is not None:
-            a_ub, b_ub = a_ub[ub_rows], b_ub[ub_rows]
+            a_ub, b_ub, ub_max = a_ub[ub_rows], b_ub[ub_rows], ub_max[ub_rows]
             m_ub = ub_rows.size
             m = m_ub + m_eq
             n_struct = n_var + m_ub
 
-    # Split free variables, append slacks: columns are [x+, x-, slack] or,
-    # with nonneg, [x, slack].
-    A = np.zeros((m, n_struct))
-    A[:m_ub, :n] = a_ub
-    A[m_ub:, :n] = a_eq
-    if not nonneg:
-        A[:, n:2 * n] = -A[:, :n]
-    A[:m_ub, n_var:] = np.eye(m_ub)
-    b = np.concatenate([b_ub, b_eq])
-
-    # Mild row equilibration keeps the fixed tolerances meaningful.  It
-    # scales the slack columns too: nothing reads a slack's value, and the
-    # multipliers undo the scale.
-    row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
-    row_scale[row_scale < 1.0] = 1.0
-    A /= row_scale[:, None]
-    b = b / row_scale
-
-    # Nonnegative right-hand side; slack columns flip sign with their row.
-    flip = b < 0
-    A[flip] *= -1.0
-    b = np.abs(b)
+    # Mild row equilibration keeps the fixed tolerances meaningful: each row
+    # is divided by the largest of 1, its coefficients and its right-hand
+    # side, so every scaled right-hand side lies in [-1, 1].  Rows with a
+    # negative one are then flipped.  Dividing by the negated scale is that
+    # division and flip bit for bit, signs of zero included; multiplying by
+    # a signed reciprocal is not.  The slack columns are scaled and flipped
+    # with their rows: nothing reads a slack's value, and the multipliers
+    # undo the scale.
+    rhs = np.concatenate([b_ub, b_eq])
+    scale = np.maximum(np.concatenate([ub_max, eq_max]), np.abs(rhs))
+    rhs /= scale
+    flip = rhs < 0
+    signed = np.where(flip, -scale, scale)
 
     # Rows whose slack survived unflipped start basic; the rest get
     # artificials.  Either way each row has an identity column: positive in
     # that row alone.
-    needs_art = np.ones(m, dtype=bool)
-    needs_art[:m_ub] = flip[:m_ub]
-    art_rows = np.nonzero(needs_art)[0]
-    n_art = int(art_rows.size)
+    flipped_ub = flip[:m_ub].nonzero()[0]
+    art_rows = np.concatenate([flipped_ub, np.arange(m_ub, m)])
+    n_art = art_rows.size
     n_total = n_struct + n_art
+    art_cols = np.arange(n_struct, n_total)
     identity_col = np.arange(n_var, n_var + m)
-    identity_col[art_rows] = np.arange(n_struct, n_total)
+    identity_col[art_rows] = art_cols
     basis = identity_col.copy()
 
+    # The tableau, built in place: columns [x+, x-, slack, artificial, rhs]
+    # or, with nonneg, [x, slack, artificial, rhs]; the last row prices.
     T = np.zeros((m + 1, n_total + 1))
-    T[:m, :n_struct] = A
-    T[:m, -1] = b
-    T[art_rows, identity_col[art_rows]] = 1.0
+    T[:m_ub, :n] = a_ub
+    T[m_ub:m, :n] = a_eq
+    if m_ub:  # each inequality row's slack
+        T[:m_ub, n_var:n_struct].flat[::m_ub + 1] = 1.0
+    T[:m, :n_struct] /= signed[:, None]
+    if not nonneg:
+        np.negative(T[:m, :n], out=T[:m, n:n_var])
+    T[art_rows, art_cols] = 1.0
+    np.abs(rhs, out=T[:m, -1])
     T0, unit = T[:m].copy(), identity_col  # the rows as posed, for the final check
 
     # Lexicographic scan order: per-row identity columns first (the
     # right-hand side is always compared before this order kicks in), then
-    # the remaining columns by index.
-    rest = np.ones(n_total, dtype=bool)
-    rest[identity_col] = False
-    scan_order = np.concatenate([identity_col, np.nonzero(rest)[0]])
+    # the remaining columns by index: the variables' and the slacks of the
+    # rows that took an artificial.
+    scan_order = np.concatenate([identity_col, np.arange(n_var), n_var + flipped_ub])
 
     iterations, smallest = 0, np.inf
 
-    # Phase 1: minimize the artificial mass.
+    # Phase 1: minimize the artificial mass.  Every scaled right-hand side
+    # is at most 1 in magnitude, so the mass left is compared with FEAS_TOL.
     if n_art:
         T[-1, n_struct:n_total] = 1.0
-        for i in art_rows:
-            T[-1] -= T[i]
+        _price(T, art_rows, 1.0, T[-1])
         status, used, smallest = _iterate(T, basis, n_struct, scan_order, MAX_ITERATIONS)
         iterations += used
         if status != "optimal":
             raise LpFailure("phase 1 reported an unbounded artificial objective")
-        if -T[-1, -1] > FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+        if -T[-1, -1] > FEAS_TOL:
             count(lp_solves=1, lp_iterations=iterations)
             return LpSolution("infeasible", None, None, iterations)
         # Pivot lingering artificials out of the basis where possible.
-        keep = np.ones(m, dtype=bool)
-        for i in np.nonzero(basis >= n_struct)[0]:
+        redundant = []
+        for i in (basis >= n_struct).nonzero()[0].tolist():
             row = T[i, :n_struct]
-            nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
+            nz = (np.abs(row) > PIVOT_TOL).nonzero()[0]
             if nz.size:
                 smallest = min(smallest, abs(float(row[nz[0]])))
                 _pivot(T, i, int(nz[0]))
                 basis[i] = int(nz[0])
             else:
-                keep[i] = False  # redundant constraint
-        if not keep.all():
+                redundant.append(i)
+        if redundant:
+            keep = np.ones(m, dtype=bool)
+            keep[redundant] = False
             T0, unit = T0[keep], identity_col[keep]
             T = np.vstack([T[:m][keep], T[-1:]])
             basis = basis[keep]
-            m = int(keep.sum())
+            m -= len(redundant)
 
     # Phase 2: price each objective on its own copy of the phase-1 tableau
     # (the last one on the tableau itself).  Artificial columns stay in the
     # tableau (they keep rows lexicographically positive) but are barred from
-    # entering.
+    # entering.  Every objective starts from the phase-1 basis, and a basic
+    # column is 0 off its own row, so its price is its cost.
+    cost_rows = np.zeros((k, n_total + 1))
+    np.divide(costs, obj_scales[:, None], out=cost_rows[:, :n])
+    if not nonneg:
+        np.negative(cost_rows[:, :n], out=cost_rows[:, n:n_var])
+    prices = cost_rows[:, basis, None]
+
+    # The read-out's constants.  A slack column was scaled and flipped with
+    # its row, so its reduced cost is the a_ub multiplier up to the
+    # objective's scale; an artificial is a unit column of the scaled,
+    # flipped row.  An equality row dropped as redundant leaves an all-zero
+    # artificial column, so its multiplier is 0.  A merged row's multiplier
+    # sits on its copy at the smallest right-hand side.
+    ub_duals = slice(0, m_ub) if ub_rows is None else ub_rows
+    eq_duals, eq_cols = slice(m_caller - m_eq, m_caller), slice(n_total - m_eq, n_total)
+    eq_sign, eq_scale = np.where(flip[m_ub:], 1.0, -1.0), scale[m_ub:]
+
     xs, objs, ys = [], [], []
-    for j, cj in enumerate(costs):
+    for j, (cj, cost, obj_scale) in enumerate(zip(costs, cost_rows, obj_scales.tolist())):
         Tj, bj = (T, basis) if j == k - 1 else (T.copy(), basis.copy())
-        Tj[-1, :] = 0.0
-        Tj[-1, :n] = cj
-        if not nonneg:
-            Tj[-1, n:2 * n] = -cj
-        obj_scale = max(1.0, float(np.abs(cj).max(initial=0.0)))
-        Tj[-1, :n_struct] /= obj_scale
-        cost = Tj[-1].copy()
-        for i in np.nonzero(Tj[-1, bj])[0]:  # a basic column is 0 off its own row
-            Tj[-1] -= Tj[-1, bj[i]] * Tj[i]
+        rows = prices[j, :, 0].nonzero()[0]
+        _price(Tj, rows, prices[j, rows], cost)
         status, used, small = _iterate(Tj, bj, n_struct, scan_order, MAX_ITERATIONS - iterations)
         iterations += used
         if status == "optimal" and min(smallest, small) < SMALL_PIVOT:
@@ -401,24 +452,14 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
 
         full = np.zeros(n_total)
         full[bj] = Tj[:m, -1]
-        x = full[:n] if nonneg else full[:n] - full[n:2 * n]
+        x = full[:n] if nonneg else full[:n] - full[n:n_var]
         xs.append(x)
         objs.append(float(cj @ x))
-
-        # Multipliers from the final objective row.  A slack column was scaled
-        # and flipped with its row, so its reduced cost is the a_ub multiplier
-        # up to obj_scale; an artificial is a unit column of the scaled,
-        # flipped row.  An equality row dropped as redundant leaves an
-        # all-zero artificial column, so its multiplier is 0.
-        y = Tj[-1, n_var:n_struct] * -obj_scale
+        y = np.zeros(m_caller)
+        if m_ub:
+            y[ub_duals] = Tj[-1, n_var:n_struct] * -obj_scale
         if m_eq:
-            sign = np.where(flip[m_ub:], obj_scale, -obj_scale)
-            y = np.concatenate([y, sign * Tj[-1, n_total - m_eq:n_total] / row_scale[m_ub:]])
-        if ub_rows is not None:
-            duals = np.zeros(m_caller)
-            duals[ub_rows] = y[:m_ub]
-            duals[m_caller - m_eq:] = y[m_ub:]
-            y = duals
+            y[eq_duals] = eq_sign * obj_scale * Tj[-1, eq_cols] / eq_scale
         ys.append(y)
     count(lp_solves=1, lp_iterations=iterations)
 

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = {
     "certificate_boundary_sweep.py": ["--steps", "3"],
     "extension_rules_demo.py": ["--points", "4", "--dim-w", "2", "--targets", "2"],
+    "lp_replay.py": ["--workload", "moment-check", "--seeds", "7", "--repeats", "1"],
     "roundtrip_stats.py": ["--trials", "20", "--max-atoms", "3"],
     "src_lines.py": [],
 }
@@ -91,3 +92,14 @@ def test_compare_outputs_drift_per_path(tmp_path):
     assert not any("witness_value" in line or "lp_solves" in line for line in lines)
     assert "max float drift 0.25" in proc.stdout
     assert "differences: 0" in proc.stdout
+
+
+def test_lp_replay_against_its_own_checkout():
+    # --root captures in a child process and replays that checkout's solver
+    # beside this one's: on the same checkout, every bit must agree.
+    proc = _run("lp_replay.py", "--workload", "finite-space", "--seeds", "7", "--repeats", "1",
+                "--root", str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert "extend.hb_extend_step" in proc.stdout
+    assert "captures bitwise equal across checkouts: True" in proc.stdout
+    assert "root's solver bitwise equal on this capture: True" in proc.stdout

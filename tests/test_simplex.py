@@ -568,9 +568,309 @@ def test_leaving_row_ties_past_the_first_chunk():
     T[2, 130] -= 1.0
     column = np.array([1.0, 2.0, 1.0, -1.0])
     rows, scan_order = np.array([0, 1, 2]), np.arange(200)
-    assert simplex._leaving_row(T, column, rows, scan_order) == 2
+    # simplex._leaving_row takes the entering column and its rows as lists
+    assert simplex._leaving_row(T, column.tolist(), rows.tolist(), scan_order) == 2
     assert _reference_leaving_row(T, column, rows, scan_order) == 2
     # without the columns that tell them apart, the first tied row wins
     for order in (np.arange(100), np.r_[np.arange(100), np.arange(101, 130)]):
-        assert simplex._leaving_row(T, column, rows, order) == 0
+        assert simplex._leaving_row(T, column.tolist(), rows.tolist(), order) == 0
         assert _reference_leaving_row(T, column, rows, order) == 0
+
+
+# --- the whole solve against its reference ------------------------------------------
+
+def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg=False):
+    # solve_lp as it was before it built the tableau in place: a separate A
+    # and b, equilibrated and flipped there, a pricing loop of in-place row
+    # subtractions, the read-out's constants worked out per objective and a
+    # phase-1 test scaled by the largest right-hand side.  The oracle the
+    # solver must match bit for bit; its helpers are read off the module, so
+    # the reference pivot loop above can stand in for simplex._iterate.
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.ndim > 2 or c.ndim == 2 and c.shape[0] == 0:
+        raise LpFailure(f"objective must have shape (n,) or (k, n) with k >= 1, got {c.shape}")
+    costs = np.atleast_2d(c)  # one row per objective
+    k, n = costs.shape
+
+    def _block(a, b, name):
+        if a is None:
+            return np.zeros((0, n)), np.zeros(0)
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        if a.shape != (b.shape[0], n):
+            raise LpFailure(f"{name} shape mismatch: {a.shape} vs rhs {b.shape} and {n} vars")
+        return a, b
+
+    a_ub, b_ub = _block(a_ub, b_ub, "a_ub")
+    a_eq, b_eq = _block(a_eq, b_eq, "a_eq")
+    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
+    m = m_ub + m_eq
+
+    n_var = n if nonneg else 2 * n  # columns of x: [x] or [x+, x-]
+    n_struct = n_var + m_ub
+    if m > simplex.SIZE_CAP or n_struct > simplex.SIZE_CAP:
+        raise LpFailure(
+            f"problem exceeds desk-scale cap: {m} rows, {n_struct} structural columns "
+            f"(max {simplex.SIZE_CAP})"
+        )
+    if not (np.isfinite(a_ub).all() and np.isfinite(b_ub).all() and np.isfinite(a_eq).all()
+            and np.isfinite(b_eq).all() and np.isfinite(costs).all()):
+        raise LpFailure("LP data contains non-finite entries")
+
+    # Presolve: copied inequality rows become one row at their smallest
+    # right-hand side (see the module docstring); ``ub_rows`` is the caller
+    # row that carries each kept row's multiplier.
+    m_caller, ub_rows = m, None
+    if m_ub > 1 and n:
+        ub_rows = simplex._merge_copies(a_ub, b_ub)
+        if ub_rows is not None:
+            a_ub, b_ub = a_ub[ub_rows], b_ub[ub_rows]
+            m_ub = ub_rows.size
+            m = m_ub + m_eq
+            n_struct = n_var + m_ub
+
+    # Split free variables, append slacks: columns are [x+, x-, slack] or,
+    # with nonneg, [x, slack].
+    A = np.zeros((m, n_struct))
+    A[:m_ub, :n] = a_ub
+    A[m_ub:, :n] = a_eq
+    if not nonneg:
+        A[:, n:2 * n] = -A[:, :n]
+    A[:m_ub, n_var:] = np.eye(m_ub)
+    b = np.concatenate([b_ub, b_eq])
+
+    # Mild row equilibration keeps the fixed tolerances meaningful.  It
+    # scales the slack columns too: nothing reads a slack's value, and the
+    # multipliers undo the scale.
+    row_scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
+    row_scale[row_scale < 1.0] = 1.0
+    A /= row_scale[:, None]
+    b = b / row_scale
+
+    # Nonnegative right-hand side; slack columns flip sign with their row.
+    flip = b < 0
+    A[flip] *= -1.0
+    b = np.abs(b)
+
+    # Rows whose slack survived unflipped start basic; the rest get
+    # artificials.  Either way each row has an identity column: positive in
+    # that row alone.
+    needs_art = np.ones(m, dtype=bool)
+    needs_art[:m_ub] = flip[:m_ub]
+    art_rows = np.nonzero(needs_art)[0]
+    n_art = int(art_rows.size)
+    n_total = n_struct + n_art
+    identity_col = np.arange(n_var, n_var + m)
+    identity_col[art_rows] = np.arange(n_struct, n_total)
+    basis = identity_col.copy()
+
+    T = np.zeros((m + 1, n_total + 1))
+    T[:m, :n_struct] = A
+    T[:m, -1] = b
+    T[art_rows, identity_col[art_rows]] = 1.0
+    T0, unit = T[:m].copy(), identity_col  # the rows as posed, for the final check
+
+    # Lexicographic scan order: per-row identity columns first (the
+    # right-hand side is always compared before this order kicks in), then
+    # the remaining columns by index.
+    rest = np.ones(n_total, dtype=bool)
+    rest[identity_col] = False
+    scan_order = np.concatenate([identity_col, np.nonzero(rest)[0]])
+
+    iterations, smallest = 0, np.inf
+
+    # Phase 1: minimize the artificial mass.
+    if n_art:
+        T[-1, n_struct:n_total] = 1.0
+        for i in art_rows:
+            T[-1] -= T[i]
+        status, used, smallest = simplex._iterate(T, basis, n_struct, scan_order,
+                                                  simplex.MAX_ITERATIONS)
+        iterations += used
+        if status != "optimal":
+            raise LpFailure("phase 1 reported an unbounded artificial objective")
+        if -T[-1, -1] > simplex.FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+            return simplex.LpSolution("infeasible", None, None, iterations)
+        # Pivot lingering artificials out of the basis where possible.
+        keep = np.ones(m, dtype=bool)
+        for i in np.nonzero(basis >= n_struct)[0]:
+            row = T[i, :n_struct]
+            nz = np.nonzero(np.abs(row) > simplex.PIVOT_TOL)[0]
+            if nz.size:
+                smallest = min(smallest, abs(float(row[nz[0]])))
+                simplex._pivot(T, i, int(nz[0]))
+                basis[i] = int(nz[0])
+            else:
+                keep[i] = False  # redundant constraint
+        if not keep.all():
+            T0, unit = T0[keep], identity_col[keep]
+            T = np.vstack([T[:m][keep], T[-1:]])
+            basis = basis[keep]
+            m = int(keep.sum())
+
+    # Phase 2: price each objective on its own copy of the phase-1 tableau
+    # (the last one on the tableau itself).  Artificial columns stay in the
+    # tableau (they keep rows lexicographically positive) but are barred from
+    # entering.
+    xs, objs, ys = [], [], []
+    for j, cj in enumerate(costs):
+        Tj, bj = (T, basis) if j == k - 1 else (T.copy(), basis.copy())
+        Tj[-1, :] = 0.0
+        Tj[-1, :n] = cj
+        if not nonneg:
+            Tj[-1, n:2 * n] = -cj
+        obj_scale = max(1.0, float(np.abs(cj).max(initial=0.0)))
+        Tj[-1, :n_struct] /= obj_scale
+        cost = Tj[-1].copy()
+        for i in np.nonzero(Tj[-1, bj])[0]:  # a basic column is 0 off its own row
+            Tj[-1] -= Tj[-1, bj[i]] * Tj[i]
+        status, used, small = simplex._iterate(Tj, bj, n_struct, scan_order,
+                                               simplex.MAX_ITERATIONS - iterations)
+        iterations += used
+        if status == "optimal" and min(smallest, small) < simplex.SMALL_PIVOT:
+            status, used = simplex._settle(Tj, bj, T0, unit, cost, n_struct, scan_order,
+                                           simplex.MAX_ITERATIONS - iterations)
+            iterations += used
+        if status == "unbounded":
+            return simplex.LpSolution("unbounded", None, None, iterations)
+
+        full = np.zeros(n_total)
+        full[bj] = Tj[:m, -1]
+        x = full[:n] if nonneg else full[:n] - full[n:2 * n]
+        xs.append(x)
+        objs.append(float(cj @ x))
+
+        # Multipliers from the final objective row.  A slack column was scaled
+        # and flipped with its row, so its reduced cost is the a_ub multiplier
+        # up to obj_scale; an artificial is a unit column of the scaled,
+        # flipped row.  An equality row dropped as redundant leaves an
+        # all-zero artificial column, so its multiplier is 0.
+        y = Tj[-1, n_var:n_struct] * -obj_scale
+        if m_eq:
+            sign = np.where(flip[m_ub:], obj_scale, -obj_scale)
+            y = np.concatenate([y, sign * Tj[-1, n_total - m_eq:n_total] / row_scale[m_ub:]])
+        if ub_rows is not None:
+            duals = np.zeros(m_caller)
+            duals[ub_rows] = y[:m_ub]
+            duals[m_caller - m_eq:] = y[m_ub:]
+            y = duals
+        ys.append(y)
+
+    if c.ndim == 1:
+        return simplex.LpSolution("optimal", xs[0], objs[0], iterations, ys[0])
+    return simplex.LpSolution("optimal", np.array(xs), np.array(objs), iterations,
+                              np.array(ys))
+
+
+def _outcome(solve, c, kwargs):
+    """What a solve returns, down to the bits (signs of zero included), or
+    its LpFailure message."""
+    try:
+        sol = solve(c, **kwargs)
+    except LpFailure as exc:
+        return f"LpFailure: {exc}"
+    return (sol.status, sol.iterations, type(sol.objective)) + tuple(
+        None if v is None else (np.shape(v), np.asarray(v, dtype=float).tobytes())
+        for v in (sol.x, sol.objective, sol.duals))
+
+
+def _stopping_once(iterate):
+    # A pivot loop whose first phase-2 call (no artificial column in the
+    # basis) reports a tiny pivot and stops at once: the final check then
+    # finds a basis that is not optimal and repairs it.
+    calls = []
+
+    def stop_first(T, basis, enter_cols, *args):
+        if not calls and (basis < enter_cols).all():
+            calls.append(None)
+            return "optimal", 0, 1e-9
+        return iterate(T, basis, enter_cols, *args)
+    return stop_first
+
+
+def _draw_lp(data, rng):
+    """An LP of any kind solve_lp takes: inequalities, equalities or both,
+    free or nonneg, 1-D c or k = 1-3 objectives, m = 0 or n = 0, copied
+    inequality rows, negative and signed-zero right-hand sides, redundant
+    equalities, tiny entries (small pivots), and malformed input."""
+    n = data.draw(st.sampled_from([3, 1, 2, 4, 5, 0]))
+    integers = data.draw(st.booleans())  # small integers: degenerate vertices and ties
+
+    def rows(count):
+        if integers:
+            a = rng.integers(-2, 3, size=(count, n)).astype(float)
+        else:
+            a = rng.normal(size=(count, n)) * 10.0 ** rng.integers(-3, 4, size=(count, 1))
+        return np.where(rng.random(a.shape) < 0.15, -0.0, a)
+
+    # Half the draws are feasible by construction: the rows hold at x0 with
+    # slacks of 0 (degenerate) or more; the rest take any right-hand side.
+    nonneg, feasible = data.draw(st.booleans()), data.draw(st.booleans())
+    x0 = rng.integers(0, 3, size=n) - (0.0 if nonneg else 1.0)
+
+    def rhs(a, slack):
+        if feasible:
+            b = a @ x0 + slack * rng.choice([0.0, 0.0, 1.0], size=len(a))
+        elif integers:
+            b = rng.choice([0.0, 1.0, -1.0, 2.0, 0.5], size=len(a))
+        else:
+            b = np.where(rng.random(len(a)) < 0.3, 0.0, rng.normal(size=len(a)))
+        return np.where(b == 0.0, rng.choice([0.0, -0.0], size=len(a)), b)
+
+    m_ub, m_eq = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 3))
+    a_ub, a_eq = rows(m_ub), rows(m_eq)
+    if n and data.draw(st.booleans()):  # one tiny column: pivots below SMALL_PIVOT
+        col = rng.integers(n)
+        a_ub[:, col] *= 1e-6
+        a_eq[:, col] *= 1e-6
+    b_ub, b_eq = rhs(a_ub, 1.0), rhs(a_eq, 0.0)
+    if m_ub and data.draw(st.booleans()):  # looser, equal or tighter copies
+        copies = rng.integers(0, m_ub, size=data.draw(st.integers(1, 2 * m_ub)))
+        shift = rng.choice([-1.0, 0.0, 1.0], size=copies.size) * rng.uniform(0, 0.5, copies.size)
+        a_ub, b_ub = np.vstack([a_ub, a_ub[copies]]), np.r_[b_ub, b_ub[copies] + shift]
+    if m_eq and data.draw(st.booleans()):  # a redundant equality: a copy or a multiple
+        factor = data.draw(st.sampled_from([1.0, 2.0, -0.5]))
+        a_eq, b_eq = np.vstack([a_eq, factor * a_eq[:1]]), np.r_[b_eq, factor * b_eq[:1]]
+    k = data.draw(st.sampled_from([None, 2, 1, 3]))
+    c = rows(1)[0] if k is None else rows(k)
+    if k and k > 1 and data.draw(st.booleans()):
+        c[1] = -c[0]  # a minimum and a maximum, as the Hahn-Banach step asks
+    kwargs = {"nonneg": nonneg}
+    if m_ub or data.draw(st.booleans()):
+        kwargs.update(a_ub=a_ub, b_ub=b_ub)
+    if m_eq or data.draw(st.booleans()):
+        kwargs.update(a_eq=a_eq, b_eq=b_eq)
+
+    bad = data.draw(st.sampled_from([None] * 8 + ["non-finite", "rhs", "objective", "cap"]))
+    if bad == "non-finite":
+        target = data.draw(st.sampled_from(["c", "a_ub", "b_ub", "a_eq", "b_eq"]))
+        array = c if target == "c" else kwargs.get(target)
+        if array is not None and array.size:
+            array.flat[rng.integers(array.size)] = data.draw(st.sampled_from([np.nan, np.inf]))
+    elif bad == "rhs" and "b_ub" in kwargs:
+        kwargs["b_ub"] = np.r_[b_ub, 1.0]
+    elif bad == "objective":
+        c = np.zeros(data.draw(st.sampled_from([(0, n), (1, 1, n)])))
+    elif bad == "cap":
+        kwargs.update(a_ub=np.ones((501, n)), b_ub=np.ones(501))
+    return c, kwargs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_solve_matches_reference_bitwise(data):
+    c, kwargs = _draw_lp(data, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    # Only a tableau with rows can have taken a pivot, tiny or not.
+    has_rows = any(np.size(kwargs.get(b, ())) for b in ("b_ub", "b_eq"))
+    stop_first = has_rows and data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as mp:
+        if stop_first:
+            mp.setattr(simplex, "_iterate", _stopping_once(simplex._iterate))
+        got = _outcome(solve_lp, c, kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_iterate",
+                   _stopping_once(_reference_iterate) if stop_first else _reference_iterate)
+        mp.setattr(simplex, "_leaving_row", _reference_leaving_row)
+        mp.setattr(simplex, "_pivot", _reference_pivot)
+        want = _outcome(_reference_solve_lp, c, kwargs)
+    assert got == want
