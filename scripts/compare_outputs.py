@@ -80,7 +80,7 @@ EDGE = [
 ]
 
 
-def _load_runner(root: Path):
+def load_runner(root: Path):
     """``benchmark/run.py`` of ``root``, with ``root/src`` first on the path."""
     sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
     spec = importlib.util.spec_from_file_location("benchmark_run", root / "benchmark" / "run.py")
@@ -91,7 +91,7 @@ def _load_runner(root: Path):
 
 def dump(args) -> int:
     root = Path(args.root).resolve()
-    runner = _load_runner(root)
+    runner = load_runner(root)
     from momentkit import cli
 
     runner.configure_logging()

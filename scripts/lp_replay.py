@@ -41,18 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
+from compare_outputs import load_runner  # a sibling script: its directory is on sys.path
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("moment-check", "moment-extend", "finite-space")
 ARGS = ("c", "a_ub", "b_ub", "a_eq", "b_eq")
-
-
-def _load_runner(root: Path):
-    """``benchmark/run.py`` of ``root``, with ``root/src`` first on the path."""
-    sys.path[:0] = [str(root / "src"), str(root / "benchmark")]
-    spec = importlib.util.spec_from_file_location("benchmark_run", root / "benchmark" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _array(value):
@@ -109,7 +102,7 @@ def _site(frame) -> str:
 def capture(root: Path, workloads, seeds, blocks):
     """Every ``solve_lp`` call of the operations of the given blocks, in order:
     ``{"workload", "site", "args", "nonneg", "result"}``."""
-    runner = _load_runner(root)
+    runner = load_runner(root)
     from momentkit import cli, simplex
 
     runner.configure_logging()

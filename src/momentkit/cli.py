@@ -368,8 +368,8 @@ def _refuse(message: str) -> int:
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        return _refuse("--tol must be positive")
+    if not 0 < args.tol < float("inf"):  # NaN fails both comparisons
+        return _refuse("--tol must be positive and finite")
     if args.grid < 2:
         return _refuse("--grid must be at least 2")
     if args.bins < 1:

@@ -47,18 +47,6 @@ returns bit for bit the status, pivots, ``x``, objective and multipliers
 which builds a separate constraint matrix and prices with a loop of row
 subtractions.
 
-Before the tableau is built, inequality rows with equal coefficients are
-merged into one row at their smallest right-hand side, kept in the order of
-their first occurrence (the first presolve step of Andersen & Andersen 1995,
-*Presolving in linear programming*).  On a finite space the measurable
-functions are block-constant, so every pointwise constraint over them repeats
-once per point of its block; only about a third of the finite-space rows are
-distinct.  The copies would tie in every ratio test and feed the
-lexicographic tie-break.  Copies are found in one pass that groups the rows
-by their bytes (``-0.0`` read as ``0.0``), so the cost does not grow with a
-sort key per column: a grid LP has one column per grid point.  Equality rows
-are left alone, and ``x`` is in the caller's variables either way.
-
 The tableau is updated in place and never refactored, so a pivot on a tiny
 element leaves its rounding in every later row.  An optimal tableau that took
 a pivot below ``SMALL_PIVOT`` is therefore checked on the rows as posed: its
@@ -72,7 +60,7 @@ Every call that returns counts one solve and its pivots (``lp_solves`` and
 
 Deliberately dense and deliberately small: problems are capped at 500
 constraint rows and 500 structural columns (``2n + m_ub``, or ``n + m_ub``
-with ``nonneg``), counted before the merge.
+with ``nonneg``).
 """
 
 from __future__ import annotations
@@ -195,26 +183,6 @@ def _price(T: np.ndarray, rows: np.ndarray, prices, cost: np.ndarray) -> None:
     np.subtract.reduce(stack, axis=0, out=T[-1])
 
 
-def _merge_copies(a_ub: np.ndarray, b_ub: np.ndarray):
-    """The rows that stand for their copies, or None when no row repeats.
-
-    Rows are grouped by their bytes after ``+ 0.0``, so ``-0.0`` and ``0.0``
-    are one key.  Each group is represented by its copy at the smallest
-    right-hand side (the first such copy on a tie), and the groups come in
-    the order of their first occurrence.
-    """
-    keys = np.add(a_ub, 0.0, order="C")
-    rhs = b_ub.tolist()
-    best: dict[bytes, int] = {}
-    for i, key in enumerate(keys.view(np.dtype((np.void, keys.strides[0]))).ravel().tolist()):
-        j = best.setdefault(key, i)
-        if rhs[i] < rhs[j]:
-            best[key] = i
-    if len(best) == len(rhs):
-        return None
-    return np.fromiter(best.values(), dtype=int, count=len(best))
-
-
 def _settle(T: np.ndarray, basis: np.ndarray, T0: np.ndarray, unit: np.ndarray,
             cost: np.ndarray, enter_cols: int, scan_order: np.ndarray,
             budget: int) -> tuple[str, int]:
@@ -269,13 +237,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
 
     Every component of ``x`` is free, or ``>= 0`` with ``nonneg``.
-    Inequality rows with equal coefficients are solved as one row at their
-    smallest right-hand side; the size cap and the finiteness check see the
-    LP as given.  Returns an :class:`LpSolution`, with ``duals`` in the
-    caller's rows when optimal (a copied row's multiplier sits on its copy
-    at the smallest right-hand side); a solver breakdown (iteration budget,
-    size cap) raises :class:`LpFailure` while infeasible/unbounded are
-    reported as statuses.
+    Returns an :class:`LpSolution`, with ``duals`` in the caller's rows when
+    optimal; a solver breakdown (iteration budget, size cap) raises
+    :class:`LpFailure` while infeasible/unbounded are reported as statuses.
 
     A 2-D ``c`` of shape ``(k, n)`` asks ``k`` objectives over the same
     constraints: phase 1 runs once and each row is minimized from the
@@ -322,18 +286,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     obj_scales = np.maximum.reduce(np.abs(costs), axis=1, initial=1.0)
     if not np.isfinite(np.concatenate([ub_max, eq_max, obj_scales, b_ub, b_eq])).all():
         raise LpFailure("LP data contains non-finite entries")
-
-    # Presolve: copied inequality rows become one row at their smallest
-    # right-hand side (see the module docstring); ``ub_rows`` is the caller
-    # row that carries each kept row's multiplier.
-    m_caller, ub_rows = m, None
-    if m_ub > 1 and n:
-        ub_rows = _merge_copies(a_ub, b_ub)
-        if ub_rows is not None:
-            a_ub, b_ub, ub_max = a_ub[ub_rows], b_ub[ub_rows], ub_max[ub_rows]
-            m_ub = ub_rows.size
-            m = m_ub + m_eq
-            n_struct = n_var + m_ub
 
     # Mild row equilibration keeps the fixed tolerances meaningful: each row
     # is divided by the largest of 1, its coefficients and its right-hand
@@ -429,10 +381,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     # its row, so its reduced cost is the a_ub multiplier up to the
     # objective's scale; an artificial is a unit column of the scaled,
     # flipped row.  An equality row dropped as redundant leaves an all-zero
-    # artificial column, so its multiplier is 0.  A merged row's multiplier
-    # sits on its copy at the smallest right-hand side.
-    ub_duals = slice(0, m_ub) if ub_rows is None else ub_rows
-    eq_duals, eq_cols = slice(m_caller - m_eq, m_caller), slice(n_total - m_eq, n_total)
+    # artificial column, so its multiplier is 0.
+    eq_cols = slice(n_total - m_eq, n_total)
     eq_sign, eq_scale = np.where(flip[m_ub:], 1.0, -1.0), scale[m_ub:]
 
     xs, objs, ys = [], [], []
@@ -455,12 +405,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         x = full[:n] if nonneg else full[:n] - full[n:n_var]
         xs.append(x)
         objs.append(float(cj @ x))
-        y = np.zeros(m_caller)
-        if m_ub:
-            y[ub_duals] = Tj[-1, n_var:n_struct] * -obj_scale
-        if m_eq:
-            y[eq_duals] = eq_sign * obj_scale * Tj[-1, eq_cols] / eq_scale
-        ys.append(y)
+        ys.append(np.concatenate([Tj[-1, n_var:n_struct] * -obj_scale,
+                                  eq_sign * obj_scale * Tj[-1, eq_cols] / eq_scale]))
     count(lp_solves=1, lp_iterations=iterations)
 
     if c.ndim == 1:

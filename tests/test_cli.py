@@ -424,21 +424,23 @@ def test_build_measure_nonmeasurable_witness(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["t_decay_ok"] is False
 
 
-def _pivot_count_doc():
-    # 24 points in 4 blocks: each block-constant row repeats 6 times.  The
-    # domain holds the constants, so hull and domination need no LP.
+def _pivot_count_doc(per_block=6):
+    # 4 blocks of per_block points: each block-constant row repeats
+    # per_block times.  The domain holds the constants, so hull and
+    # domination need no LP.
+    n = 4 * per_block
     rng = np.random.default_rng(24)
-    assign = np.repeat(np.arange(4), 6)
+    assign = np.repeat(np.arange(4), per_block)
     rng.shuffle(assign)
-    basis = {"one": np.ones(24), "g1": rng.normal(size=4)[assign],
+    basis = {"one": np.ones(n), "g1": rng.normal(size=4)[assign],
              "g2": rng.normal(size=4)[assign]}
-    omega = rng.uniform(0.0, 2.0, 24)
+    omega = rng.uniform(0.0, 2.0, n)
     return {
-        "points": [f"p{i}" for i in range(24)],
+        "points": [f"p{i}" for i in range(n)],
         "basis": {k: v.tolist() for k, v in basis.items()},
         "functional": {k: float(omega @ v) for k, v in basis.items()},
         "sigma_algebra": [np.nonzero(assign == b)[0].tolist() for b in range(4)],
-        "targets": {"t0": rng.normal(size=24).tolist(), "t1": rng.normal(size=24).tolist()},
+        "targets": {"t0": rng.normal(size=n).tolist(), "t1": rng.normal(size=n).tolist()},
     }
 
 
@@ -457,11 +459,24 @@ def test_build_measure_pivot_count(tmp_path, capsys):
 
 def test_build_measure_pivot_count_constants_only(tmp_path, capsys):
     # With the constants alone as designated subspace (not dense, exit 1),
-    # four density LPs join the step's LP.  With copied LP rows merged the
-    # five LPs take 43 pivots, without the merge 58; pin it so the merge
-    # cannot be dropped silently.
+    # four density LPs join the step's LP.  density_check gives each LP one
+    # copy of each of its block-repeated rows, and the five LPs take 43
+    # pivots; over the full rows they take 58.  The pin guards that merge.
     doc = dict(_pivot_count_doc(), b_basis={"one": [1.0] * 24})
     assert _lp_counts(tmp_path, capsys, doc, 1) == (5, 43)
+
+
+def test_build_measure_density_lps_are_capped_after_the_merge(tmp_path, capsys):
+    # 260 points in 4 blocks: each density LP has 520 rows as written, above
+    # solve_lp's cap of 500 rows, and 8 once density_check keeps one copy of
+    # each.  The cap counts the rows the solver is given, so the verdict is
+    # the density's (it was numerical-failure, exit 3, while the solver
+    # merged copies itself and capped the rows before the merge).
+    doc = dict(_pivot_count_doc(per_block=65), b_basis={"one": [1.0] * 260})
+    assert main(["build-measure", write(tmp_path, "fs.json", doc)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "density-failed"
+    assert out["diagnostics"]["lp_solves"] == 5
 
 
 def test_build_measure_audit_off_the_block_constants_is_an_lp(tmp_path, capsys, monkeypatch):
@@ -829,6 +844,16 @@ def test_exit_code_totality(tmp_path):
 def test_tol_must_be_positive(tmp_path):
     path = write(tmp_path, "m.json", {"moments": [1, 0, 1]})
     assert main(["check", path, "--tol", "-1"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_tol_must_be_finite(tmp_path, capsys, tol):
+    # A non-finite --tol is an input error, refused before any verb runs;
+    # it used to reach the payload and crash its encoder.
+    path = write(tmp_path, "m.json", {"moments": [1, 0, 1]})
+    assert main(["check", path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol must be positive and finite" in captured.err
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import momentkit as mk
-from momentkit import counters
-from momentkit.measure import TDecayEntry
+from momentkit import counters, measure
+from momentkit.measure import TDecayEntry, _merge_copies
 from momentkit.tolerances import MEASURABLE_TOL
 
 from conftest import density_functional, ground, ones, random_partition, vec
@@ -352,6 +352,99 @@ def test_density_span_shortcut_matches_lp(seed, variant):
         assert stats["lp_solves"] == 0
     tol = 1e-9 * max(1.0, Lbar(ones(g)))
     assert report.distances == pytest.approx(lp_distances(B, alg, Lbar), rel=0, abs=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["constants", "mix"]))
+def test_density_lps_get_one_copy_of_each_row(seed, variant):
+    # Block-constant B and domain, fewer blocks than points: every density
+    # LP repeats rows, and solve_lp gets the helper's kept rows.  B spans at
+    # most two of the three or more indicators, so some LP is solved.  The
+    # distances match the LPs over the full rows.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    g = ground(n)
+    alg = random_partition(rng, g, int(rng.integers(3, n)))
+    chis = alg.indicators()
+    vectors = [ones(g)]
+    if variant == "mix":
+        vectors += [mk.SimpleFunction(alg, rng.normal(size=alg.n_blocks)).as_vec()]
+    B = independent(g, vectors)
+    Lbar = density_functional(rng, independent(g, [ones(g)] + chis + list(B.basis)))
+    M, N = Lbar.domain.matrix, B.matrix
+    a_full = np.block([[-M, -N], [-M, N]])
+    posed, real = [], measure.solve_lp
+
+    def watched(c, a_ub, b_ub):
+        posed.append((a_ub, b_ub))
+        return real(c, a_ub=a_ub, b_ub=b_ub)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "solve_lp", watched)
+        report = mk.density_check(B, alg, Lbar)
+    full_b = [np.concatenate([-chi.values, chi.values]) for chi in chis if not B.contains(chi)]
+    assert len(posed) == len(full_b) > 0
+    for (a_ub, b_ub), b_full in zip(posed, full_b):
+        rows = _merge_copies(a_full, b_full)
+        assert rows is not None and rows.size < b_full.size
+        assert np.array_equal(a_ub, a_full[rows]) and np.array_equal(b_ub, b_full[rows])
+    tol = 1e-9 * max(1.0, Lbar(ones(g)))
+    assert report.distances == pytest.approx(lp_distances(B, alg, Lbar), rel=0, abs=tol)
+
+
+def test_density_lp_without_variables_keeps_its_rows():
+    # With an empty domain and B the LP has no variables: every row reads
+    # 0 <= -chi or 0 <= chi, which the merge helper cannot group (it would
+    # keep no row), so the rows go to the solver as given: infeasible.
+    g = ground(3)
+    alg = mk.SigmaAlgebra(g, ((0, 1), (2,)))
+    empty = mk.Subspace(g, [])
+    with pytest.raises(mk.LpFailure, match="block 0 ended with status infeasible"):
+        mk.density_check(empty, alg, mk.Functional(empty, []))
+
+
+def test_rows_differing_in_the_sign_of_a_zero_merge():
+    a = [[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]]
+    b = [2.0, 1.0, 3.0, 3.0]
+    assert _merge_copies(np.array(a), np.array(b)).tolist() == [1, 2]
+
+
+def test_equal_copies_keep_the_first():
+    a = [[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+    b = [3.0, 5.0, 2.0, 2.0]
+    assert _merge_copies(np.array(a), np.array(b)).tolist() == [2, 1]
+
+
+def _lexsort_merge(a_ub, b_ub):
+    """Reference merge by a stable sort on every column, then the right-hand
+    side: each group's first row and the row at its smallest right-hand
+    side, in first-occurrence order, or None when no row repeats."""
+    perm = np.lexsort((b_ub, *a_ub.T))
+    ranked = a_ub[perm]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    if starts.size == a_ub.shape[0]:
+        return None
+    first = np.minimum.reduceat(perm, starts)
+    order = np.argsort(first)
+    return a_ub[first[order]], perm[starts][order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_matches_lexsort_reference(data):
+    m, n = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25])
+    a_ub = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                       min_size=m, max_size=m)))
+    b_ub = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                                       min_size=m, max_size=m)))
+    rows, ref = _merge_copies(a_ub, b_ub), _lexsort_merge(a_ub, b_ub)
+    if ref is None:
+        assert rows is None
+    else:
+        ref_a, ref_rows = ref
+        assert rows.tolist() == ref_rows.tolist()
+        assert np.array_equal(a_ub[rows], ref_a)  # == reads -0.0 as 0.0
 
 
 def test_density_degenerate_zero_functional():

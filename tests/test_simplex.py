@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentkit import counters, simplex
+from momentkit import counters, measure, simplex
 from momentkit.errors import LpFailure
-from momentkit.simplex import _merge_copies, lp_feasible, solve_lp
+from momentkit.simplex import lp_feasible, solve_lp
 
 from conftest import scipy_lp
 
@@ -44,38 +44,10 @@ def test_size_cap():
 
 
 def test_size_cap_counts_rows_before_merging():
-    # 501 copies of one row are one constraint, but the cap applies to the LP as given
+    # 501 copies of one row are 501 rows: the cap counts the rows as given,
+    # and only a caller (density_check) merges copies before the solve
     with pytest.raises(LpFailure):
         solve_lp([1.0], a_ub=np.ones((501, 1)), b_ub=np.arange(501.0))
-
-
-def test_copied_rows_solve_as_merged():
-    # Copies of a row at different right-hand sides are the row at the
-    # smallest one, in first-occurrence order.  On this degenerate LP the
-    # unmerged tableau pivots differently (5 pivots, not 6).
-    base = [[-0.8, -1.3, -0.2], [0.4, 1.1, 0.1], [-0.6, -0.8, 0.7],
-            [1.6, 0.3, -1.2], [-1.0, 1.6, 0.2], [1.0, 1.0, 1.0]]
-    a = base + [base[0], base[5], base[2], base[1], base[3]]
-    b = [1.3, 0.0, 0.0, 1.0, 0.0, 3.0] + [2.2, 3.9, 0.0, 0.7, 0.6]
-    c = [0.0, 0.0, -0.3]
-    sol = solve_lp(c, a_ub=a, b_ub=b)
-    ref = solve_lp(c, a_ub=base, b_ub=[1.3, 0.0, 0.0, 0.6, 0.0, 3.0])
-    assert sol.optimal and sol.objective == pytest.approx(-0.072, abs=1e-12)
-    assert (sol.status, sol.objective, sol.iterations) == \
-        (ref.status, ref.objective, ref.iterations)
-    assert np.array_equal(sol.x, ref.x)
-
-
-def test_copied_rows_merge_with_nonneg():
-    base = [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]]
-    a = base + [base[2], base[0], base[2]]
-    b = [4.0, 3.0, 3.0, 6.0] + [2.5, 5.0, 2.8]
-    sol = solve_lp([-1.0, -1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
-    ref = solve_lp([-1.0, -1.0, -1.0], a_ub=base, b_ub=[4.0, 3.0, 2.5, 6.0], nonneg=True)
-    assert sol.optimal and sol.objective == pytest.approx(-4.0, abs=1e-12)
-    assert (sol.status, sol.objective, sol.iterations) == \
-        (ref.status, ref.objective, ref.iterations)
-    assert np.array_equal(sol.x, ref.x)
 
 
 def test_nonneg_without_rows():
@@ -223,68 +195,6 @@ def test_nonneg_matches_reference_solver(data):
         assert np.all(a_ub @ sol.x <= b_ub + 1e-7)
         if a_eq is not None:
             assert np.all(np.abs(a_eq @ sol.x - b_eq) <= 1e-7)
-
-
-def test_copied_rows_multiplier_goes_to_tightest_copy():
-    base = [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]]
-    a = base + [base[2], base[0], base[2]]
-    b = [4.0, 3.0, 3.0, 6.0] + [2.5, 5.0, 2.8]
-    sol = solve_lp([-1.0, -1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
-    ref = solve_lp([-1.0, -1.0, -1.0], a_ub=base, b_ub=[4.0, 3.0, 2.5, 6.0], nonneg=True)
-    assert np.array_equal(sol.duals[[0, 1, 4, 3]], ref.duals)
-    assert np.all(sol.duals[[2, 5, 6]] == 0.0)
-
-
-def test_rows_differing_in_the_sign_of_a_zero_merge():
-    a = [[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]]
-    b = [2.0, 1.0, 3.0, 3.0]
-    assert _merge_copies(np.array(a), np.array(b)).tolist() == [1, 2]
-    sol = solve_lp([-1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
-    ref = solve_lp([-1.0, -1.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 3.0], nonneg=True)
-    assert (sol.objective, sol.iterations) == (ref.objective, ref.iterations)
-    assert np.array_equal(sol.duals[[1, 2]], ref.duals)
-    assert np.all(sol.duals[[0, 3]] == 0.0)
-
-
-def test_equal_copies_put_the_multiplier_on_the_first():
-    a = [[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
-    b = [3.0, 5.0, 2.0, 2.0]
-    assert _merge_copies(np.array(a), np.array(b)).tolist() == [2, 1]
-    sol = solve_lp([-1.0, -1.0], a_ub=a, b_ub=b, nonneg=True)
-    assert sol.duals[2] == pytest.approx(-1.0)
-    assert np.all(sol.duals[[0, 1, 3]] == 0.0)
-
-
-def _lexsort_merge(a_ub, b_ub):
-    """Reference presolve by a stable sort on every column, then the right-hand
-    side: each group's first row and the caller row at its smallest
-    right-hand side, in first-occurrence order, or None when no row repeats."""
-    perm = np.lexsort((b_ub, *a_ub.T))
-    ranked = a_ub[perm]
-    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
-    if starts.size == a_ub.shape[0]:
-        return None
-    first = np.minimum.reduceat(perm, starts)
-    order = np.argsort(first)
-    return a_ub[first[order]], perm[starts][order]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_merge_matches_lexsort_reference(data):
-    m, n = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
-    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25])
-    a_ub = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                       min_size=m, max_size=m)))
-    b_ub = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
-                                       min_size=m, max_size=m)))
-    ub_rows, ref = _merge_copies(a_ub, b_ub), _lexsort_merge(a_ub, b_ub)
-    if ref is None:
-        assert ub_rows is None
-    else:
-        rows, ref_ub_rows = ref
-        assert ub_rows.tolist() == ref_ub_rows.tolist()
-        assert np.array_equal(a_ub[ub_rows], rows)  # == reads -0.0 as 0.0
 
 
 def test_final_basis_is_settled_on_the_rows_as_posed(monkeypatch):
@@ -582,10 +492,12 @@ def test_leaving_row_ties_past_the_first_chunk():
 def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg=False):
     # solve_lp as it was before it built the tableau in place: a separate A
     # and b, equilibrated and flipped there, a pricing loop of in-place row
-    # subtractions, the read-out's constants worked out per objective and a
-    # phase-1 test scaled by the largest right-hand side.  The oracle the
-    # solver must match bit for bit; its helpers are read off the module, so
-    # the reference pivot loop above can stand in for simplex._iterate.
+    # subtractions, the read-out's constants worked out per objective, a
+    # phase-1 test scaled by the largest right-hand side, and the merge of
+    # copied inequality rows that density_check now runs before it calls the
+    # solver.  The oracle the solver must match bit for bit; its helpers are
+    # read off the modules, so the reference pivot loop above can stand in
+    # for simplex._iterate and a test can watch the merge.
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.ndim > 2 or c.ndim == 2 and c.shape[0] == 0:
         raise LpFailure(f"objective must have shape (n,) or (k, n) with k >= 1, got {c.shape}")
@@ -622,7 +534,7 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
     # row that carries each kept row's multiplier.
     m_caller, ub_rows = m, None
     if m_ub > 1 and n:
-        ub_rows = simplex._merge_copies(a_ub, b_ub)
+        ub_rows = measure._merge_copies(a_ub, b_ub)
         if ub_rows is not None:
             a_ub, b_ub = a_ub[ub_rows], b_ub[ub_rows]
             m_ub = ub_rows.size
@@ -777,11 +689,13 @@ def _outcome(solve, c, kwargs):
 def _stopping_once(iterate):
     # A pivot loop whose first phase-2 call (no artificial column in the
     # basis) reports a tiny pivot and stops at once: the final check then
-    # finds a basis that is not optimal and repairs it.
+    # finds a basis that is not optimal and repairs it.  A tableau whose
+    # rows were all dropped as redundant has no element to pivot on, so its
+    # call is not stopped.
     calls = []
 
     def stop_first(T, basis, enter_cols, *args):
-        if not calls and (basis < enter_cols).all():
+        if not calls and basis.size and (basis < enter_cols).all():
             calls.append(None)
             return "optimal", 0, 1e-9
         return iterate(T, basis, enter_cols, *args)
@@ -856,21 +770,53 @@ def _draw_lp(data, rng):
     return c, kwargs
 
 
+def _in_caller_rows(sol, rows, m_ub):
+    """``sol``, solved on the kept inequality rows ``rows`` of ``m_ub``, with
+    its multipliers moved to the caller's rows: each kept row's onto that
+    row, 0 onto its other copies."""
+    if sol.duals is None:
+        return sol
+    kept = rows.size
+    y = np.zeros(sol.duals.shape[:-1] + (m_ub + sol.duals.shape[-1] - kept,))
+    y[..., rows] = sol.duals[..., :kept]
+    y[..., m_ub:] = sol.duals[..., kept:]
+    return sol._replace(duals=y)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_solve_matches_reference_bitwise(data):
+    # The reference merges copied inequality rows itself; where it does,
+    # solve_lp is given the kept rows, as density_check gives them.
     c, kwargs = _draw_lp(data, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     # Only a tableau with rows can have taken a pivot, tiny or not.
     has_rows = any(np.size(kwargs.get(b, ())) for b in ("b_ub", "b_eq"))
     stop_first = has_rows and data.draw(st.booleans())
-    with pytest.MonkeyPatch.context() as mp:
-        if stop_first:
-            mp.setattr(simplex, "_iterate", _stopping_once(simplex._iterate))
-        got = _outcome(solve_lp, c, kwargs)
+    merge, merged = measure._merge_copies, []
+
+    def watched_merge(a_ub, b_ub):
+        merged.append(merge(a_ub, b_ub))
+        return merged[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_iterate",
                    _stopping_once(_reference_iterate) if stop_first else _reference_iterate)
         mp.setattr(simplex, "_leaving_row", _reference_leaving_row)
         mp.setattr(simplex, "_pivot", _reference_pivot)
+        mp.setattr(measure, "_merge_copies", watched_merge)
         want = _outcome(_reference_solve_lp, c, kwargs)
+
+    rows = merged[0] if merged else None
+    m_ub = np.size(kwargs.get("b_ub", ()))
+
+    def solve(c, **kw):
+        sol = solve_lp(c, **kw)
+        return sol if rows is None else _in_caller_rows(sol, rows, m_ub)
+
+    if rows is not None:
+        kwargs = dict(kwargs, a_ub=kwargs["a_ub"][rows], b_ub=kwargs["b_ub"][rows])
+    with pytest.MonkeyPatch.context() as mp:
+        if stop_first:
+            mp.setattr(simplex, "_iterate", _stopping_once(simplex._iterate))
+        got = _outcome(solve, c, kwargs)
     assert got == want
