@@ -46,7 +46,8 @@ from .errors import (
     TargetNotInWC,
 )
 from .frozen import Frozen, set_field
-from .funcspace import DependentBasis, FunctionVec, Subspace, _same_ground, hull_contains
+from .funcspace import (DependentBasis, FunctionVec, Subspace, _one_copy, _same_ground,
+                        hull_contains)
 from .simplex import lp_feasible, solve_lp
 from .tolerances import CHOSEN_SLACK, INTERVAL_TOL, VERDICT_TOL
 
@@ -109,7 +110,7 @@ def in_cone_plus_subspace(v: FunctionVec, W: Subspace) -> bool:
     Equivalently: does some span member lie pointwise below ``v``?
     """
     _same_ground(v, W)
-    return lp_feasible(a_ub=W.matrix, b_ub=v.values)
+    return lp_feasible(*_one_copy(W.matrix, v.values))
 
 
 def wc_contains(v: FunctionVec, W: Subspace) -> bool:
@@ -241,8 +242,8 @@ def verify_positive(L: Functional, tol: float = VERDICT_TOL):
     """
     W = L.domain
     a_eq = W.matrix.sum(axis=0)[None, :]
-    sol = solve_lp(L.coeffs, a_ub=-W.matrix, b_ub=np.zeros(W.ground.size),
-                   a_eq=a_eq, b_eq=[1.0])
+    a_ub, b_ub = _one_copy(-W.matrix, np.zeros(W.ground.size))
+    sol = solve_lp(L.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
     if sol.status == "infeasible":
         return True, 0.0
     if sol.status == "unbounded":

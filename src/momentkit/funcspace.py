@@ -7,6 +7,13 @@ up to ``eps`` plus a correction term) are linear-program feasibility over
 span coefficients, except when the span contains the constant function:
 every function on a finite set is bounded, so ``c * 1`` with ``c`` the
 largest value to dominate lies above it, and the answer is yes with no LP.
+
+Each row of such an LP is a point, and two points on which every function
+of the span agrees give equal rows: over the measurable functions of a
+finite partition each row repeats once per point of its block.  The LPs over
+points get one copy of each row, at its smallest right-hand side
+(:func:`_one_copy`, the first presolve step of Andersen & Andersen 1995,
+*Presolving in linear programming*); the solver solves the rows it is given.
 """
 
 from __future__ import annotations
@@ -164,6 +171,35 @@ class Subspace:
         return self.contains(FunctionVec(self.ground, np.ones(self.ground.size)))
 
 
+def _merge_copies(a_ub: np.ndarray, b_ub: np.ndarray):
+    """The rows that stand for their copies, or None when no row repeats.
+
+    Rows are grouped by their bytes after ``+ 0.0``, so ``-0.0`` and ``0.0``
+    are one key.  Each group is represented by its copy at the smallest
+    right-hand side (the first such copy on a tie), and the groups come in
+    the order of their first occurrence.  Rows over no columns have no bytes
+    to group by; they count as distinct.
+    """
+    if not a_ub.shape[1]:
+        return None
+    keys = np.add(a_ub, 0.0, order="C")
+    rhs = b_ub.tolist()
+    best: dict[bytes, int] = {}
+    for i, key in enumerate(keys.view(np.dtype((np.void, keys.strides[0]))).ravel().tolist()):
+        j = best.setdefault(key, i)
+        if rhs[i] < rhs[j]:
+            best[key] = i
+    if len(best) == len(rhs):
+        return None
+    return np.fromiter(best.values(), dtype=int, count=len(best))
+
+
+def _one_copy(a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a_ub @ x <= b_ub`` with each repeated row once (:func:`_merge_copies`)."""
+    rows = _merge_copies(a_ub, b_ub)
+    return (a_ub, b_ub) if rows is None else (a_ub[rows], b_ub[rows])
+
+
 def hull_contains(A: Subspace, f: FunctionVec) -> bool:
     """Is some member of ``span(A)`` pointwise above ``|f|``?
 
@@ -175,7 +211,7 @@ def hull_contains(A: Subspace, f: FunctionVec) -> bool:
     _same_ground(f, A)
     if A._spans_constants:
         return True
-    return lp_feasible(a_ub=-A.matrix, b_ub=-np.abs(f.values))
+    return lp_feasible(*_one_copy(-A.matrix, -np.abs(f.values)))
 
 
 def dominates(g: FunctionVec, f: FunctionVec, B: Subspace, eps: float) -> bool:
@@ -190,7 +226,7 @@ def dominates(g: FunctionVec, f: FunctionVec, B: Subspace, eps: float) -> bool:
     if B._spans_constants:
         return True
     deficit = np.abs(g.values) - eps * np.abs(f.values)
-    return lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
+    return lp_feasible(*_one_copy(-B.matrix, -deficit))
 
 
 class AdaptednessEntry(NamedTuple):

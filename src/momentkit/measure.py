@@ -30,6 +30,7 @@ from .funcspace import (
     FunctionVec,
     GroundSet,
     Subspace,
+    _one_copy,
     _same_ground,
     check_adapted,
     default_candidates,
@@ -250,26 +251,6 @@ class DensityReport(NamedTuple):
         return max(self.distances, default=0.0)
 
 
-def _merge_copies(a_ub: np.ndarray, b_ub: np.ndarray):
-    """The rows that stand for their copies, or None when no row repeats.
-
-    Rows are grouped by their bytes after ``+ 0.0``, so ``-0.0`` and ``0.0``
-    are one key.  Each group is represented by its copy at the smallest
-    right-hand side (the first such copy on a tie), and the groups come in
-    the order of their first occurrence.
-    """
-    keys = np.add(a_ub, 0.0, order="C")
-    rhs = b_ub.tolist()
-    best: dict[bytes, int] = {}
-    for i, key in enumerate(keys.view(np.dtype((np.void, keys.strides[0]))).ravel().tolist()):
-        j = best.setdefault(key, i)
-        if rhs[i] < rhs[j]:
-            best[key] = i
-    if len(best) == len(rhs):
-        return None
-    return np.fromiter(best.values(), dtype=int, count=len(best))
-
-
 def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
                   tol: float = DENSITY_TOL) -> DensityReport:
     """Seminorm distance from each block indicator to ``span(B)``.
@@ -282,14 +263,10 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     distance 0 without an LP: ``b = chi``, ``t = 0`` is feasible with value
     0, and the LP's minimum is reported as ``max(0, min)``.
 
-    The pointwise rows repeat.  The measurable functions of a finite space
-    are constant on each block, so where Lbar's domain and ``B`` are spanned
-    by them, the rows of ``M`` and ``N`` at two points of one block are
-    equal, and so are the right-hand sides ``-chi`` and ``chi``: each row
-    comes once per point of its block.  The LP gets one copy of each row, at
-    its smallest right-hand side (:func:`_merge_copies`, the first presolve
-    step of Andersen & Andersen 1995, *Presolving in linear programming*).
-    That is the same LP with fewer rows and fewer ties in its ratio tests.
+    The rows repeat: where Lbar's domain and ``B`` are block-constant, as
+    measurable functions are, the rows and right-hand sides at two points of
+    one block are equal, and the LP gets one copy of each (see
+    :mod:`momentkit.funcspace`).
     """
     M = Lbar.domain.matrix
     N = B.matrix
@@ -304,11 +281,8 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
         if B.contains(chi):
             distances.append(0.0)
             continue
-        b_ub = np.concatenate([-chi.values, chi.values])
-        # Rows over no variables have no bytes to group by; they stay as given.
-        rows = _merge_copies(a_ub, b_ub) if c.size else None
-        rows = slice(None) if rows is None else rows
-        sol = solve_lp(c, a_ub=a_ub[rows], b_ub=b_ub[rows])
+        rows, rhs = _one_copy(a_ub, np.concatenate([-chi.values, chi.values]))
+        sol = solve_lp(c, a_ub=rows, b_ub=rhs)
         if not sol.optimal:
             raise LpFailure(f"density LP for block {i} ended with status {sol.status}")
         distances.append(max(0.0, float(sol.objective)))

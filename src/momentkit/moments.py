@@ -27,6 +27,7 @@ from .errors import (
     RankDetectionAmbiguous,
 )
 from .frozen import FrozenValue, set_field
+from .funcspace import _merge_copies
 from .simplex import SIZE_CAP, solve_lp
 from .tolerances import (GRID_SUPPORT_TOL, GRID_VIOLATION_TOL, OFFDIAG_MASS_TOL, PSD_TOL,
                          RANK_PIVOT_DROP, RANK_PIVOT_KEEP, SUPPORT_TOL, TRUNCATION_TOL)
@@ -336,7 +337,10 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     and ``-V^T lam + tau <= 1 - u``.  Every right-hand side lies in [0, 2],
     so the slack basis is feasible and there is no phase 1.  lam = 0, t = 1
     is feasible, so tau >= 0 cuts off no optimum; the two rows imply t >= 0,
-    so the LP keeps 2(2d+1) rows.  Its dual feasible set does not depend on
+    so the LP keeps 2(2d+1) rows, less copies: on active points in
+    {-1, 0, 1} powers of one parity give equal rows, each solved once at its
+    smallest right-hand side with its copies' multipliers 0 (as in
+    :mod:`momentkit.funcspace`).  Its dual feasible set does not depend on
     m, so the LP is scale-free, and the multipliers y+ of the first block and
     y- of the second give the minimizer c = y- - y+.  A value at or above
     -tol certifies positivity on the (grid-nonnegative) relaxation of the
@@ -368,10 +372,14 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
         a_ub = np.hstack([np.vstack([cols, -cols]), tau_col])
         cost = np.zeros(points.size + 1)
         cost[-1] = -1.0
-        sol = solve_lp(cost, a_ub=a_ub, b_ub=b_ub, nonneg=True)
+        rows = _merge_copies(a_ub, b_ub)
+        rows = slice(None) if rows is None else rows
+        sol = solve_lp(cost, a_ub=a_ub[rows], b_ub=b_ub[rows], nonneg=True)
         if not sol.optimal:
             raise LpFailure(f"grid-distance LP ended with status {sol.status}")
-        return sol.duals[n_coef:] - sol.duals[:n_coef], sol.x[:-1]
+        y = np.zeros(b_ub.size)
+        y[rows] = sol.duals
+        return y[n_coef:] - y[:n_coef], sol.x[:-1]
 
     # The LP takes `room` grid columns beside tau and the 2 n_coef slacks.  When
     # it would overflow, only the points with positive weight stay: at most

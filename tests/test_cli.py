@@ -466,6 +466,22 @@ def test_build_measure_pivot_count_constants_only(tmp_path, capsys):
     assert _lp_counts(tmp_path, capsys, doc, 1) == (5, 43)
 
 
+@pytest.mark.parametrize("b_basis, counts", [(None, (3, 12)), ("g1", (11, 41))])
+def test_build_measure_pivot_count_without_constants(tmp_path, capsys, b_basis, counts):
+    # A domain without the constants: hull membership is one LP over the 24
+    # points, 4 of them distinct.  With g1 alone as designated subspace (not
+    # dense, exit 1), four density LPs and four domination LPs join.
+    # hull_contains and dominates keep one copy of each block-repeated row,
+    # as density_check does; over the full rows the runs take 32 and 79
+    # pivots.  The pins guard those merges.
+    doc = _pivot_count_doc()
+    for key in ("basis", "functional"):
+        del doc[key]["one"]
+    if b_basis:
+        doc["b_basis"] = {b_basis: doc["basis"][b_basis]}
+    assert _lp_counts(tmp_path, capsys, doc, 0 if b_basis is None else 1) == counts
+
+
 def test_build_measure_density_lps_are_capped_after_the_merge(tmp_path, capsys):
     # 260 points in 4 blocks: each density LP has 520 rows as written, above
     # solve_lp's cap of 500 rows, and 8 once density_check keeps one copy of

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
-from momentkit import counters
+from momentkit import counters, extend, funcspace
+from momentkit.funcspace import _merge_copies
 from momentkit.tolerances import ADAPTED_EPS, INDEPENDENCE_TOL
-from momentkit.simplex import lp_feasible
+from momentkit.simplex import lp_feasible, solve_lp
 
-from conftest import ground, ones, random_subspace_with_one, vec
+from conftest import density_functional, ground, ones, random_partition, random_subspace_with_one, vec
 
 
 # --- types ---------------------------------------------------------------------
@@ -381,3 +382,102 @@ def test_default_candidates_include_square_and_one():
     values = [c.values.tolist() for c in cands]
     assert [0, 1, 4] in values  # square of the ramp is in the span
     assert [1, 1, 1] in values
+
+
+# --- LPs over points: one copy of each row ------------------------------------
+
+def test_rows_differing_in_the_sign_of_a_zero_merge():
+    a = [[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]]
+    b = [2.0, 1.0, 3.0, 3.0]
+    assert _merge_copies(np.array(a), np.array(b)).tolist() == [1, 2]
+
+
+def test_equal_copies_keep_the_first():
+    a = [[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+    b = [3.0, 5.0, 2.0, 2.0]
+    assert _merge_copies(np.array(a), np.array(b)).tolist() == [2, 1]
+
+
+def test_rows_over_no_columns_count_as_distinct():
+    assert _merge_copies(np.zeros((3, 0)), np.array([1.0, -1.0, 1.0])) is None
+
+
+def _lexsort_merge(a_ub, b_ub):
+    """Reference merge by a stable sort on every column, then the right-hand
+    side: each group's first row and the row at its smallest right-hand
+    side, in first-occurrence order, or None when no row repeats."""
+    perm = np.lexsort((b_ub, *a_ub.T))
+    ranked = a_ub[perm]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    if starts.size == a_ub.shape[0]:
+        return None
+    first = np.minimum.reduceat(perm, starts)
+    order = np.argsort(first)
+    return a_ub[first[order]], perm[starts][order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_matches_lexsort_reference(data):
+    m, n = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25])
+    a_ub = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                       min_size=m, max_size=m)))
+    b_ub = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                                       min_size=m, max_size=m)))
+    rows, ref = _merge_copies(a_ub, b_ub), _lexsort_merge(a_ub, b_ub)
+    if ref is None:
+        assert rows is None
+    else:
+        ref_a, ref_rows = ref
+        assert rows.tolist() == ref_rows.tolist()
+        assert np.array_equal(a_ub[rows], ref_a)  # == reads -0.0 as 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lps_over_points_get_one_copy_of_each_row(seed):
+    # A block-constant span without the constants, over a partition with
+    # fewer blocks than points: the rows of every LP over points repeat once
+    # per point of their block.  hull_contains, dominates,
+    # in_cone_plus_subspace and verify_positive each give the solver the
+    # helper's kept rows, and decide as the full rows do.
+    rng = np.random.default_rng(seed)
+    g = ground(int(rng.integers(3, 10)))
+    alg = random_partition(rng, g, int(rng.integers(2, g.size)))
+    assign = np.empty(g.size, dtype=int)
+    for b, block in enumerate(alg.blocks):
+        assign[list(block)] = b
+    levels = rng.normal(size=(int(rng.integers(1, alg.n_blocks)), alg.n_blocks))
+    A = mk.Subspace(g, [vec(g, v[assign]) for v in levels])
+    f, h = (vec(g, rng.normal(size=g.size)) for _ in range(2))
+    posed = []
+
+    def feasible(a_ub, b_ub):
+        posed.append((a_ub, b_ub))
+        return lp_feasible(a_ub, b_ub)
+
+    def solve(c, a_ub, b_ub, **kw):
+        posed.append((a_ub, b_ub))
+        return solve_lp(c, a_ub=a_ub, b_ub=b_ub, **kw)
+
+    L = density_functional(rng, A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcspace, "lp_feasible", feasible)
+        mp.setattr(extend, "lp_feasible", feasible)
+        mp.setattr(extend, "solve_lp", solve)
+        answers = [mk.hull_contains(A, f), mk.dominates(h, f, A, 0.5),
+                   mk.in_cone_plus_subspace(f, A), mk.verify_positive(L)]
+    deficit = np.abs(h.values) - 0.5 * np.abs(f.values)
+    full = [(-A.matrix, -np.abs(f.values)), (-A.matrix, -deficit), (A.matrix, f.values),
+            (-A.matrix, np.zeros(g.size))]
+    assert len(posed) == len(full)
+    for (a_ub, b_ub), (a_full, b_full) in zip(posed, full):
+        rows = _merge_copies(a_full, b_full)
+        assert rows is not None and rows.size < b_full.size
+        assert np.array_equal(a_ub, a_full[rows]) and np.array_equal(b_ub, b_full[rows])
+    assert answers[:3] == [lp_feasible(a, b) for a, b in full[:3]]
+    sol = solve_lp(L.coeffs, a_ub=full[3][0], b_ub=full[3][1],
+                   a_eq=A.matrix.sum(axis=0)[None, :], b_eq=[1.0])
+    worst = float(sol.objective) if sol.optimal else 0.0
+    assert answers[3][1] == pytest.approx(worst, rel=1e-9, abs=1e-9)

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import momentkit as mk
 from momentkit import counters, measure
-from momentkit.measure import TDecayEntry, _merge_copies
+from momentkit.funcspace import _merge_copies
+from momentkit.measure import TDecayEntry
 from momentkit.tolerances import MEASURABLE_TOL
 
 from conftest import density_functional, ground, ones, random_partition, vec
@@ -394,57 +395,13 @@ def test_density_lps_get_one_copy_of_each_row(seed, variant):
 
 def test_density_lp_without_variables_keeps_its_rows():
     # With an empty domain and B the LP has no variables: every row reads
-    # 0 <= -chi or 0 <= chi, which the merge helper cannot group (it would
-    # keep no row), so the rows go to the solver as given: infeasible.
+    # 0 <= -chi or 0 <= chi.  Rows over no columns count as distinct, so they
+    # go to the solver as given: infeasible.
     g = ground(3)
     alg = mk.SigmaAlgebra(g, ((0, 1), (2,)))
     empty = mk.Subspace(g, [])
     with pytest.raises(mk.LpFailure, match="block 0 ended with status infeasible"):
         mk.density_check(empty, alg, mk.Functional(empty, []))
-
-
-def test_rows_differing_in_the_sign_of_a_zero_merge():
-    a = [[1.0, 0.0], [1.0, -0.0], [-0.0, 1.0], [0.0, 1.0]]
-    b = [2.0, 1.0, 3.0, 3.0]
-    assert _merge_copies(np.array(a), np.array(b)).tolist() == [1, 2]
-
-
-def test_equal_copies_keep_the_first():
-    a = [[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
-    b = [3.0, 5.0, 2.0, 2.0]
-    assert _merge_copies(np.array(a), np.array(b)).tolist() == [2, 1]
-
-
-def _lexsort_merge(a_ub, b_ub):
-    """Reference merge by a stable sort on every column, then the right-hand
-    side: each group's first row and the row at its smallest right-hand
-    side, in first-occurrence order, or None when no row repeats."""
-    perm = np.lexsort((b_ub, *a_ub.T))
-    ranked = a_ub[perm]
-    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
-    if starts.size == a_ub.shape[0]:
-        return None
-    first = np.minimum.reduceat(perm, starts)
-    order = np.argsort(first)
-    return a_ub[first[order]], perm[starts][order]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_merge_matches_lexsort_reference(data):
-    m, n = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
-    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25])
-    a_ub = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                       min_size=m, max_size=m)))
-    b_ub = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
-                                       min_size=m, max_size=m)))
-    rows, ref = _merge_copies(a_ub, b_ub), _lexsort_merge(a_ub, b_ub)
-    if ref is None:
-        assert rows is None
-    else:
-        ref_a, ref_rows = ref
-        assert rows.tolist() == ref_rows.tolist()
-        assert np.array_equal(a_ub[rows], ref_a)  # == reads -0.0 as 0.0
 
 
 def test_density_degenerate_zero_functional():

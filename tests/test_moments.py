@@ -194,6 +194,29 @@ def test_grid_check_dirac_at_zero():
     assert mk.haviland_grid_check(seq(1, 0, 0), [0.0], 1e-7)[0]
 
 
+@pytest.mark.parametrize("moments, a, grid, coeffs", [
+    ((1, 0.5, 0.3, 0.2, 0.2), 0.0, [0.0, 1.0], (0.0, -0.5, 0.0, 0.5)),
+    ((1, 0.1, 0.5, 0.2, 0.4), -1.0, [-1.0, 0.0, 1.0], (0.0, 0.0, -0.5, 0.0, 0.5)),
+])
+def test_grid_lp_gets_one_copy_of_each_power(moments, a, grid, coeffs):
+    # On points in {-1, 0, 1} the powers >= 1 of one parity give equal rows.
+    # The LP is given one copy of each, and the witness reads the kept copy's
+    # multiplier; over the full rows the first witness would be
+    # (0, -0.5, 0, 0, 0.5), as good a witness and another output.
+    m = mk.MomentSequence(moments, mk.Support.interval(a, 1.0))
+    posed, real = [], moments_mod.solve_lp
+
+    def watched(c, a_ub, b_ub, **kw):
+        posed.append(b_ub.size)
+        return real(c, a_ub=a_ub, b_ub=b_ub, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments_mod, "solve_lp", watched)
+        ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
+    assert posed == [2 * len(grid)]  # of 10 rows: each distinct row once
+    assert not ok and witness.coeffs == coeffs
+
+
 def test_grid_check_validates_grid():
     with pytest.raises(ValueError):
         mk.haviland_grid_check(seq(1, 0, 1), [], 1e-7)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentkit import counters, measure, simplex
+from momentkit import counters, funcspace, simplex
 from momentkit.errors import LpFailure
 from momentkit.simplex import lp_feasible, solve_lp
 
@@ -45,7 +45,7 @@ def test_size_cap():
 
 def test_size_cap_counts_rows_before_merging():
     # 501 copies of one row are 501 rows: the cap counts the rows as given,
-    # and only a caller (density_check) merges copies before the solve
+    # and the callers whose rows repeat merge copies before the solve
     with pytest.raises(LpFailure):
         solve_lp([1.0], a_ub=np.ones((501, 1)), b_ub=np.arange(501.0))
 
@@ -494,8 +494,8 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
     # and b, equilibrated and flipped there, a pricing loop of in-place row
     # subtractions, the read-out's constants worked out per objective, a
     # phase-1 test scaled by the largest right-hand side, and the merge of
-    # copied inequality rows that density_check now runs before it calls the
-    # solver.  The oracle the solver must match bit for bit; its helpers are
+    # copied inequality rows that the callers whose rows repeat now run
+    # before they call the solver.  The oracle the solver must match bit for bit; its helpers are
     # read off the modules, so the reference pivot loop above can stand in
     # for simplex._iterate and a test can watch the merge.
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -530,11 +530,11 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
         raise LpFailure("LP data contains non-finite entries")
 
     # Presolve: copied inequality rows become one row at their smallest
-    # right-hand side (see the module docstring); ``ub_rows`` is the caller
+    # right-hand side (see momentkit.funcspace); ``ub_rows`` is the caller
     # row that carries each kept row's multiplier.
     m_caller, ub_rows = m, None
     if m_ub > 1 and n:
-        ub_rows = measure._merge_copies(a_ub, b_ub)
+        ub_rows = funcspace._merge_copies(a_ub, b_ub)
         if ub_rows is not None:
             a_ub, b_ub = a_ub[ub_rows], b_ub[ub_rows]
             m_ub = ub_rows.size
@@ -787,12 +787,12 @@ def _in_caller_rows(sol, rows, m_ub):
 @given(st.data())
 def test_solve_matches_reference_bitwise(data):
     # The reference merges copied inequality rows itself; where it does,
-    # solve_lp is given the kept rows, as density_check gives them.
+    # solve_lp is given the kept rows, as the LPs over points give them.
     c, kwargs = _draw_lp(data, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     # Only a tableau with rows can have taken a pivot, tiny or not.
     has_rows = any(np.size(kwargs.get(b, ())) for b in ("b_ub", "b_eq"))
     stop_first = has_rows and data.draw(st.booleans())
-    merge, merged = measure._merge_copies, []
+    merge, merged = funcspace._merge_copies, []
 
     def watched_merge(a_ub, b_ub):
         merged.append(merge(a_ub, b_ub))
@@ -803,7 +803,7 @@ def test_solve_matches_reference_bitwise(data):
                    _stopping_once(_reference_iterate) if stop_first else _reference_iterate)
         mp.setattr(simplex, "_leaving_row", _reference_leaving_row)
         mp.setattr(simplex, "_pivot", _reference_pivot)
-        mp.setattr(measure, "_merge_copies", watched_merge)
+        mp.setattr(funcspace, "_merge_copies", watched_merge)
         want = _outcome(_reference_solve_lp, c, kwargs)
 
     rows = merged[0] if merged else None
