@@ -374,6 +374,8 @@ def main(argv=None) -> int:
         return _refuse("--grid must be at least 2")
     if args.bins < 1:
         return _refuse("--bins must be at least 1")
+    if args.jobs < 1:
+        return _refuse("--jobs must be at least 1")
 
     multi = len(args.inputs) > 1
     out = None if args.output is None else Path(args.output)

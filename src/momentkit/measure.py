@@ -30,7 +30,7 @@ from .funcspace import (
     FunctionVec,
     GroundSet,
     Subspace,
-    _one_copy,
+    _merge_copies,
     _same_ground,
     check_adapted,
     default_candidates,
@@ -255,17 +255,29 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
                   tol: float = DENSITY_TOL) -> DensityReport:
     """Seminorm distance from each block indicator to ``span(B)``.
 
-    Each distance is ``inf over b of Lbar(|chi - b|)``, computed as the LP
+    Each distance is ``inf over b of Lbar(|chi - b|)``, the LP
     ``min Lbar(t)`` over ``t`` in Lbar's span with ``t >= chi - b`` and
-    ``t >= b - chi`` pointwise.  Dense means every distance is below tol.
+    ``t >= b - chi`` pointwise: ``min c @ z`` over ``z = (tau, beta)`` with
+    ``A z <= r``, ``A = [[-M, -N], [-M, N]]`` and ``r = [-chi; chi]``.
+    Dense means every distance is below tol.
 
     An indicator already in ``span(B)`` (:meth:`Subspace.contains`) gets
     distance 0 without an LP: ``b = chi``, ``t = 0`` is feasible with value
     0, and the LP's minimum is reported as ``max(0, min)``.
 
-    The rows repeat: where Lbar's domain and ``B`` are block-constant, as
-    measurable functions are, the rows and right-hand sides at two points of
-    one block are equal, and the LP gets one copy of each (see
+    The blocks' LPs differ only in ``r``, so all of them are one solve of
+    their dual: ``min r @ y`` over ``y >= 0`` with ``A.T @ y = -c``, whose
+    optimum is minus the primal's.  The dual's feasible set does not depend
+    on ``r``, so one phase 1 serves every block, and each block outside
+    ``span(B)`` is one objective row.  A dual that is infeasible means a
+    primal that is unbounded, and a dual that is unbounded a primal that is
+    infeasible; either failure names the first block that has an objective.
+
+    The dual's columns are the primal's rows, one per point and sign, and
+    they repeat: where Lbar's domain and ``B`` are block-constant, as
+    measurable functions are, the columns at two points of one block are
+    equal, in ``A.T`` and in every block's cost.  A copy of a column changes
+    no optimum, so the LP gets one copy of each (see
     :mod:`momentkit.funcspace`).
     """
     M = Lbar.domain.matrix
@@ -276,16 +288,21 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
         [-M, N],    # t - b >= -chi
     ])
     c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
-    distances = []
-    for i, chi in enumerate(alg.indicators()):
-        if B.contains(chi):
-            distances.append(0.0)
-            continue
-        rows, rhs = _one_copy(a_ub, np.concatenate([-chi.values, chi.values]))
-        sol = solve_lp(c, a_ub=rows, b_ub=rhs)
-        if not sol.optimal:
-            raise LpFailure(f"density LP for block {i} ended with status {sol.status}")
-        distances.append(max(0.0, float(sol.objective)))
+    chis = alg.indicators()
+    outside = [i for i, chi in enumerate(chis) if not B.contains(chi)]
+    distances = [0.0] * len(chis)
+    if not outside:
+        return DensityReport(tuple(distances), tol)
+    costs = np.array([np.concatenate([-chis[i].values, chis[i].values]) for i in outside])
+    rows = _merge_copies(np.hstack([a_ub, costs.T]), np.zeros(a_ub.shape[0]))
+    if rows is not None:
+        a_ub, costs = a_ub[rows], costs[:, rows]
+    sol = solve_lp(costs, a_eq=a_ub.T, b_eq=-c, nonneg=True)
+    if not sol.optimal:
+        status = {"infeasible": "unbounded", "unbounded": "infeasible"}[sol.status]
+        raise LpFailure(f"density LP for block {outside[0]} ended with status {status}")
+    for i, objective in zip(outside, sol.objective.tolist()):
+        distances[i] = max(0.0, -objective)
     return DensityReport(tuple(distances), tol)
 
 

@@ -459,21 +459,21 @@ def test_build_measure_pivot_count(tmp_path, capsys):
 
 def test_build_measure_pivot_count_constants_only(tmp_path, capsys):
     # With the constants alone as designated subspace (not dense, exit 1),
-    # four density LPs join the step's LP.  density_check gives each LP one
-    # copy of each of its block-repeated rows, and the five LPs take 43
-    # pivots; over the full rows they take 58.  The pin guards that merge.
+    # the four blocks' distances are one dual LP with four objectives, which
+    # joins the step's LP: 17 pivots, against 43 for one LP per block.  The
+    # pin guards the single phase 1.
     doc = dict(_pivot_count_doc(), b_basis={"one": [1.0] * 24})
-    assert _lp_counts(tmp_path, capsys, doc, 1) == (5, 43)
+    assert _lp_counts(tmp_path, capsys, doc, 1) == (2, 17)
 
 
-@pytest.mark.parametrize("b_basis, counts", [(None, (3, 12)), ("g1", (11, 41))])
+@pytest.mark.parametrize("b_basis, counts", [(None, (3, 12)), ("g1", (8, 26))])
 def test_build_measure_pivot_count_without_constants(tmp_path, capsys, b_basis, counts):
     # A domain without the constants: hull membership is one LP over the 24
     # points, 4 of them distinct.  With g1 alone as designated subspace (not
-    # dense, exit 1), four density LPs and four domination LPs join.
-    # hull_contains and dominates keep one copy of each block-repeated row,
-    # as density_check does; over the full rows the runs take 32 and 79
-    # pivots.  The pins guard those merges.
+    # dense, exit 1), one density LP (four objectives) and four domination
+    # LPs join.  hull_contains and dominates keep one copy of each
+    # block-repeated row; over the full rows the runs take 32 and 64
+    # pivots.  The pins guard those merges and the single density LP.
     doc = _pivot_count_doc()
     for key in ("basis", "functional"):
         del doc[key]["one"]
@@ -483,16 +483,17 @@ def test_build_measure_pivot_count_without_constants(tmp_path, capsys, b_basis, 
 
 
 def test_build_measure_density_lps_are_capped_after_the_merge(tmp_path, capsys):
-    # 260 points in 4 blocks: each density LP has 520 rows as written, above
-    # solve_lp's cap of 500 rows, and 8 once density_check keeps one copy of
-    # each.  The cap counts the rows the solver is given, so the verdict is
-    # the density's (it was numerical-failure, exit 3, while the solver
-    # merged copies itself and capped the rows before the merge).
+    # 260 points in 4 blocks: the density LP's dual has 520 columns as
+    # written, above solve_lp's cap of 500, and 8 once density_check keeps
+    # one copy of each.  The cap counts the columns the solver is given, so
+    # the verdict is the density's (it was numerical-failure, exit 3, while
+    # the solver merged copies itself and capped before the merge).  The
+    # step's LP and the one density LP are the two solves.
     doc = dict(_pivot_count_doc(per_block=65), b_basis={"one": [1.0] * 260})
     assert main(["build-measure", write(tmp_path, "fs.json", doc)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "density-failed"
-    assert out["diagnostics"]["lp_solves"] == 5
+    assert out["diagnostics"]["lp_solves"] == 2
 
 
 def test_build_measure_audit_off_the_block_constants_is_an_lp(tmp_path, capsys, monkeypatch):
@@ -887,6 +888,15 @@ def test_bins_must_be_at_least_one(tmp_path, capsys, bins):
     assert main(["build-measure", path, "--bins", bins]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--bins must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_must_be_at_least_one(tmp_path, capsys, jobs):
+    # These used to run as --jobs 1, with no word about the value.
+    path = write(tmp_path, "m.json", {"moments": [1, 0, 1]})
+    assert main(["check", path, "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "momentkit: --jobs must be at least 1" in captured.err
 
 
 def test_extend_moments_loose_tol(tmp_path, capsys):

@@ -358,10 +358,11 @@ def test_density_span_shortcut_matches_lp(seed, variant):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["constants", "mix"]))
 def test_density_lps_get_one_copy_of_each_row(seed, variant):
-    # Block-constant B and domain, fewer blocks than points: every density
-    # LP repeats rows, and solve_lp gets the helper's kept rows.  B spans at
-    # most two of the three or more indicators, so some LP is solved.  The
-    # distances match the LPs over the full rows.
+    # Block-constant B and domain, fewer blocks than points: the dual LP's
+    # columns repeat, in its rows and in every block's cost, and solve_lp
+    # gets one copy of each in its one call.  B spans at most two of the
+    # three or more indicators, so the LP is solved.  The distances match
+    # the per-block LPs over the full rows.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 12))
     g = ground(n)
@@ -374,23 +375,63 @@ def test_density_lps_get_one_copy_of_each_row(seed, variant):
     Lbar = density_functional(rng, independent(g, [ones(g)] + chis + list(B.basis)))
     M, N = Lbar.domain.matrix, B.matrix
     a_full = np.block([[-M, -N], [-M, N]])
+    c_full = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     posed, real = [], measure.solve_lp
 
-    def watched(c, a_ub, b_ub):
-        posed.append((a_ub, b_ub))
-        return real(c, a_ub=a_ub, b_ub=b_ub)
+    def watched(c, *, a_eq, b_eq, nonneg):
+        posed.append((c, a_eq, b_eq, nonneg))
+        return real(c, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "solve_lp", watched)
         report = mk.density_check(B, alg, Lbar)
-    full_b = [np.concatenate([-chi.values, chi.values]) for chi in chis if not B.contains(chi)]
-    assert len(posed) == len(full_b) > 0
-    for (a_ub, b_ub), b_full in zip(posed, full_b):
-        rows = _merge_copies(a_full, b_full)
-        assert rows is not None and rows.size < b_full.size
-        assert np.array_equal(a_ub, a_full[rows]) and np.array_equal(b_ub, b_full[rows])
+    costs = np.array([np.concatenate([-chi.values, chi.values])
+                      for chi in chis if not B.contains(chi)])
+    assert len(posed) == 1 and len(costs) > 0
+    c, a_eq, b_eq, nonneg = posed[0]
+    cols = _merge_copies(np.hstack([a_full, costs.T]), np.zeros(2 * n))
+    assert cols is not None and cols.size < 2 * n and nonneg
+    assert np.array_equal(a_eq, a_full[cols].T) and np.array_equal(b_eq, -c_full)
+    assert np.array_equal(c, costs[:, cols])
     tol = 1e-9 * max(1.0, Lbar(ones(g)))
     assert report.distances == pytest.approx(lp_distances(B, alg, Lbar), rel=0, abs=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 24), st.integers(1, 8))
+def test_density_of_the_constants_is_the_lighter_side(seed, n, n_blocks):
+    # B = the constants, Lbar integration against a positive density w.  For
+    # c in [0, 1], |chi_i - c| is 1 - c on block i and c off it, so the
+    # distance is min over c of (1 - c) m_i + c (M - m_i) = min(m_i, M - m_i),
+    # with m_i the mass of block i and M the total.
+    rng = np.random.default_rng(seed)
+    g = ground(n)
+    alg = random_partition(rng, g, n_blocks)
+    w = rng.uniform(0.01, 2.0, n)
+    domain = mk.Subspace(g, alg.indicators())
+    Lbar = mk.Functional(domain, [float(w @ chi.values) for chi in domain.basis])
+    report = mk.density_check(mk.Subspace(g, [ones(g)]), alg, Lbar)
+    mass = np.array([w[list(block)].sum() for block in alg.blocks])
+    total = mass.sum()
+    want = np.minimum(mass, total - mass)
+    assert np.abs(np.array(report.distances) - want).max() <= 1e-12 * total
+
+
+def test_density_check_is_one_lp():
+    # Two singletons and a pair: every indicator is outside the span of the
+    # constants, and all three distances come from one solve.  With B the
+    # indicators, every indicator is inside it and no LP runs.
+    g = ground(4)
+    alg = mk.SigmaAlgebra(g, ((0,), (1,), (2, 3)))
+    domain = full_simple_domain(g, alg)
+    Lbar = counting_functional(g, domain)
+    with counters.collect() as stats:
+        report = mk.density_check(mk.Subspace(g, [ones(g)]), alg, Lbar)
+    assert stats["lp_solves"] == 1
+    assert report.distances == pytest.approx((1.0, 1.0, 2.0), abs=1e-12)
+    with counters.collect() as stats:
+        report = mk.density_check(domain, alg, Lbar)
+    assert stats["lp_solves"] == 0 and report.distances == (0.0, 0.0, 0.0)
 
 
 def test_density_lp_without_variables_keeps_its_rows():
