@@ -291,18 +291,18 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     chis = alg.indicators()
     outside = [i for i, chi in enumerate(chis) if not B.contains(chi)]
     distances = [0.0] * len(chis)
-    if not outside:
-        return DensityReport(tuple(distances), tol)
-    costs = np.array([np.concatenate([-chis[i].values, chis[i].values]) for i in outside])
-    rows = _merge_copies(np.hstack([a_ub, costs.T]), np.zeros(a_ub.shape[0]))
-    if rows is not None:
-        a_ub, costs = a_ub[rows], costs[:, rows]
-    sol = solve_lp(costs, a_eq=a_ub.T, b_eq=-c, nonneg=True)
-    if not sol.optimal:
-        status = {"infeasible": "unbounded", "unbounded": "infeasible"}[sol.status]
-        raise LpFailure(f"density LP for block {outside[0]} ended with status {status}")
-    for i, objective in zip(outside, sol.objective.tolist()):
-        distances[i] = max(0.0, -objective)
+    if outside:
+        costs = np.array([np.concatenate([-chis[i].values, chis[i].values]) for i in outside])
+        # keyed by coefficients and costs: copies agree in both, so no rhs rule
+        cols = _merge_copies(np.hstack([a_ub, costs.T]), np.zeros(a_ub.shape[0]))
+        if cols is not None:
+            a_ub, costs = a_ub[cols], costs[:, cols]
+        sol = solve_lp(costs, a_eq=a_ub.T, b_eq=-c, nonneg=True)
+        if not sol.optimal:
+            status = {"infeasible": "unbounded", "unbounded": "infeasible"}[sol.status]
+            raise LpFailure(f"density LP for block {outside[0]} ended with status {status}")
+        for i, objective in zip(outside, sol.objective.tolist()):
+            distances[i] = max(0.0, -objective)
     return DensityReport(tuple(distances), tol)
 
 
