@@ -400,10 +400,10 @@ def test_density_lps_get_one_copy_of_each_row(seed, variant):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 24), st.integers(1, 8))
 def test_density_of_the_constants_is_the_lighter_side(seed, n, n_blocks):
-    # B = the constants, Lbar integration against a positive density w.  For
-    # c in [0, 1], |chi_i - c| is 1 - c on block i and c off it, so the
-    # distance is min over c of (1 - c) m_i + c (M - m_i) = min(m_i, M - m_i),
-    # with m_i the mass of block i and M the total.
+    # B = the constants, Lbar integration against a positive density w.  The
+    # best constant c lies in [0, 1], where |chi_i - c| is 1 - c on block i
+    # and c off it, so the distance is the least (1 - c) m_i + c (M - m_i),
+    # min(m_i, M - m_i), with m_i the mass of block i and M the total.
     rng = np.random.default_rng(seed)
     g = ground(n)
     alg = random_partition(rng, g, n_blocks)
