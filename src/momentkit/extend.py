@@ -65,7 +65,7 @@ class Functional(Frozen):
             raise ValueError(
                 f"got {coeffs.shape[0]} coefficients for a dimension-{domain.dim} domain"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("functional coefficients must be finite")
         coeffs.setflags(write=False)
         set_field(self, "domain", domain)
@@ -211,23 +211,28 @@ def hb_extend(L: Functional, targets, rule: str = "midpoint"):
 def extend_to_hull(L: Functional, A: Subspace, hull_basis, rule: str = "midpoint"):
     """Positive extension toward absolutely dominated targets.
 
-    Every target must be dominated in absolute value by some member of
-    ``span(A)`` (checked first; failure raises
+    Every target outside ``L``'s span must be dominated in absolute value by
+    some member of ``span(A)`` (checked first; failure raises
     :class:`HullMembershipFailed`), after which the extension itself is a
-    plain :func:`hb_extend` run.
+    plain :func:`hb_extend` run over all the targets, which skips those in
+    the span; the trace's indices count all of them.
 
-    One :func:`hull_contains` call asks about the pointwise max of ``|h|``
-    over the targets: some member of ``span(A)`` dominates every ``|h|`` iff
-    one dominates their max (the sum of the separate dominators, each
-    ``>= |h| >= 0``, is one).  It is one LP, or none when ``span(A)``
-    contains the constants.  Only when it fails are the targets asked one
-    by one, to name the first that fails.
+    When ``span(A)`` contains the constants every target is dominated
+    (``max|h| * 1`` lies above ``|h|``), so no target is asked about, or
+    projected, here.  Otherwise each target is projected onto ``L``'s span
+    to find those outside it, and one :func:`hull_contains` LP asks about
+    the pointwise max of their ``|h|``: some member of ``span(A)``
+    dominates every ``|h|`` iff one dominates their max (the sum of the
+    separate dominators, each ``>= |h| >= 0``, is one).  Only when it fails
+    are they asked one by one, to name the first that fails by its
+    position among them.
     """
     hull_basis = list(hull_basis)
-    if hull_basis:
-        peak = FunctionVec(A.ground, np.max([np.abs(h.values) for h in hull_basis], axis=0))
+    pending = [] if A._spans_constants else [h for h in hull_basis if not L.domain.contains(h)]
+    if pending:
+        peak = FunctionVec(A.ground, np.max([np.abs(h.values) for h in pending], axis=0))
         if not hull_contains(A, peak):
-            for idx, h in enumerate(hull_basis):
+            for idx, h in enumerate(pending):
                 if not hull_contains(A, h):
                     raise HullMembershipFailed(f"hull target {idx} is not dominated by the span")
     return hb_extend(L, hull_basis, rule)

@@ -60,7 +60,7 @@ class FunctionVec(Frozen):
         vals = np.atleast_1d(np.asarray(values, dtype=float))
         if vals.shape != (ground.size,):
             raise ValueError(f"expected {ground.size} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("function values must be finite")
         vals.setflags(write=False)
         set_field(self, "ground", ground)

@@ -45,16 +45,13 @@ def dumps_canonical(obj) -> str:
 
 
 def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
+    kind = type(obj)  # the exact types first; no dict or list is a scalar
+    if kind is float:
+        out.append(_fmt_float(obj))
+    elif kind is str:
         out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(str(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -66,13 +63,23 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
-    elif isinstance(obj, (list, np.ndarray)) or type(obj) is tuple:  # no NamedTuple record
+    elif isinstance(obj, (list, np.ndarray)) or kind is tuple:  # no NamedTuple record
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
             _emit(item, out)
         out.append("]")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
     else:
         raise ValueError(f"cannot serialize {type(obj).__name__}")
 

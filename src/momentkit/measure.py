@@ -192,13 +192,13 @@ def approx_below(f: FunctionVec, spec: BinningSpec) -> SimpleFunction:
         )
     w = spec.width
     k = np.floor((vals - spec.a) / w).astype(int)
-    k = np.clip(k, 0, spec.n - 1)
+    k = np.minimum(np.maximum(k, 0), spec.n - 1)
     # One-step corrections against floating-point edge rounding.
     phi = spec.a + k * w
     k = np.where(phi > vals, k - 1, k)
     phi = spec.a + k * w
     k = np.where(vals - phi >= w, k + 1, k)
-    k = np.clip(k, 0, spec.n - 1)
+    k = np.minimum(np.maximum(k, 0), spec.n - 1)
     phi = spec.a + k * w
     if (phi > vals).any() or (vals - phi >= w).any():
         raise RangeViolation("binning could not establish 0 <= f - phi < width")
@@ -280,18 +280,18 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
     no optimum, so the LP gets one copy of each (see
     :mod:`momentkit.funcspace`).
     """
-    M = Lbar.domain.matrix
-    N = B.matrix
-    # variables: [tau (Lbar's span), beta (span(B))]
-    a_ub = np.block([
-        [-M, -N],   # t + b >= chi
-        [-M, N],    # t - b >= -chi
-    ])
-    c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     chis = alg.indicators()
     outside = [i for i, chi in enumerate(chis) if not B.contains(chi)]
     distances = [0.0] * len(chis)
     if outside:
+        M = Lbar.domain.matrix
+        N = B.matrix
+        # variables: [tau (Lbar's span), beta (span(B))]
+        a_ub = np.block([
+            [-M, -N],   # t + b >= chi
+            [-M, N],    # t - b >= -chi
+        ])
+        c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
         costs = np.array([np.concatenate([-chis[i].values, chis[i].values]) for i in outside])
         # keyed by coefficients and costs: copies agree in both, so no rhs rule
         cols = _merge_copies(np.hstack([a_ub, costs.T]), np.zeros(a_ub.shape[0]))
@@ -384,6 +384,14 @@ def represent_via_adapted(A: Subspace, B: Subspace | None, L: Functional,
     ``B=None`` means the block indicators: they span every block-constant
     function, and a domain vector that is not block-constant is rejected
     (:class:`IntegralOfNonMeasurable`), so no domain vector would extend them.
+
+    Work whose answer is known is skipped.  Every target goes to
+    :func:`extend_to_hull`, which filters them by span membership only for
+    its hull LP, and that LP runs only when ``span(A)`` lacks the constants.
+    When ``span(B)`` holds them, as the indicators do (they sum to 1),
+    :func:`dominates` says yes to the first candidate, so the first basis
+    vector of ``A`` is the only candidate.  A gap-decay witness that is a
+    basis vector of ``A`` takes that vector's residual.
     """
     notes = []
     for i, g in enumerate(A.basis):
@@ -393,14 +401,14 @@ def represent_via_adapted(A: Subspace, B: Subspace | None, L: Functional,
     indicators = alg.indicators()
     if B is None:  # its basis is the indicators, each a target once
         B, targets = Subspace(alg.ground, indicators), indicators
+        B._spans_constants = True  # the indicators sum to 1
     else:
         targets = list(B.basis) + indicators
     if opts.subspace_variant:
         Lt, trace = hb_extend(L, targets, opts.rule)
         notes.append("subspace variant: hull membership not required")
     else:
-        pending = [t for t in targets if not L.domain.contains(t)]
-        Lt, trace = extend_to_hull(L, A, pending, opts.rule)
+        Lt, trace = extend_to_hull(L, A, targets, opts.rule)
 
     density = density_check(B, alg, Lt, opts.tol)
     masses = [Lt(chi) for chi in indicators]
@@ -417,14 +425,17 @@ def represent_via_adapted(A: Subspace, B: Subspace | None, L: Functional,
         elif A.dim:
             notes.append("no domination witnesses supplied; gap decay not checked")
     else:
-        candidates = default_candidates(A)
+        # span(B) holding the constants, the first candidate dominates every g
+        candidates = A.basis[:1] if B._spans_constants else default_candidates(A)
         adaptedness = check_adapted(A, B, candidates=candidates)
         for entry in adaptedness.entries:
             if entry.witness_index is not None:
                 witness_map[entry.target_index] = candidates[entry.witness_index]
 
+    basis_gaps = {id(g): r for g, r in zip(A.basis, residuals)}
     t_decay = [TDecayEntry(gi, residuals[gi],
-                           gap_T(Lt, mu, alg, w) if alg.is_measurable(w) else float("nan"))
+                           basis_gaps[id(w)] if id(w) in basis_gaps
+                           else gap_T(Lt, mu, alg, w) if alg.is_measurable(w) else float("nan"))
                for gi, w in sorted(witness_map.items())]
 
     if Lt.domain.dim == alg.n_blocks:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import momentkit as mk
-from momentkit import counters, measure
+from momentkit import counters, extend, funcspace, measure
 from momentkit.funcspace import _merge_copies
 from momentkit.measure import TDecayEntry
-from momentkit.tolerances import MEASURABLE_TOL
+from momentkit.tolerances import ADAPTED_EPS, MEASURABLE_TOL
 
 from conftest import density_functional, ground, ones, random_partition, vec
 
@@ -436,8 +436,10 @@ def test_density_check_is_one_lp():
 
 def test_density_lp_without_variables_keeps_its_rows():
     # With an empty domain and B the LP has no variables: every row reads
-    # 0 <= -chi or 0 <= chi.  Rows over no columns count as distinct, so they
-    # go to the solver as given: infeasible.
+    # 0 <= -chi or 0 <= chi, so it is infeasible.  Its dual has no
+    # constraints, only each block's cost [-chi; chi] (a block's points,
+    # equal in every cost, merge), and -chi drives it unbounded: read back
+    # as the primal's status, infeasible.
     g = ground(3)
     alg = mk.SigmaAlgebra(g, ((0, 1), (2,)))
     empty = mk.Subspace(g, [])
@@ -647,7 +649,7 @@ def test_default_designated_trace_as_with_every_indicator_twice(seed, subspace_v
     if subspace_variant:
         _, want = mk.hb_extend(L, targets)
     else:
-        _, want = mk.extend_to_hull(L, A, [t for t in targets if not A.contains(t)])
+        _, want = mk.extend_to_hull(L, A, targets)
     _, report = mk.represent_via_adapted(A, B, L, alg,
                                          mk.RepresentOptions(subspace_variant=subspace_variant))
     got = report.trace.steps
@@ -655,3 +657,131 @@ def test_default_designated_trace_as_with_every_indicator_twice(seed, subspace_v
     for a, b in zip(got, want.steps):
         assert a.target is b.target and a.target_index == b.target_index
         assert (a.interval_lo, a.interval_hi, a.chosen) == (b.interval_lo, b.interval_hi, b.chosen)
+
+
+def test_pipeline_projects_no_target_before_the_chain(monkeypatch):
+    # span(A) holds the constants, so the hull needs no LP and no target is
+    # projected onto span(A) to filter it: hb_extend's membership test is
+    # each target's one projection up to the end of the chain.
+    g = ground(5)
+    alg = mk.SigmaAlgebra(g, ((0, 1), (2,), (3, 4)))
+    A = mk.Subspace(g, [ones(g), vec(g, [0, 0, 1, 2, 2])])
+    B = mk.Subspace(g, [vec(g, [1, 1, 0, 0, 0]), vec(g, [0, 0, 1, 0, 0])])
+    projected, chain = [], []
+    real_coefficients, real_hb_extend = mk.Subspace.coefficients_of, extend.hb_extend
+
+    def counted(self, f):
+        projected.append(f)
+        return real_coefficients(self, f)
+
+    def watched(L, targets, rule):
+        start = len(projected)
+        out = real_hb_extend(L, targets, rule)
+        chain.append((list(targets), start, len(projected)))
+        return out
+
+    monkeypatch.setattr(mk.Subspace, "coefficients_of", counted)
+    monkeypatch.setattr(extend, "hb_extend", watched)
+    mk.represent_via_adapted(A, B, counting_functional(g, A), alg)
+    ((targets, start, stop),) = chain
+    assert [id(t) for t in targets] == [id(t) for t in list(B.basis) + alg.indicators()]
+    assert not {id(t) for t in targets} & {id(f) for f in projected[:start]}
+    assert [id(f) for f in projected[start:stop]] == [id(t) for t in targets]
+
+
+@pytest.mark.parametrize("designated, built", [("indicators", 0), ("constants", 0), ("pair", 1)])
+def test_candidates_are_built_only_without_the_constants_in_b(monkeypatch, designated, built):
+    # With the constants in span(B), dominates() says yes to the first
+    # candidate, so every witness is basis vector 0 and the squares and the
+    # constant are never built.  B=None stands for the indicators, whose
+    # sum is 1.
+    g = ground(4)
+    alg = mk.SigmaAlgebra(g, ((0, 1), (2,), (3,)))
+    A = mk.Subspace(g, [ones(g), vec(g, [0, 0, 1, 2])])
+    B = {"indicators": None, "constants": mk.Subspace(g, [ones(g)]),
+         "pair": mk.Subspace(g, [vec(g, [1, 1, 0, 0]), vec(g, [0, 0, 1, 0])])}[designated]
+    calls, real = [], funcspace.default_candidates
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(funcspace, "default_candidates", counted)
+    monkeypatch.setattr(measure, "default_candidates", counted)
+    _, report = mk.represent_via_adapted(A, B, counting_functional(g, A), alg)
+    assert len(calls) == built
+    if not built:
+        assert [e.witness_index for e in report.adaptedness.entries] == [0, 0]
+
+
+def reference_pipeline(A, B, L, alg):
+    """The report fields the long way (the reference): every target filtered
+    by a projection onto L's span, the hull asked target by target, every
+    candidate built and every witness's gap computed.  Returns the pending
+    targets, the trace, the masses, the residuals, the witness indices, the
+    t_decay triples and the density report of the extension."""
+    indicators = alg.indicators()
+    if B is None:
+        B, targets = mk.Subspace(alg.ground, indicators), indicators
+    else:
+        targets = list(B.basis) + indicators
+    pending = [t for t in targets if not L.domain.contains(t)]
+    for idx, h in enumerate(pending):
+        if not mk.hull_contains(A, h):
+            raise mk.HullMembershipFailed(f"hull target {idx} is not dominated by the span")
+    Lt, trace = mk.hb_extend(L, pending)
+    mu = mk.build_measure(Lt, alg)
+    residuals = [mk.gap_T(Lt, mu, alg, g) for g in A.basis]
+    candidates = mk.default_candidates(A)
+    witnesses = [next((ci for ci, f in enumerate(candidates)
+                       if mk.dominates(g, f, B, ADAPTED_EPS)), None) for g in A.basis]
+    t_decay = [(gi, residuals[gi], mk.gap_T(Lt, mu, alg, candidates[w])
+                if alg.is_measurable(candidates[w]) else float("nan"))
+               for gi, w in enumerate(witnesses) if w is not None]
+    return (pending, trace, mu.block_mass, residuals, witnesses, t_decay,
+            mk.density_check(B, alg, Lt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from(["none", "with", "without"]))
+@example(534, True, "without")  # witness: basis vector 1 of g_2
+@example(2332, True, "without")  # witnesses: a square, basis vector 2
+@example(2654, True, "without")  # witnesses: a square, basis vector 1
+def test_pipeline_matches_the_reference_built_the_long_way(seed, a_constants, designated):
+    # With and without the constants in A and in B (B=None: the indicators),
+    # every field the shortcuts touch equals the reference's bit for bit, or
+    # both raise the same error.  Mixed scales make witnesses other than
+    # basis vector 0.  The trace's indices count all targets, the
+    # reference's the pending ones.  (density_check itself is checked
+    # against lp_distances above.)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    g = ground(n)
+    alg = random_partition(rng, g, int(rng.integers(1, n + 1)))
+
+    def simple():
+        levels = rng.normal(size=alg.n_blocks)
+        return mk.SimpleFunction(alg, levels * 10.0 ** rng.integers(-3, 4)).as_vec()
+
+    A = independent(g, [ones(g)] * a_constants + [simple() for _ in range(rng.integers(0, 3))])
+    B = None if designated == "none" else independent(
+        g, [ones(g)] * (designated == "with") + [simple() for _ in range(rng.integers(1, 3))])
+    L = density_functional(rng, A)
+    try:
+        want = reference_pipeline(A, B, L, alg)
+    except mk.MomentkitError as exc:
+        with pytest.raises(type(exc), match=f"^{exc}$"):
+            mk.represent_via_adapted(A, B, L, alg)
+        return
+    pending, trace, masses, residuals, witnesses, t_decay, density = want
+    mu, report = mk.represent_via_adapted(A, B, L, alg)
+    targets = alg.indicators() if B is None else list(B.basis) + alg.indicators()
+    assert len(report.trace.steps) == len(trace.steps)
+    for a, b in zip(report.trace.steps, trace.steps):
+        assert a.target is b.target is targets[a.target_index] is pending[b.target_index]
+        assert (a.interval_lo, a.interval_hi, a.chosen) == (b.interval_lo, b.interval_hi, b.chosen)
+    assert np.array_equal(mu.block_mass, masses)
+    assert list(report.residuals) == residuals
+    assert [e.witness_index for e in report.adaptedness.entries] == witnesses
+    assert [tuple(e) for e in report.t_decay] == t_decay
+    assert report.density == density
