@@ -6,13 +6,16 @@ import sys
 import warnings
 from pathlib import Path
 
+from json.encoder import encode_basestring_ascii
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
 from momentkit import cli, counters, measure
 from momentkit.cli import main
-from momentkit.jsonio import dumps_canonical, parse_input
+from momentkit.jsonio import _fmt_float, dumps_canonical, parse_input
 
 from conftest import atomic_moments
 
@@ -51,6 +54,51 @@ def test_canonical_json_refuses_records():
     for record in records:  # a NamedTuple is a tuple, but no JSON array
         with pytest.raises(ValueError, match=f"^cannot serialize {type(record).__name__}$"):
             dumps_canonical({"x": [record]})
+
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+def _reference_canonical(obj) -> str:
+    """The encoder as one isinstance chain (the reference)."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{encode_basestring_ascii(k)}:{_reference_canonical(obj[k])}"
+                              for k in sorted(obj)) + "}"
+    assert isinstance(obj, (list, np.ndarray)) or type(obj) is tuple
+    return "[" + ",".join(map(_reference_canonical, obj)) + "]"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = (st.none() | st.booleans() | st.integers() | _FINITE | st.text(max_size=4)
+           | _FINITE.map(np.float64)
+           | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+           | st.integers(-2**63, 2**63 - 1).map(np.int64)
+           | st.text(max_size=4).map(_Label) | st.integers().map(_Count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                    | st.lists(kids, max_size=4).map(tuple)
+                    | st.dictionaries(st.text(max_size=3), kids, max_size=4), max_leaves=20))
+def test_canonical_json_matches_the_isinstance_chain(value):
+    # The encoder tests the exact types first; subclasses, numpy scalars,
+    # bools and None take the isinstance chain, with the same bytes.
+    assert dumps_canonical(value) == _reference_canonical(value)
 
 
 def test_canonical_roundtrips_doubles():

@@ -348,6 +348,22 @@ def test_extend_to_hull_names_first_failing_target():
         mk.extend_to_hull(L, A, targets)
 
 
+def test_extend_to_hull_asks_only_about_targets_outside_the_span():
+    # span(A) = {(a, -a, b, b)} lacks the constants and lies above |h| only
+    # where h vanishes on the first two points.  (3, -3, 0, 0) is in the
+    # span, so it needs no extension and the hull is not asked about it;
+    # a failing target is named by its position among the others, while
+    # the trace's indices count every target.
+    g = ground(4)
+    A = mk.Subspace(g, [vec(g, [1, -1, 0, 0]), vec(g, [0, 0, 1, 1])])
+    L = mk.Functional(A, [0.0, 2.0])
+    in_span, in_hull, outside = vec(g, [3, -3, 0, 0]), vec(g, [0, 0, 1, 0]), vec(g, [1, 0, 0, 0])
+    _, trace = mk.extend_to_hull(L, A, [in_span, in_hull])
+    assert [step.target_index for step in trace.steps] == [1]
+    with pytest.raises(mk.HullMembershipFailed, match="hull target 1 "):
+        mk.extend_to_hull(L, A, [in_span, in_hull, outside])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_hull_of_pointwise_max_is_conjunction(seed):
