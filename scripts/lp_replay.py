@@ -4,10 +4,12 @@
 Every operation of the given blocks (the inputs that ``benchmark/run.py``
 generates from each seed, as ``compare_outputs.py`` runs them) runs once, in
 process, with ``solve_lp`` wrapped: each call's arguments and result are kept
-with its site, the first calling function outside ``simplex.py``.  The replay
-solves every captured LP ``--repeats`` times, keeps the fastest time of each,
-and prints per site the solves, the pivots per solve and the microseconds per
-solve::
+with its site, the first calling function outside ``simplex.py``, and, for a
+solve started from an earlier one (``solve_lp``'s ``start``), that call's
+index.  The replay solves every captured LP ``--repeats`` times in capture
+order, a started one from its predecessor's replay, keeps the fastest time
+of each, and prints per site the solves, how many of them started from an
+earlier solve, the pivots per solve and the microseconds per solve::
 
     python3 scripts/lp_replay.py --workload finite-space moment-check --seeds 7 --blocks 1
 
@@ -26,11 +28,17 @@ same results, and both solvers return them::
 
     python3 scripts/lp_replay.py --workload finite-space --seeds 7 8 --blocks 2 \\
         --root ../parent-checkout
+
+A checkout whose ``solve_lp`` takes no ``start`` captures different LPs (its
+steps carry no predecessor, and its positivity audit is another LP), so the
+captures differ and the script exits 1; its solver replays this capture's
+started solves cold, and the timings still compare the two.
 """
 
 import argparse
 import base64
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -67,15 +75,16 @@ def _solution(sol):
 
 
 def _timed(solve, failure, args):
-    """``solve(**args)`` in the capture's encoding, and the seconds the call
-    took; ``failure`` is the ``LpFailure`` class of the solver's package."""
+    """``solve(**args)``, that result in the capture's encoding, and the
+    seconds the call took; ``failure`` is the ``LpFailure`` class of the
+    solver's package.  The solution is None when the call failed."""
     start = time.perf_counter()
     try:
         sol = solve(**args)
     except failure as exc:
-        return {"error": str(exc)}, time.perf_counter() - start
+        return None, {"error": str(exc)}, time.perf_counter() - start
     seconds = time.perf_counter() - start
-    return _solution(sol), seconds
+    return sol, _solution(sol), seconds
 
 
 def _load_package(root: Path, name: str):
@@ -101,26 +110,30 @@ def _site(frame) -> str:
 
 def capture(root: Path, workloads, seeds, blocks):
     """Every ``solve_lp`` call of the operations of the given blocks, in order:
-    ``{"workload", "site", "args", "nonneg", "result"}``."""
+    ``{"workload", "site", "args", "nonneg", "start", "result"}``, where
+    ``start`` is the index of the call whose solution the call started from,
+    or None."""
     runner = load_runner(root)
     from momentkit import cli, simplex
 
     runner.configure_logging()
     original = simplex.solve_lp
-    calls = []
+    calls, solutions = [], {}  # id of each returned solution -> (its call's index, it)
 
-    def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg=False):
+    def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg=False, start=None):
         args = dict(zip(ARGS, (c, a_ub, b_ub, a_eq, b_eq)))
         record = {"workload": workload, "site": _site(sys._getframe(1)),
                   "args": {k: None if v is None else _array(v) for k, v in args.items()},
-                  "nonneg": nonneg}
+                  "nonneg": nonneg,
+                  "start": None if start is None else solutions[id(start)][0]}
         calls.append(record)
         try:
-            sol = original(**args, nonneg=nonneg)
+            sol = original(**args, nonneg=nonneg, start=start)
         except simplex.LpFailure as exc:
             record["result"] = {"error": str(exc)}
             raise
         record["result"] = _solution(sol)
+        solutions[id(sol)] = (len(calls) - 1, sol)  # kept alive, so no id is reused
         return sol
 
     modules = [m for k, m in list(sys.modules.items())
@@ -147,31 +160,40 @@ def capture(root: Path, workloads, seeds, blocks):
 def replay(calls, solvers, repeats):
     """Replay every call with each ``(solve, LpFailure class)`` of ``solvers``,
     ``repeats`` times, alternating which solver goes first from round to round.
-    Returns, per solver, the fastest time of each call in seconds and whether
-    every replay returned bitwise the captured result."""
+    Calls run in capture order, and a started one starts from that solver's
+    replay of its predecessor in the same round; a solver whose ``solve_lp``
+    takes no ``start`` solves it cold.  Returns, per solver, the fastest time
+    of each call in seconds and whether every replay returned bitwise the
+    captured result."""
     decoded = [dict({k: None if v is None else _unarray(v) for k, v in call["args"].items()},
                     nonneg=call["nonneg"]) for call in calls]
+    starts = [call.get("start") for call in calls]
+    chains = ["start" in inspect.signature(solve).parameters for solve, _ in solvers]
     best = [[float("inf")] * len(calls) for _ in solvers]
     equal = [True] * len(solvers)
     for round_ in range(repeats):
         order = list(range(len(solvers)))[::1 if round_ % 2 == 0 else -1]
-        for i, (call, args) in enumerate(zip(calls, decoded)):
+        replayed = [[None] * len(calls) for _ in solvers]
+        for i, (call, args, start) in enumerate(zip(calls, decoded, starts)):
             for j in order:
-                result, seconds = _timed(*solvers[j], args)
+                kwargs = args if start is None or not chains[j] else \
+                    dict(args, start=replayed[j][start])
+                replayed[j][i], result, seconds = _timed(*solvers[j], kwargs)
                 best[j][i] = min(best[j][i], seconds)
                 equal[j] = equal[j] and result == call["result"]
     return best, equal
 
 
 def _by_site(calls, seconds):
-    """Per ``"workload site"`` and per ``"workload total"``: solves, pivots,
-    failures and the seconds of each solver."""
-    sites = defaultdict(lambda: {"solves": 0, "pivots": 0, "failures": 0,
+    """Per ``"workload site"`` and per ``"workload total"``: solves, started
+    solves, pivots, failures and the seconds of each solver."""
+    sites = defaultdict(lambda: {"solves": 0, "started": 0, "pivots": 0, "failures": 0,
                                  "s": [0.0] * len(seconds)})
     for i, call in enumerate(calls):
         for key in (call["workload"] + " " + call["site"], call["workload"] + " total"):
             row = sites[key]
             row["solves"] += 1
+            row["started"] += call.get("start") is not None
             row["pivots"] += call["result"].get("iterations", 0)
             row["failures"] += "error" in call["result"]
             for j, times in enumerate(seconds):
@@ -216,14 +238,15 @@ def main(argv=None) -> int:
         solvers.append((theirs.simplex.solve_lp, theirs.errors.LpFailure))
     seconds, equal = replay(calls, solvers, args.repeats)
 
-    header = f"{'site':<48} {'solves':>7} {'pivots/solve':>12} {'us/solve':>9}"
+    header = f"{'site':<48} {'solves':>7} {'started':>7} {'pivots/solve':>12} {'us/solve':>9}"
     if other is not None:
         header += f" {'root us':>9} {'ratio':>6}"
     print(header)
     sites = _by_site(calls, seconds)
     for key, row in sorted(sites.items(), key=lambda kv: (kv[0].endswith(" total"), kv[0])):
         us = [1e6 * s / row["solves"] for s in row["s"]]
-        line = f"{key:<48} {row['solves']:>7} {row['pivots'] / row['solves']:>12.2f} {us[0]:>9.1f}"
+        line = (f"{key:<48} {row['solves']:>7} {row['started']:>7} "
+                f"{row['pivots'] / row['solves']:>12.2f} {us[0]:>9.1f}")
         if other is not None:
             line += f" {us[1]:>9.1f} {row['s'][0] / row['s'][1]:>6.3f}"
         print(line)

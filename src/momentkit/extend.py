@@ -58,6 +58,9 @@ class Functional(Frozen):
     """Linear functional given by its values on a subspace basis."""
 
     _fields = ("domain", "coeffs")
+    # The solve of the Hahn-Banach step that returned this functional, whose
+    # tableau the next step and verify_positive start from; None otherwise.
+    _chain = None
 
     def __init__(self, domain: Subspace, coeffs: np.ndarray):
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -156,7 +159,7 @@ def hb_extend_step(L: Functional, v: FunctionVec, rule: str = "midpoint"):
         raise ValueError(f"unknown extension rule {rule!r}")
     grown = L.domain.extended_by(v)
     sol = solve_lp(np.array([v.values, -v.values]), a_eq=L.domain.matrix.T, b_eq=L.coeffs,
-                   nonneg=True)
+                   nonneg=True, start=L._chain)
     if sol.status == "unbounded" or (sol.status == "infeasible"
                                      and not wc_contains(v, L.domain)):
         raise TargetNotInWC(None, "target is not sandwiched by the current domain")
@@ -176,6 +179,7 @@ def hb_extend_step(L: Functional, v: FunctionVec, rule: str = "midpoint"):
         chosen = hi
 
     extended = Functional(grown, np.append(L.coeffs, chosen))
+    set_field(extended, "_chain", sol)
     return extended, ExtensionStep(v, lo, hi, chosen)
 
 
@@ -241,17 +245,27 @@ def extend_to_hull(L: Functional, A: Subspace, hull_basis, rule: str = "midpoint
 def verify_positive(L: Functional, tol: float = VERDICT_TOL):
     """Minimum of ``L`` over the normalized cone slice of its domain.
 
-    Solves ``min L(v)`` over ``v`` in the span with ``v >= 0`` pointwise and
-    ``sum(v) = 1``; returns ``(min >= -tol, min)``.  An empty slice counts
-    as positive with worst value 0.
+    The minimum of ``L(v)`` over ``v`` in the span with ``v >= 0`` pointwise
+    and ``sum(v) = 1`` is solved as its dual over measures,
+
+        max { t : W^T mu + t * W^T 1 = L, mu >= 0 },
+
+    the step LP's rows with the columns of ``t = t+ - t-`` joined.  So when
+    ``L`` came from a Hahn-Banach step, the LP starts from that step's
+    solve, one row short; otherwise it is solved cold.  Returns
+    ``(t >= -tol, t)``.  An unbounded dual means an empty slice, which
+    counts as positive with worst value 0.
     """
-    W = L.domain
-    a_eq = W.matrix.sum(axis=0)[None, :]
-    a_ub, b_ub = _one_copy(-W.matrix, np.zeros(W.ground.size))
-    sol = solve_lp(L.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
-    if sol.status == "infeasible":
-        return True, 0.0
+    W = L.domain.matrix.T
+    mass = W.sum(axis=1)[:, None]
+    cost = np.zeros(W.shape[1] + 2)
+    cost[-2:] = -1.0, 1.0
+    sol = solve_lp(cost, a_eq=np.hstack([W, mass, -mass]), b_eq=L.coeffs, nonneg=True,
+                   start=L._chain)
     if sol.status == "unbounded":
-        raise LpFailure("positivity slice is compact; an unbounded LP indicates a solver bug")
-    worst = float(sol.objective)
+        return True, 0.0
+    if sol.status == "infeasible":
+        raise LpFailure("the positivity dual is always feasible; an infeasible LP "
+                        "indicates a solver bug")
+    worst = float(sol.x[-2] - sol.x[-1])
     return worst >= -tol, worst

@@ -76,6 +76,19 @@ from .tolerances import FEAS_TOL, LEX_TIE_TOL, PIVOT_TOL, RATIO_TIE_TOL, SMALL_P
 SIZE_CAP = 500
 MAX_ITERATIONS = 50_000
 
+class Phase1(NamedTuple):
+    """The phase-1 tableau of an equality-form solve over ``x >= 0``, kept so
+    that a later solve can start from it (``solve_lp``'s ``start``)."""
+
+    T: np.ndarray  # the constraint rows: columns [x, artificial, rhs]
+    basis: np.ndarray
+    scan: np.ndarray  # the lexicographic scan order
+    signed: np.ndarray  # each row's signed scale: the row as posed is a_eq / signed
+    shape: tuple[int, int]  # of the caller's a_eq
+    data: bytes  # the caller's a_eq and b_eq, which a started LP must lead with
+    smallest: float  # the smallest pivot this tableau went through since its chain began
+
+
 class LpSolution(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
@@ -86,6 +99,9 @@ class LpSolution(NamedTuple):
     # c @ x == b @ y.  With k objectives, x, objective and duals have a
     # leading axis of length k, one entry per row of c.
     duals: np.ndarray | None = None
+    # What a later solve can start from: kept when optimal, in equality form
+    # over x >= 0, with no row dropped as redundant.
+    tableau: Phase1 | None = None
 
     @property
     def optimal(self) -> bool:
@@ -232,8 +248,60 @@ def _settle(T: np.ndarray, basis: np.ndarray, T0: np.ndarray, unit: np.ndarray,
     raise LpFailure("the final basis did not settle on the rows as posed")
 
 
+def _grow(start: Phase1, a_eq: np.ndarray, rhs: np.ndarray, scale: np.ndarray):
+    """``start``'s tableau grown to the rows ``a_eq`` (``rhs`` and ``scale``
+    as a cold solve scales them): ``(T, basis, signed, scan_order)``, the
+    objective row left 0.
+
+    New columns enter through the kept artificial columns, which hold the
+    inverse basis of the rows as posed.  Each new row, scaled as a cold solve
+    scales it, is eliminated against the basis (every basic column is a unit
+    column of the kept rows) and flipped to a nonnegative right-hand side,
+    and its artificial starts basic, so the basis starts feasible.  The new
+    artificials lead the lexicographic scan: each new row is then positive in
+    its own one, and the kept rows keep their order on the columns after them.
+    """
+    m0, n0 = start.shape
+    m, n = a_eq.shape
+    kept, signed, scan = start.T, start.signed, start.scan
+    T = np.zeros((m + 1, n + m + 1))
+    if n == n0:
+        T[:m0, :n + m0] = kept[:, :-1]
+    else:
+        T[:m0, :n0] = kept[:, :n0]
+        T[:m0, n:n + m0] = kept[:, n0:-1]
+        T[:m0, n0:n] = kept[:, n0:-1] @ (a_eq[:m0, n0:] / signed[:, None])
+        scan = np.concatenate([scan[:m0] + (n - n0), np.arange(n)])
+    T[:m0, -1] = kept[:, -1]
+    if m > m0:
+        signed = np.concatenate([signed, scale[m0:]])
+    for i in range(m0, m):
+        row = T[i]
+        np.divide(a_eq[i], scale[i], out=row[:n])
+        row[-1] = rhs[i]
+        row -= row[start.basis] @ T[:m0]
+        if row[-1] < 0:
+            row *= -1.0
+            signed[i] = -signed[i]
+        row[n + i] = 1.0
+    new = np.arange(n + m0, n + m)
+    return T, np.concatenate([start.basis, new]), signed, np.concatenate([new, scan])
+
+
+def _posed(a_eq: np.ndarray, b_eq: np.ndarray, signed: np.ndarray):
+    """Equality rows as posed, ``[a_eq, I, b_eq]`` with each row but its
+    artificial's entry divided by its signed scale, and each row's
+    artificial column."""
+    m, n = a_eq.shape
+    T0 = np.zeros((m, n + m + 1))
+    np.divide(a_eq, signed[:, None], out=T0[:, :n])
+    T0[:, n:n + m].flat[::m + 1] = 1.0
+    np.divide(b_eq, signed, out=T0[:, -1])
+    return T0, np.arange(n, n + m)
+
+
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
-             nonneg: bool = False) -> LpSolution:
+             nonneg: bool = False, start: LpSolution | None = None) -> LpSolution:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
 
     Every component of ``x`` is free, or ``>= 0`` with ``nonneg``.
@@ -249,6 +317,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     it are not solved), and ``"optimal"`` otherwise.  ``iterations`` counts
     phase 1 once plus every phase 2, and the call counts as one solve in
     :mod:`momentkit.counters`.
+
+    ``start`` is an earlier solve to start from (see the module docstring):
+    its equality rows and columns must lead this LP's, which must be in the
+    same form (``nonneg``, equality rows only), or ``ValueError``.  A start
+    that kept no tableau (``LpSolution.tableau`` is None) starts nothing, and
+    the call solves cold.  ``iterations`` counts this call's pivots alone.
     """
     # Reshapes in place of np.atleast_1d and np.atleast_2d, which cost more
     # per call than these small LPs can spare.
@@ -272,6 +346,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     a_eq, b_eq = _block(a_eq, b_eq, "a_eq")
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
+    kept = None if start is None else start.tableau
+    if kept is not None:
+        m0, n0 = kept.shape
+        if (not nonneg or m_ub or m_eq < m0 or n < n0
+                or a_eq[:m0, :n0].tobytes() + b_eq[:m0].tobytes() != kept.data):
+            raise ValueError("the start's rows and columns do not lead this LP")
 
     n_var = n if nonneg else 2 * n  # columns of x: [x] or [x+, x-]
     n_struct = n_var + m_ub
@@ -298,57 +378,70 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     rhs = np.concatenate([b_ub, b_eq])
     scale = np.maximum(np.concatenate([ub_max, eq_max]), np.abs(rhs))
     rhs /= scale
-    flip = rhs < 0
-    signed = np.where(flip, -scale, scale)
 
-    # Rows whose slack survived unflipped start basic; the rest get
-    # artificials.  Either way each row has an identity column: positive in
-    # that row alone.
-    flipped_ub = flip[:m_ub].nonzero()[0]
-    art_rows = np.concatenate([flipped_ub, np.arange(m_ub, m)])
-    n_art = art_rows.size
-    n_total = n_struct + n_art
-    art_cols = np.arange(n_struct, n_total)
-    identity_col = np.arange(n_var, n_var + m)
-    identity_col[art_rows] = art_cols
-    basis = identity_col.copy()
+    if kept is None:
+        flip = rhs < 0
+        signed = np.where(flip, -scale, scale)
 
-    # The tableau, built in place: columns [x+, x-, slack, artificial, rhs]
-    # or, with nonneg, [x, slack, artificial, rhs]; the last row prices.
-    T = np.zeros((m + 1, n_total + 1))
-    T[:m_ub, :n] = a_ub
-    T[m_ub:m, :n] = a_eq
-    if m_ub:  # each inequality row's slack
-        T[:m_ub, n_var:n_struct].flat[::m_ub + 1] = 1.0
-    T[:m, :n_struct] /= signed[:, None]
-    if not nonneg:
-        np.negative(T[:m, :n], out=T[:m, n:n_var])
-    T[art_rows, art_cols] = 1.0
-    np.abs(rhs, out=T[:m, -1])
-    T0, unit = T[:m].copy(), identity_col  # the rows as posed, for the final check
+        # Rows whose slack survived unflipped start basic; the rest get
+        # artificials.  Either way each row has an identity column: positive in
+        # that row alone.
+        flipped_ub = flip[:m_ub].nonzero()[0]
+        art_rows = np.concatenate([flipped_ub, np.arange(m_ub, m)])
+        n_art = art_rows.size
+        n_total = n_struct + n_art
+        art_cols = np.arange(n_struct, n_total)
+        identity_col = np.arange(n_var, n_var + m)
+        identity_col[art_rows] = art_cols
+        basis = identity_col.copy()
 
-    # Lexicographic scan order: per-row identity columns first (the
-    # right-hand side is always compared before this order kicks in), then
-    # the remaining columns by index: the variables' and the slacks of the
-    # rows that took an artificial.
-    scan_order = np.concatenate([identity_col, np.arange(n_var), n_var + flipped_ub])
+        # The tableau, built in place: columns [x+, x-, slack, artificial, rhs]
+        # or, with nonneg, [x, slack, artificial, rhs]; the last row prices.
+        T = np.zeros((m + 1, n_total + 1))
+        T[:m_ub, :n] = a_ub
+        T[m_ub:m, :n] = a_eq
+        if m_ub:  # each inequality row's slack
+            T[:m_ub, n_var:n_struct].flat[::m_ub + 1] = 1.0
+        T[:m, :n_struct] /= signed[:, None]
+        if not nonneg:
+            np.negative(T[:m, :n], out=T[:m, n:n_var])
+        T[art_rows, art_cols] = 1.0
+        np.abs(rhs, out=T[:m, -1])
+        T0, unit = T[:m].copy(), identity_col  # the rows as posed, for the final check
 
-    iterations, smallest = 0, np.inf
+        # Lexicographic scan order: per-row identity columns first (the
+        # right-hand side is always compared before this order kicks in), then
+        # the remaining columns by index: the variables' and the slacks of the
+        # rows that took an artificial.
+        scan_order = np.concatenate([identity_col, np.arange(n_var), n_var + flipped_ub])
+
+        smallest = np.inf
+    else:
+        # A started solve: the kept rows need no phase 1, and only the new
+        # rows' artificials are driven out.  They lead the lexicographic
+        # scan, so each new row is positive in its own one, and the kept rows
+        # keep their order on the columns after them.  The rows as posed
+        # (kept rows at their kept scales) are built only for a final check.
+        T, basis, signed, scan_order = _grow(kept, a_eq, rhs, scale)
+        n_total, n_art = n + m, m - kept.shape[0]
+        art_rows, art_cols = np.arange(kept.shape[0], m), scan_order[:n_art]
+        T0 = unit = None
+        smallest = kept.smallest
+    iterations, redundant = 0, []
 
     # Phase 1: minimize the artificial mass.  Every scaled right-hand side
     # is at most 1 in magnitude, so the mass left is compared with FEAS_TOL.
     if n_art:
-        T[-1, n_struct:n_total] = 1.0
+        T[-1, art_cols] = 1.0
         _price(T, art_rows, 1.0, T[-1])
-        status, used, smallest = _iterate(T, basis, n_struct, scan_order, MAX_ITERATIONS)
-        iterations += used
+        status, used, small = _iterate(T, basis, n_struct, scan_order, MAX_ITERATIONS)
+        iterations, smallest = used, min(smallest, small)
         if status != "optimal":
             raise LpFailure("phase 1 reported an unbounded artificial objective")
         if -T[-1, -1] > FEAS_TOL:
             count(lp_solves=1, lp_iterations=iterations)
             return LpSolution("infeasible", None, None, iterations)
         # Pivot lingering artificials out of the basis where possible.
-        redundant = []
         for i in (basis >= n_struct).nonzero()[0].tolist():
             row = T[i, :n_struct]
             nz = (np.abs(row) > PIVOT_TOL).nonzero()[0]
@@ -361,10 +454,15 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         if redundant:
             keep = np.ones(m, dtype=bool)
             keep[redundant] = False
-            T0, unit = T0[keep], identity_col[keep]
+            T0, unit = _posed(a_eq, b_eq, signed) if T0 is None else (T0, unit)
+            T0, unit = T0[keep], unit[keep]
             T = np.vstack([T[:m][keep], T[-1:]])
             basis = basis[keep]
             m -= len(redundant)
+    tableau = None
+    if nonneg and not m_ub and not redundant:
+        tableau = Phase1(T[:m].copy(), basis.copy(), scan_order, signed, (m, n),
+                         a_eq.tobytes() + b_eq.tobytes(), smallest)
 
     # Phase 2: price each objective on its own copy of the phase-1 tableau
     # (the last one on the tableau itself).  Artificial columns stay in the
@@ -383,7 +481,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     # flipped row.  An equality row dropped as redundant leaves an all-zero
     # artificial column, so its multiplier is 0.
     eq_cols = slice(n_total - m_eq, n_total)
-    eq_sign, eq_scale = np.where(flip[m_ub:], 1.0, -1.0), scale[m_ub:]
+    eq_scale = -signed[m_ub:]  # a flipped row's multiplier keeps the artificial's sign
 
     xs, objs, ys = [], [], []
     for j, (cj, cost, obj_scale) in enumerate(zip(costs, cost_rows, obj_scales.tolist())):
@@ -393,6 +491,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         status, used, small = _iterate(Tj, bj, n_struct, scan_order, MAX_ITERATIONS - iterations)
         iterations += used
         if status == "optimal" and min(smallest, small) < SMALL_PIVOT:
+            T0, unit = _posed(a_eq, b_eq, signed) if T0 is None else (T0, unit)
             status, used = _settle(Tj, bj, T0, unit, cost, n_struct, scan_order,
                                    MAX_ITERATIONS - iterations)
             iterations += used
@@ -406,12 +505,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         xs.append(x)
         objs.append(float(cj @ x))
         ys.append(np.concatenate([Tj[-1, n_var:n_struct] * -obj_scale,
-                                  eq_sign * obj_scale * Tj[-1, eq_cols] / eq_scale]))
+                                  obj_scale * Tj[-1, eq_cols] / eq_scale]))
     count(lp_solves=1, lp_iterations=iterations)
 
     if c.ndim == 1:
-        return LpSolution("optimal", xs[0], objs[0], iterations, ys[0])
-    return LpSolution("optimal", np.array(xs), np.array(objs), iterations, np.array(ys))
+        return LpSolution("optimal", xs[0], objs[0], iterations, ys[0], tableau)
+    return LpSolution("optimal", np.array(xs), np.array(objs), iterations, np.array(ys), tableau)
 
 
 def lp_feasible(a_ub, b_ub) -> bool:

@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
 import momentkit.extend
+import momentkit.funcspace
 from momentkit import counters
 from momentkit.simplex import LpSolution
 
-from conftest import density_functional, ground, ones, random_subspace_with_one, scipy_lp, vec
+from conftest import (density_functional, ground, ones, random_partition, random_subspace_with_one,
+                      scipy_lp, vec)
 
 
 def span_one(g):
@@ -451,3 +453,143 @@ def test_verify_positive_empty_slice():
     g = ground(2)
     L = mk.Functional(mk.Subspace(g, [vec(g, [1, -1])]), [5.0])
     assert mk.verify_positive(L) == (True, 0.0)
+
+
+def test_verify_positive_sees_the_least_singleton_below_tol():
+    # On the span of four singleton indicators the slice's vertices are the
+    # singletons, so the worst value is min L = -3.6e-9.  The free-variable
+    # primal this audit used to solve stopped at reduced costs above -1e-9
+    # and read -2.8e-9, inside tol; the dual over measures does not stop there.
+    g = ground(4)
+    singletons = mk.Subspace(g, [vec(g, row) for row in np.eye(4)])
+    L = mk.Functional(singletons, [-2.8e-9, 0.3, -3.6e-9, 0.08])
+    ok, worst = mk.verify_positive(L, 3e-9)
+    assert not ok and worst == pytest.approx(-3.6e-9, rel=1e-12)
+
+
+# --- chains: each step and the audit start from the previous step's solve ------------
+
+def primal_worst(L):
+    """Reference: the audit as it was posed before, min L(v) over the
+    normalized cone slice in free span coefficients, with one copy of each
+    repeated row; (ok at tol 0, worst)."""
+    W = L.domain
+    a_ub, b_ub = momentkit.funcspace._one_copy(-W.matrix, np.zeros(W.ground.size))
+    sol = mk.solve_lp(L.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=W.matrix.sum(axis=0)[None, :],
+                      b_eq=[1.0])
+    return 0.0 if sol.status == "infeasible" else float(sol.objective)
+
+
+def assert_certified(sol, c, a_eq, b_eq):
+    """The optimality conditions of a solve over x >= 0 with rows a_eq x = b_eq,
+    checked on the caller's unscaled data, one objective row at a time."""
+    rows = zip(c, sol.x, sol.duals, sol.objective) if np.ndim(c) == 2 else \
+        [(c, sol.x, sol.duals, sol.objective)]
+    for cj, x, y, objective in rows:
+        data_scale = max(1.0, np.abs(cj).max(), (np.abs(y) @ np.abs(a_eq)).max(initial=0.0))
+        reduced = cj - y @ a_eq
+        assert np.all(reduced >= -1e-9 * data_scale)
+        assert np.all(np.abs(reduced * x) <= 1e-9 * data_scale * max(1.0, np.abs(x).max()))
+        assert np.all(x >= -1e-9 * max(1.0, np.abs(x).max()))
+        row_scale = np.maximum(1.0, np.abs(a_eq) @ np.abs(x) + np.abs(b_eq))
+        assert np.all(np.abs(a_eq @ x - b_eq) <= 1e-9 * row_scale)
+        value = float(cj @ x)
+        assert value == objective
+        assert abs(value - b_eq @ y) <= 1e-7 * max(1.0, abs(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_started_solves_match_cold_solves(data):
+    # No reference solver: a chain of 1-6 steps over 3-32 points, with or
+    # without the constants in the span, block-constant or not.  A span with
+    # a positive vector sandwiches every target; one without sandwiches few,
+    # so its chains are short.  Every started solve (each step after the
+    # first, and the audit) gets the status of the cold solve of the same LP,
+    # and its multipliers certify its optimum on the caller's data.  On a
+    # chain of midpoints its objectives are the cold solve's within 1e-12.
+    # A chain that takes an endpoint leaves the next LP feasible only up to
+    # rounding; there both solves still certify, but they may part by more
+    # (CHANGES.md).
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = ground(data.draw(st.integers(3, 32)))
+    blocks = data.draw(st.integers(2, g.size)) if data.draw(st.booleans()) else g.size
+    assign = np.empty(g.size, dtype=int)
+    for b, block in enumerate(random_partition(rng, g, blocks).blocks):
+        assign[list(block)] = b
+
+    def draw_vec():
+        return vec(g, rng.normal(size=blocks)[assign])
+
+    first = data.draw(st.sampled_from(["constants", "positive", "neither"]))
+    if first == "constants":
+        basis = [ones(g)]
+    elif first == "positive":
+        basis = [vec(g, rng.uniform(0.5, 2.0, size=blocks)[assign])]
+    else:
+        basis = []
+    basis += [draw_vec() for _ in range(data.draw(st.integers(0 if basis else 1, 3)))]
+    try:
+        W = mk.Subspace(g, basis)
+    except momentkit.funcspace.DependentBasis:
+        return
+    positive = data.draw(st.sampled_from([True, True, True, False]))
+    L = density_functional(rng, W) if positive else mk.Functional(W, rng.normal(size=W.dim))
+    rules = data.draw(st.sampled_from([("midpoint",), momentkit.extend.RULES]))
+    started = []
+
+    def checked(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg=False, start=None):
+        sol = mk.solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg, start=start)
+        if start is not None and start.tableau is not None:
+            cold = mk.solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+            assert sol.status == cold.status
+            if cold.optimal:
+                assert_certified(sol, c, a_eq, b_eq)
+                if rules == ("midpoint",):
+                    gap = np.abs(np.asarray(sol.objective) - cold.objective)
+                    assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(cold.objective)))
+            started.append(sol)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(momentkit.extend, "solve_lp", checked)
+        for _ in range(data.draw(st.integers(1, 6))):
+            v = draw_vec()
+            if L.domain.contains(v):
+                continue
+            try:
+                L, _ = mk.hb_extend_step(L, v, data.draw(st.sampled_from(rules)))
+            except (mk.TargetNotInWC, mk.LpUnbounded, momentkit.funcspace.DependentBasis):
+                break
+        ok, worst = mk.verify_positive(L)
+    if L._chain is not None and L._chain.tableau is not None:
+        assert started  # the audit started from the last step
+    if positive and rules == ("midpoint",):
+        cold = mk.verify_positive(mk.Functional(L.domain, L.coeffs))
+        assert cold[0] == ok
+        assert abs(worst - cold[1]) <= 1e-12 * max(1.0, abs(cold[1]))
+        assert abs(worst - primal_worst(L)) <= 1e-12 * max(1.0, abs(worst))
+
+
+def test_chain_steps_start_from_the_previous_step():
+    # The first step solves cold; each later step and the audit start from
+    # the solve of the step before, which the returned functional carries.
+    g = ground(5)
+    L = mk.Functional(span_one(g), [1.0])
+    starts = []
+
+    def spy(*args, start=None, **kwargs):
+        starts.append(start)
+        return mk.solve_lp(*args, start=start, **kwargs)
+
+    targets = [vec(g, [1, 0, 0, 0, 0]), vec(g, [0, 1, 0, 0, 0]), vec(g, [0, 0, 1, 1, 0])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(momentkit.extend, "solve_lp", spy)
+        Lt, trace = mk.hb_extend(L, targets)
+        assert mk.verify_positive(Lt)[0]
+    assert len(trace.steps) == 3 and len(starts) == 4
+    assert starts[0] is None
+    assert all(s is not None and s.tableau is not None for s in starts[1:])
+    assert Lt._chain is starts[3]
+    assert mk.verify_positive(mk.Functional(Lt.domain, Lt.coeffs)) == \
+        pytest.approx(mk.verify_positive(Lt), rel=1e-12)

@@ -820,3 +820,42 @@ def test_solve_matches_reference_bitwise(data):
             mp.setattr(simplex, "_iterate", _stopping_once(simplex._iterate))
         got = _outcome(solve, c, kwargs)
     assert got == want
+
+
+# --- started solves -------------------------------------------------------------------
+
+def test_start_must_lead_the_new_lp():
+    # A started solve reuses the earlier tableau only when the earlier rows
+    # and columns are, bit for bit, the leading block of the new LP, in the
+    # same form (nonneg, equality rows only); anything else is refused.
+    a, b = np.array([[1.0, 1.0, 1.0]]), np.array([2.0])
+    start = solve_lp([1.0, 2.0, 3.0], a_eq=a, b_eq=b, nonneg=True)
+    assert start.tableau is not None
+    grown_a, grown_b = np.vstack([a, [1.0, -1.0, 0.0]]), np.r_[b, 0.5]
+    sol = solve_lp([1.0, 2.0, 3.0], a_eq=grown_a, b_eq=grown_b, nonneg=True, start=start)
+    cold = solve_lp([1.0, 2.0, 3.0], a_eq=grown_a, b_eq=grown_b, nonneg=True)
+    assert sol.optimal and sol.objective == pytest.approx(cold.objective, rel=1e-12)
+    refused = [
+        dict(a_eq=np.vstack([[1.0, 1.0, 2.0], grown_a[1]]), b_eq=grown_b),  # another row
+        dict(a_eq=grown_a, b_eq=np.r_[3.0, 0.5]),  # another right-hand side
+        dict(a_eq=grown_a[::-1], b_eq=grown_b[::-1]),  # the new row first
+        dict(a_eq=a[:, :2], b_eq=b),  # fewer columns
+        dict(a_eq=grown_a, b_eq=grown_b, a_ub=[[1.0, 0.0, 0.0]], b_ub=[1.0]),  # inequalities
+    ]
+    for kwargs in refused:
+        n = kwargs["a_eq"].shape[1]
+        with pytest.raises(ValueError, match="do not lead"):
+            solve_lp(np.ones(n), **kwargs, nonneg=True, start=start)
+    with pytest.raises(ValueError, match="do not lead"):
+        solve_lp(np.ones(3), a_eq=grown_a, b_eq=grown_b, start=start)  # free variables
+
+
+def test_start_without_a_tableau_solves_cold():
+    # Only an optimal solve in equality form over x >= 0 keeps its tableau;
+    # starting from one that kept none is a cold solve, bit for bit.
+    kept = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-3.0], nonneg=True)
+    assert kept.optimal and kept.tableau is None
+    assert solve_lp([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0], nonneg=True).tableau is None
+    args = dict(a_eq=[[1.0, 1.0]], b_eq=[2.0], nonneg=True)
+    assert _outcome(lambda c, **kw: solve_lp(c, **kw, start=kept), [1.0, 3.0], args) == \
+        _outcome(solve_lp, [1.0, 3.0], args)
