@@ -127,8 +127,10 @@ def capture(root: Path, workloads, seeds, blocks):
                   "nonneg": nonneg,
                   "start": None if start is None else solutions[id(start)][0]}
         calls.append(record)
+        if start is not None:  # a solver without starts is never given one
+            args["start"] = start
         try:
-            sol = original(**args, nonneg=nonneg, start=start)
+            sol = original(**args, nonneg=nonneg)
         except simplex.LpFailure as exc:
             record["result"] = {"error": str(exc)}
             raise

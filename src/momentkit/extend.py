@@ -29,6 +29,17 @@ Choosing any value in the interval keeps the extended functional dominated
 by ``p``, hence nonnegative on the cone slice of the grown span.  The
 choice rule (midpoint, lo, hi) is exposed because the interval is genuinely
 non-degenerate in most cases.
+
+A chain of steps is one tableau.  Step k+1's LP is step k's with the row
+``v_k . mu = chosen_k`` added, so each step starts from the previous step's
+solve, which the extended functional carries, and phase 1 runs only on the
+new row.  The positivity audit :func:`verify_positive` is the dual over
+measures of the minimum over the cone slice,
+
+    max { t : W^T mu + t * W^T 1 = L, mu >= 0 },
+
+the last step's LP with one row and the two columns of ``t = t+ - t-``
+added, so it starts from the last step's solve too.
 """
 
 from __future__ import annotations

@@ -21,6 +21,27 @@ phase-1 tableau.  The Hahn-Banach step needs both the minimum and the
 maximum of one linear form over the same polyhedron, and phase 1 is the
 part they share.
 
+A solve can also start from an earlier one (``start``).  Consecutive
+Hahn-Banach steps ask LPs in equality form over ``x >= 0`` that differ by one
+row, and the positivity audit asks the last step's LP with one more row and
+two more columns.  So an optimal solve in that form keeps its phase-1 tableau
+(``LpSolution.tableau``), and a later solve whose equality rows and columns
+lead with the earlier ones, bit for bit (else ``ValueError``), starts from it:
+
+* its new columns enter through the kept artificial columns, which hold the
+  inverse basis of the rows as posed;
+* each new row, scaled as a cold solve scales it, is eliminated against the
+  basis, flipped to a nonnegative right-hand side and given one artificial,
+  so phase 1 runs on the new rows' artificials alone;
+* each objective is then priced from the phase-1 basis, as in a cold solve.
+
+The new data get a cold solve's shape, finiteness and size checks, and the
+final check below runs on the grown rows as posed whenever any pivot the
+kept tableau went through since the chain began was small.  A started
+solve counts its own pivots only.  A start that kept no tableau (not
+optimal, not in that form, or a row dropped as redundant) starts nothing,
+and the call solves cold.
+
 Most of our LPs sit on heavily degenerate vertices (whole blocks of zero
 right-hand sides), so anti-cycling is not optional: the leaving row is
 chosen by the lexicographic ratio rule (Dantzig, Orden & Wolfe 1955), which
@@ -32,16 +53,18 @@ an artificial column, or its slack column, which is scaled with its row to
 ``1 / row_scale``.
 
 The LPs here are small (a Hahn-Banach step on the finite-space benchmark
-inputs has 1-7 rows and takes about 6 pivots), so a solve costs interpreter
-overhead more than arithmetic, in two parts.  The fixed work per solve builds
-the tableau in place (rows, slacks, the free-variable split, right-hand
-side, equilibration and sign flips written straight into it), prices each
-objective with one reduction over the basic rows that carry a cost, and
-reads out ``x`` and the multipliers with the per-call constants worked out
-once.  The work per pivot is the ratio test on the entering column and the
+inputs has 1-7 rows and takes about 4 pivots when it starts from the step
+before), so a solve costs interpreter overhead more than arithmetic, in two
+parts.  The fixed work per solve builds the tableau in place (rows, slacks,
+the free-variable split, right-hand side, equilibration and sign flips
+written straight into it), or for a started solve copies the kept rows and
+eliminates each new row with one product; it prices each objective with one
+reduction over the basic rows that carry a cost, and reads out ``x`` and the
+multipliers with the per-call constants worked out once.  A started solve
+builds the rows as posed only when the final check needs them.  The work per pivot is the ratio test on the entering column and the
 right-hand side, run on Python float lists as is the lexicographic
 tie-break, and the elimination.  Both keep the operation order of a plain
-numpy solve, so every pivot and every rounding is the same: the solver
+numpy solve, so every pivot and every rounding is the same: a cold solve
 returns bit for bit the status, pivots, ``x``, objective and multipliers
 (signs of zero included) of the reference kept in ``tests/test_simplex.py``,
 which builds a separate constraint matrix and prices with a loop of row
@@ -430,7 +453,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     iterations, redundant = 0, []
 
     # Phase 1: minimize the artificial mass.  Every scaled right-hand side
-    # is at most 1 in magnitude, so the mass left is compared with FEAS_TOL.
+    # is at most 1 in magnitude, so the mass left is compared with FEAS_TOL;
+    # a started solve's artificials measure its new rows as posed, as a cold
+    # solve's would.
     if n_art:
         T[-1, art_cols] = 1.0
         _price(T, art_rows, 1.0, T[-1])
@@ -481,7 +506,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     # flipped row.  An equality row dropped as redundant leaves an all-zero
     # artificial column, so its multiplier is 0.
     eq_cols = slice(n_total - m_eq, n_total)
-    eq_scale = -signed[m_ub:]  # a flipped row's multiplier keeps the artificial's sign
+    eq_scale = -signed[m_ub:]  # y is minus the artificial's reduced cost over this
 
     xs, objs, ys = [], [], []
     for j, (cj, cost, obj_scale) in enumerate(zip(costs, cost_rows, obj_scales.tolist())):
