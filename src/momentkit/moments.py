@@ -417,7 +417,6 @@ class _Chain(NamedTuple):
         raise RankDetectionAmbiguous(float(self.pivot), self.kept)
 
 
-@np.errstate(all="ignore")  # a failing matrix may overflow: its floor is then inf or nan
 def _leading_chain(H: np.ndarray) -> _Chain:
     """Cholesky factorization of H, stopped at the first pivot not above
     1e-10 of ``Hs = D^-1 H D^-1``, ``D^2 = diag(H)`` (1 where ``H_ii <= 0``).
@@ -426,31 +425,44 @@ def _leading_chain(H: np.ndarray) -> _Chain:
     ``lambda_min(H) >= max(D^2) min(0, lambda_min(S))``; Gershgorin bounds
     lambda_min(S), and the rounding (the partial factorization's backward
     error, Higham 2002, §10.3, then S and the sums) is below
-    ``(n + 2) 2^-53 (3 ||R1||_F^2 + sum |S + S^T|)``.
+    ``(n + 2) 2^-53 (3 ||R1||_F^2 + 2 sum |S|)``.
+
+    One pass over the upper triangle of ``Hs`` in Python floats, as
+    :func:`momentkit.eig._jacobi_kernel` sweeps: at these sizes numpy's
+    per-call cost exceeds the arithmetic.  Each kept row k is divided by
+    its pivot's root and its outer product subtracted from the rows below
+    (right-looking), so where the chain stops the trailing block is S.
+    Python floats overflow to inf and nan as numpy's do, quietly: a
+    failing matrix's floor is then inf or nan, which passes nothing.
     """
     count(chol_calls=1)
-    n = H.shape[0]
-    scale = np.sqrt(np.where(H.diagonal() > 0.0, H.diagonal(), 1.0))
-    Hs = H / np.outer(scale, scale)
-    Rs = np.zeros((n, n))
+    rows = H.tolist()
+    n = len(rows)
+    scale = [math.sqrt(r[i]) if r[i] > 0.0 else 1.0 for i, r in enumerate(rows)]
+    a = [[h / (si * sj) for h, sj in zip(r, scale)] for r, si in zip(rows, scale)]
     kept, pivot = n, None
-    for k in range(n):
-        p = Hs[k, k] - Rs[:k, k] @ Rs[:k, k]
+    for k, ak in enumerate(a):
+        p = ak[k]
         if not p > RANK_PIVOT_KEEP:
             kept, pivot = k, p
             break
-        Rs[k, k] = math.sqrt(p)
-        Rs[k, k + 1:] = (Hs[k, k + 1:] - Rs[:k, k] @ Rs[:k, k + 1:]) / Rs[k, k]
-    g, rounding = 0.0, 3.0 * float(np.vdot(Rs, Rs))
-    if kept < n:
-        S = Hs[kept:, kept:] - Rs[:kept, kept:].T @ Rs[:kept, kept:]
-        S2 = S + S.T  # twice the symmetric part
-        rows = np.abs(S2).sum(axis=1)
-        g = 0.5 * float((2.0 * np.maximum(S2.diagonal(), 0.0) - rows).min())
-        rounding += float(rows.sum())
-    smax = max(scale.tolist())
+        ak[k] = root = math.sqrt(p)
+        for j in range(k + 1, n):
+            ak[j] /= root
+        for i in range(k + 1, n):
+            ai, x = a[i], ak[i]
+            for j in range(i, n):
+                ai[j] -= x * ak[j]
+    R = [[0.0] * i + [x * s for x, s in zip(a[i][i:], scale[i:])] if i < kept else [0.0] * n
+         for i in range(n)]
+    g, rounding = 0.0, 3.0 * sum(x * x for i in range(kept) for x in a[i][i:])
+    if kept < n:  # row sums of |S|, read off the trailing block's upper triangle
+        t = [sum(abs(a[min(i, j)][max(i, j)]) for j in range(kept, n)) for i in range(kept, n)]
+        g = min(2.0 * max(a[i][i], 0.0) - ti for i, ti in enumerate(t, kept))  # Gershgorin
+        rounding += 2.0 * sum(t)
+    smax = max(scale)
     deficit = max(-g, 0.0) + (n + 2) * 2.0**-53 * rounding  # max keeps a nan g
-    return _Chain(kept, pivot, Rs * scale[None, :], deficit * smax * smax)
+    return _Chain(kept, pivot, np.array(R), deficit * smax * smax)
 
 
 def recover_atoms(m: MomentSequence, tol: float = PSD_TOL) -> AtomicMeasure:
@@ -490,6 +502,8 @@ def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
     nodes, vectors = jacobi_eigh(J)
     finite("an atom", *nodes)
     weights = m.moments[0] * vectors[0, :] ** 2
+    if not (weights > 0.0).all():  # m_0 v^2 below the double range
+        raise EigFailure("an atom's weight underflows the double range")
     return AtomicMeasure(tuple(float(x) for x in nodes),
                          tuple(float(w) for w in weights), m.support)
 
@@ -525,6 +539,17 @@ def verify_truncated(m: MomentSequence, mu: AtomicMeasure,
     )
 
 
+def _flat_norm2(R: np.ndarray, b) -> float:
+    """``|y|^2`` for ``R^T y = b``, R upper triangular with a positive
+    diagonal, by forward substitution on R's rows in Python floats.  Beyond
+    the double range the sum is inf or nan, for :func:`finite` to refuse."""
+    rows = R.tolist()
+    y = []
+    for i, bi in enumerate(b):
+        y.append((bi - sum(rows[j][i] * yj for j, yj in enumerate(y))) / rows[i][i])
+    return sum(v * v for v in y)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an extension beyond the double range is refused
 def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate | None:
     """Two more moments m_{2d+1}, m_{2d+2} keeping the bigger moment matrix PSD.
@@ -550,18 +575,16 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
     d = m.d
     if chains[0].rank() == d + 1:
         a = {"halfline": 0.0, "interval": m.support.a}.get(m.support.kind)
-        m_odd = 0.0 if a is None else a * arr[-1]
+        m_odd = 0.0 if a is None else a * m.moments[-1]
         if a is not None and d:  # on the halfline S is the gate's localizing matrix
             s = arr[1:] - a * arr[:-1]
             chain_s = (chains[1] if m.support.kind == "halfline"
                        else _leading_chain(_hankel_array(s, d)))
             if chain_s.rank() < d:
                 return None
-            y = np.linalg.solve(chain_s.R.T, s[d:])
-            m_odd += y @ y
-        b = np.append(arr[d + 1:], m_odd)
-        y = np.linalg.solve(chains[0].R.T, b)  # H_d = R^T R, so b^T H_d^{-1} b = |y|^2
-        ext = np.array([m_odd, y @ y])
+            m_odd += _flat_norm2(chain_s.R, s[d:].tolist())
+        # H_d = R^T R, so b^T H_d^{-1} b = |y|^2 with R^T y = b
+        ext = np.array([m_odd, _flat_norm2(chains[0].R, arr[d + 1:].tolist() + [m_odd])])
     else:
         mu = _atoms(m, chains[0])
         if not (verify_truncated(m, mu, through_degree=2 * d, tol=tol).passed

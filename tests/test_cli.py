@@ -908,6 +908,39 @@ def test_exit_code_totality(tmp_path):
             assert main([verb, path]) in (0, 1, 2, 3)
 
 
+_EXTREME = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, -5e-324, 1e-320, 1e-300, -1e-300,
+                            1e-200, 1e-10, 1e100, 1e200, 1e300, -1e300, 1.7e308, -1.7e308])
+_SUPPORTS = st.sampled_from([{"type": "line"}, {"type": "halfline"},
+                             {"type": "interval", "a": -1, "b": 1},
+                             {"type": "interval", "a": 0, "b": 1e-9}])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: st.lists(_EXTREME, min_size=2 * d + 1,
+                                                    max_size=2 * d + 1)), _SUPPORTS)
+def test_moment_verbs_never_fail_untyped(tmp_path_factory, moments, support):
+    # Python floats raise OverflowError on ** and ZeroDivisionError on / 0,
+    # where numpy returns inf or nan: no moment verb may end in the CLI's
+    # catch-all, and every numerical failure names its kind.
+    path = write(tmp_path_factory.mktemp("extreme"), "m.json",
+                 {"moments": moments, "support": support})
+    for verb in ("check", "represent", "extend-moments"):
+        result = cli.run(cli.Command(verb, path))
+        assert not result.payload.get("error", "").startswith("unexpected"), (verb, result)
+        if result.verdict == "numerical-failure":
+            assert "error_kind" in result.payload, (verb, result)
+
+
+def test_atom_weight_underflow_names_its_kind(tmp_path, capsys):
+    doc = {"moments": [1e200, -5e-324, 1e-200, 1e-10, 1e-300],
+           "support": {"type": "interval", "a": 0, "b": 1e-9}}
+    path = write(tmp_path, "m.json", doc)
+    for verb in ("represent", "extend-moments"):
+        assert main([verb, path]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert (out["verdict"], out["error_kind"]) == ("numerical-failure", "EigFailure")
+
+
 def test_tol_must_be_positive(tmp_path):
     path = write(tmp_path, "m.json", {"moments": [1, 0, 1]})
     assert main(["check", path, "--tol", "-1"]) == 2

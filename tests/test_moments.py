@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -502,6 +503,96 @@ def test_support_gate_matches_the_jacobi_rule(seed, kind, d, tol, log_scale, rat
     assert moments_mod._gate(m, tol)[0] == _gate_rule(m, tol)
 
 
+@np.errstate(all="ignore")
+def _reference_leading_chain(H):
+    # _leading_chain as it was on numpy arrays: the dot products of each
+    # row of the factor at once, and S from one matrix product.  The new
+    # chain sums in another order, so the two agree to rounding only.
+    n = H.shape[0]
+    scale = np.sqrt(np.where(H.diagonal() > 0.0, H.diagonal(), 1.0))
+    Hs = H / np.outer(scale, scale)
+    Rs = np.zeros((n, n))
+    kept, pivot = n, None
+    for k in range(n):
+        p = Hs[k, k] - Rs[:k, k] @ Rs[:k, k]
+        if not p > moments_mod.RANK_PIVOT_KEEP:
+            kept, pivot = k, p
+            break
+        Rs[k, k] = math.sqrt(p)
+        Rs[k, k + 1:] = (Hs[k, k + 1:] - Rs[:k, k] @ Rs[:k, k + 1:]) / Rs[k, k]
+    g, rounding = 0.0, 3.0 * float(np.vdot(Rs, Rs))
+    if kept < n:
+        S = Hs[kept:, kept:] - Rs[:kept, kept:].T @ Rs[:kept, kept:]
+        S2 = S + S.T
+        rows = np.abs(S2).sum(axis=1)
+        g = 0.5 * float((2.0 * np.maximum(S2.diagonal(), 0.0) - rows).min())
+        rounding += float(rows.sum())
+    smax = max(scale.tolist())
+    deficit = max(-g, 0.0) + (n + 2) * 2.0**-53 * rounding
+    return moments_mod._Chain(kept, pivot, Rs * scale[None, :], deficit * smax * smax)
+
+
+def _chain_matrix(rng, n, kind, shape, exponent):
+    """A size-n Hankel or localizing matrix (weight x, or 1 - x^2) of an
+    atomic measure, scaled by 2^exponent: positive definite with n + 1 atoms,
+    singular with fewer than n, indefinite with one moment moved."""
+    lo, hi, weight = {"hankel": (-2.0, 2.0, None), "halfline": (0.0, 3.0, mk.Poly.x()),
+                      "interval": (-1.0, 1.0, mk.Poly((1.0, 0.0, -1.0)))}[kind]
+    r = n + 1 if shape != "singular" else int(rng.integers(1, n))
+    top = 2 * n - 2 + (0 if weight is None else weight.degree)
+    mom = np.array(atomic_moments(rng.uniform(lo, hi, r), rng.uniform(0.1, 2.0, r), top))
+    if shape == "indefinite":
+        j = 2 * int(rng.integers(0, n))  # a diagonal moment of the Hankel matrix
+        mom[j] -= rng.uniform(0.0, 2.0) * abs(mom[j]) + 10.0 ** rng.uniform(-12, 0)
+    return moments_mod._hankel_array(np.ldexp(mom, exponent), n, weight)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+       st.sampled_from(["hankel", "halfline", "interval"]),
+       st.sampled_from(["definite", "singular", "indefinite"]), st.integers(-300, 300))
+def test_leading_chain_matches_the_numpy_reference(seed, n, kind, shape, exponent):
+    # The chain runs on Python floats; the kept numpy chain is its reference.
+    # delta is the chain's own rounding estimate, (n + 2) 2^-53 (3 |Rs|_F^2
+    # + 2 sum |S|) in the scaled matrix's units, over its smallest kept
+    # pivot: each row divides by a pivot's root, so an earlier row's
+    # rounding reaches the later ones at most that much amplified.
+    assume(shape != "singular" or n > 1)
+    H = _chain_matrix(np.random.default_rng(seed), n, kind, shape, exponent)
+    new, ref = moments_mod._leading_chain(H), _reference_leading_chain(H)
+    scale = np.sqrt(np.where(H.diagonal() > 0.0, H.diagonal(), 1.0))
+    Rs, Rs_ref = new.R / scale, ref.R / scale
+    k = min(new.kept, ref.kept)
+    S = H[k:, k:] / np.outer(scale[k:], scale[k:]) - Rs_ref[:k, k:].T @ Rs_ref[:k, k:]
+    pivots = np.diagonal(Rs_ref)[:k] ** 2
+    delta = 4.0 * (n + 2) * 2.0**-53 * (3.0 * float(np.vdot(Rs_ref, Rs_ref))
+                                        + 2.0 * float(np.abs(S).sum())) / pivots.min(initial=1.0)
+    if new.kept != ref.kept:  # a pivot at the keep threshold
+        stopped = new if new.kept < ref.kept else ref
+        assert abs(stopped.pivot - moments_mod.RANK_PIVOT_KEEP) <= delta
+        return
+    if ref.pivot is not None:
+        assert abs(new.pivot - ref.pivot) <= delta
+        if (new.pivot < moments_mod.RANK_PIVOT_DROP) != (ref.pivot < moments_mod.RANK_PIVOT_DROP):
+            assert abs(ref.pivot - moments_mod.RANK_PIVOT_DROP) <= delta
+    assert np.abs(Rs - Rs_ref).max() <= delta
+    smax2 = float(scale.max()) ** 2
+    assert abs(new.floor - ref.floor) <= delta * smax2
+    # the gate's pass rule at PSD_TOL, as _gate applies it to each factor
+    a, e = moments_mod.scaled_symmetric(H)
+    k = max(e, 0)
+    a = np.ldexp(a, e - k)
+    gate_scale = max(math.ldexp(1.0, -k), float(np.sqrt(np.sum(a * a))))
+    sweep_error = (n + 1) * moments_mod.OFFDIAG_MASS_TOL * gate_scale
+
+    def passes(floor):
+        return 4.0 * (math.ldexp(floor, -k) + sweep_error) <= moments_mod.PSD_TOL * gate_scale
+
+    if passes(new.floor) != passes(ref.floor):
+        allowance = math.ldexp(moments_mod.PSD_TOL * gate_scale / 4.0 - sweep_error, k)
+        assert abs(ref.floor - allowance) <= delta * smax2
+
+
 def test_recover_full_rank_gives_gauss_rule():
     # moments of a "rich" measure: the d-point rule matches through 2d-1
     rng = np.random.default_rng(3)
@@ -642,6 +733,38 @@ def test_extend_search_halfline_keeps_localizing_psd():
     found = mk.extend_search(m)
     assert (found.m_next, found.m_next_next) == pytest.approx((4.0, 8.0), abs=1e-12)
     assert _passes_gate(m, found)
+
+
+@pytest.mark.parametrize("moments, support, flat", [
+    # R = [[1.414213562373095, 1.4142135623730951], [0, 1e50]]: partial
+    # pivoting swapped the rows of R^T and gave y_0 = -3.0e183 for 7.07e99
+    ((2, 2, 1e100), mk.Support.halfline(), (5e199, 2.5e299)),
+    ((1e300, 5e-324, 0.5, 2, 1e100), mk.Support.interval(-1, 1), None),
+])
+def test_extend_search_solves_are_triangular(moments, support, flat):
+    # Both solves used to go through a general LU solve, whose wrong answer
+    # here overflowed to an EigFailure.  The oracle's Frobenius norm
+    # overflows on these inputs, so the extension is checked on the
+    # diagonally scaled Hankel matrix.
+    found = mk.extend_search(seq(*moments, support=support))
+    assert found is not None
+    if flat:
+        assert (found.m_next, found.m_next_next) == pytest.approx(flat, rel=1e-12)
+    arr = np.array(moments + (found.m_next, found.m_next_next))
+    n = len(moments) // 2 + 2
+    H = arr[np.add.outer(np.arange(n), np.arange(n))]
+    d = np.sqrt(H.diagonal())
+    assert np.linalg.eigvalsh(H / np.outer(d, d))[0] >= -1e-12
+
+
+@pytest.mark.parametrize("moments, support", [
+    ((1e200, -5e-324, 1e-200, 1e-10, 1e-300), mk.Support.interval(0, 1e-9)),
+    ((1e300, 5e-324, 0.5, 2, 1e100), mk.Support.interval(-1, 1)),
+])
+def test_atom_weight_underflow_is_an_eig_failure(moments, support):
+    # m_0 v^2 underflows to 0; AtomicMeasure used to refuse it untyped.
+    with pytest.raises(mk.EigFailure, match="weight underflows"):
+        mk.recover_atoms(seq(*moments, support=support))
 
 
 def test_extend_search_zero_sequence():
