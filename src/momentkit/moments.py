@@ -566,7 +566,10 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
     A singular H_d extends only by the moments of its unique rank-r atomic
     measure, which must reproduce the sequence through degree 2d inside the
     support.  Returns None when no extension exists.  Only the interval's S
-    is factored here: every other factor read is the gate's.
+    is factored here: every other factor read is the gate's.  With
+    ``H = R^T R``, ``b^T H^-1 b = |y|^2`` for ``R^T y = b``, solved by
+    forward substitution (:func:`_flat_norm2`): a general LU solve pivots
+    and may swap the rows of a triangular factor.
     """
     violation, chains = _gate(m, tol)
     if violation is not None:
@@ -583,7 +586,6 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
             if chain_s.rank() < d:
                 return None
             m_odd += _flat_norm2(chain_s.R, s[d:].tolist())
-        # H_d = R^T R, so b^T H_d^{-1} b = |y|^2 with R^T y = b
         ext = np.array([m_odd, _flat_norm2(chains[0].R, arr[d + 1:].tolist() + [m_odd])])
     else:
         mu = _atoms(m, chains[0])

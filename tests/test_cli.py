@@ -931,14 +931,19 @@ def test_moment_verbs_never_fail_untyped(tmp_path_factory, moments, support):
             assert "error_kind" in result.payload, (verb, result)
 
 
-def test_atom_weight_underflow_names_its_kind(tmp_path, capsys):
-    doc = {"moments": [1e200, -5e-324, 1e-200, 1e-10, 1e-300],
-           "support": {"type": "interval", "a": 0, "b": 1e-9}}
-    path = write(tmp_path, "m.json", doc)
-    for verb in ("represent", "extend-moments"):
+@pytest.mark.parametrize("moments, support, verbs", [
+    ([1e200, -5e-324, 1e-200, 1e-10, 1e-300], {"type": "interval", "a": 0, "b": 1e-9},
+     ("represent", "extend-moments")),
+    ([1e300, 5e-324, 0.5, 2, 1e100], {"type": "interval", "a": -1, "b": 1}, ("represent",)),
+])
+def test_atom_weight_underflow_names_its_kind(tmp_path, capsys, moments, support, verbs):
+    # m_0 v^2 underflows to 0; AtomicMeasure used to refuse it untyped.
+    path = write(tmp_path, "m.json", {"moments": moments, "support": support})
+    for verb in verbs:
         assert main([verb, path]) == 3
         out = json.loads(capsys.readouterr().out)
         assert (out["verdict"], out["error_kind"]) == ("numerical-failure", "EigFailure")
+        assert out["error"] == "an atom's weight underflows the double range"
 
 
 def test_tol_must_be_positive(tmp_path):

@@ -757,16 +757,6 @@ def test_extend_search_solves_are_triangular(moments, support, flat):
     assert np.linalg.eigvalsh(H / np.outer(d, d))[0] >= -1e-12
 
 
-@pytest.mark.parametrize("moments, support", [
-    ((1e200, -5e-324, 1e-200, 1e-10, 1e-300), mk.Support.interval(0, 1e-9)),
-    ((1e300, 5e-324, 0.5, 2, 1e100), mk.Support.interval(-1, 1)),
-])
-def test_atom_weight_underflow_is_an_eig_failure(moments, support):
-    # m_0 v^2 underflows to 0; AtomicMeasure used to refuse it untyped.
-    with pytest.raises(mk.EigFailure, match="weight underflows"):
-        mk.recover_atoms(seq(*moments, support=support))
-
-
 def test_extend_search_zero_sequence():
     found = mk.extend_search(seq(0, 0, 0))
     assert (found.m_next, found.m_next_next) == (0.0, 0.0)
