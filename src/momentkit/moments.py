@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .counters import count
-from .eig import finite, jacobi_eigh, lambda_min, scaled_symmetric
+from .eig import _checked_rows, _frobenius2, finite, jacobi_eigh, lambda_min
 from .errors import (
     DegreeTooHigh,
     EigFailure,
@@ -127,9 +127,10 @@ class Poly(FrozenValue):
 
 
 class HankelMatrix(NamedTuple):
-    """Moment matrix H[i][j] = L(w(x) x^{i+j}) for an optional weight w."""
+    """Moment matrix H[i][j] = L(w(x) x^{i+j}) for an optional weight w: an
+    array from :func:`hankel`, rows of Python floats inside this module."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | list[list[float]]
     weight: Poly | None
     label: str
 
@@ -137,7 +138,7 @@ class HankelMatrix(NamedTuple):
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
 class MatrixWitness(NamedTuple):
@@ -214,19 +215,27 @@ def riesz(m: MomentSequence, p: Poly) -> float:
     return float(sum(c * mk for c, mk in zip(p.coeffs, m.moments)))
 
 
-def _hankel_array(moments: np.ndarray, size: int, weight: Poly | None = None) -> np.ndarray:
-    idx = np.add.outer(np.arange(size), np.arange(size))
-    if weight is None:
-        return moments[idx]
-    out = np.zeros((size, size))
-    for k, c in enumerate(weight.coeffs):
-        if c != 0.0:
-            out += c * moments[idx + k]
-    return out
+def _hankel_rows(moments, size: int, weight: Poly | None = None) -> list[list[float]]:
+    """Rows of the size x size matrix of the moments, localized by ``weight``:
+    each entry is the weight's terms added in degree order to 0.0.  Python
+    floats overflow to inf and nan quietly, for the gate to refuse."""
+    if weight is not None:
+        localized = [0.0] * (2 * size - 1)
+        for k, c in enumerate(weight.coeffs):
+            if c != 0.0:
+                localized = [x + c * y for x, y in zip(localized, moments[k:])]
+        moments = localized
+    return [list(moments[i:i + size]) for i in range(size)]
 
 
 def hankel(m: MomentSequence, size: int, weight: Poly | None = None) -> HankelMatrix:
     """Moment matrix of the given size, optionally localized by a weight."""
+    H = _hankel(m, size, weight)
+    return H._replace(matrix=np.array(H.matrix))
+
+
+def _hankel(m: MomentSequence, size: int, weight: Poly | None = None) -> HankelMatrix:
+    """:func:`hankel` with the matrix as rows of Python floats."""
     if size < 1:
         raise ValueError("matrix size must be at least 1")
     top = 2 * (size - 1) + (weight.degree if weight is not None else 0)
@@ -235,25 +244,24 @@ def hankel(m: MomentSequence, size: int, weight: Poly | None = None) -> HankelMa
             f"size-{size} matrix needs moment m_{top}, only m_0..m_{m.max_degree} available"
         )
     label = "hankel" if weight is None else f"localized[{','.join(f'{c:g}' for c in weight.coeffs)}]"
-    return HankelMatrix(_hankel_array(m.array(), size, weight), weight, label)
+    return HankelMatrix(_hankel_rows(m.moments, size, weight), weight, label)
 
 
 def psd(H, tol: float = PSD_TOL):
     """Smallest eigenvalue test: ``(lambda_min >= -tol, lambda_min)``."""
-    matrix = H.matrix if isinstance(H, HankelMatrix) else np.asarray(H, dtype=float)
-    lam = lambda_min(matrix)
+    lam = lambda_min(H.matrix if isinstance(H, HankelMatrix) else H)
     return lam >= -tol, lam
 
 
 def _support_matrices(m: MomentSequence) -> list[HankelMatrix]:
-    mats = [hankel(m, m.d + 1)]
+    mats = [_hankel(m, m.d + 1)]
     if m.d >= 1:
         if m.support.kind == "halfline":
-            mats.append(hankel(m, m.d, Poly.x()))
+            mats.append(_hankel(m, m.d, Poly.x()))
         elif m.support.kind == "interval":
             a, b = m.support.a, m.support.b
             # (b - x)(x - a) = -ab + (a + b) x - x^2
-            mats.append(hankel(m, m.d, Poly((-a * b, a + b, -1.0))))
+            mats.append(_hankel(m, m.d, Poly((-a * b, a + b, -1.0))))
     return mats
 
 
@@ -261,24 +269,24 @@ def _gate(m: MomentSequence, tol: float) -> tuple[str | None, list[_Chain]]:
     """Why a support matrix fails positivity (None when all pass), and the
     factor of each matrix passed.  A matrix fails when its smallest
     eigenvalue is below ``-tol * max(1, ||H||_F)``, in units of
-    ``2^max(e, 0)`` (``2^-e H`` is :func:`scaled_symmetric`'s copy) so that
-    neither ``||H||_F`` nor the eigenvalue, taken of that rescaled copy,
-    overflows.  The factor passes a matrix when four times
-    the sum of its bound on ``-lambda_min(H)`` and the sweep's error is at
-    most that threshold; the sweep decides, and words, the rest.
+    ``2^k``, ``k = max(e, 0)`` with ``2^(e-1) <= max |H_ij| < 2^e``, so that
+    neither ``||H||_F`` nor the eigenvalue, taken of ``2^-k H``, overflows.
+    The factor passes a matrix when four times the sum of its bound on
+    ``-lambda_min(H)`` and the sweep's error is at most that threshold; the
+    sweep decides, and words, the rest, on a copy of ``2^-k H`` made then.
     """
     chains = []
     for H in _support_matrices(m):
-        a, e = scaled_symmetric(H.matrix)
-        k = max(e, 0)
-        a = np.ldexp(a, e - k)  # 2^-k H: neither its squares nor its eigenvalues overflow
-        scale = max(math.ldexp(1.0, -k), float(np.sqrt(np.sum(a * a))))
-        chains.append(_leading_chain(H.matrix))
+        rows, amax, _ = _checked_rows(H.matrix)
+        k = max(math.frexp(amax)[1], 0)
+        s = math.ldexp(1.0, -k)  # a double: x * s rounds as ldexp(x, -k)
+        scale = max(s, math.sqrt(_frobenius2(rows, s)))
+        chains.append(_leading_chain(rows))
         # stopping error, rotations' rounding, and that of the chain's copy
         sweep_error = (H.size + 1) * OFFDIAG_MASS_TOL * scale
         if 4.0 * (math.ldexp(chains[-1].floor, -k) + sweep_error) <= tol * scale:
             continue
-        lam = lambda_min(a)
+        lam = lambda_min([[x * s for x in r] for r in rows])
         if lam < -tol * scale:
             return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}", chains
     return None, chains
@@ -408,7 +416,7 @@ class _Chain(NamedTuple):
 
     kept: int
     pivot: float | None
-    R: np.ndarray
+    R: list[list[float]]
     floor: float
 
     def rank(self) -> int:  # a stopping pivot in the keep/drop band is ambiguous
@@ -417,8 +425,8 @@ class _Chain(NamedTuple):
         raise RankDetectionAmbiguous(float(self.pivot), self.kept)
 
 
-def _leading_chain(H: np.ndarray) -> _Chain:
-    """Cholesky factorization of H, stopped at the first pivot not above
+def _leading_chain(rows: list[list[float]]) -> _Chain:
+    """Cholesky factorization of H, given as rows, stopped at the first pivot not above
     1e-10 of ``Hs = D^-1 H D^-1``, ``D^2 = diag(H)`` (1 where ``H_ii <= 0``).
     Stopped after rows ``[R11, R12]``, ``Hs = X^T (I + S) X`` with
     ``X = [[R11, R12], [0, I]]``, ``S = Hs22 - R12^T R12``, so
@@ -436,7 +444,6 @@ def _leading_chain(H: np.ndarray) -> _Chain:
     failing matrix's floor is then inf or nan, which passes nothing.
     """
     count(chol_calls=1)
-    rows = H.tolist()
     n = len(rows)
     scale = [math.sqrt(r[i]) if r[i] > 0.0 else 1.0 for i, r in enumerate(rows)]
     a = [[h / (si * sj) for h, sj in zip(r, scale)] for r, si in zip(rows, scale)]
@@ -462,7 +469,7 @@ def _leading_chain(H: np.ndarray) -> _Chain:
         rounding += 2.0 * sum(t)
     smax = max(scale)
     deficit = max(-g, 0.0) + (n + 2) * 2.0**-53 * rounding  # max keeps a nan g
-    return _Chain(kept, pivot, np.array(R), deficit * smax * smax)
+    return _Chain(kept, pivot, R, deficit * smax * smax)
 
 
 def recover_atoms(m: MomentSequence, tol: float = PSD_TOL) -> AtomicMeasure:
@@ -491,13 +498,14 @@ def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
     # - R[j-1, j] / R[j-1, j-1] and beta_j = R[j+1, j+1] / R[j, j].
     # An atom beyond the double range (m = (1e-320, 1e-10, 1) has one near
     # 1e310) overflows here, in the unscaled factor and the scaled one alike.
-    pivots = chain.R.diagonal()[:r]
-    with np.errstate(all="ignore"):
-        ratios = chain.R.diagonal(1)[:r] / pivots
-        J = np.diag(ratios - np.append(0.0, ratios[:-1]))
-        j = np.arange(r - 1)
-        J[j, j + 1] = J[j + 1, j] = pivots[1:] / pivots[:-1]
-    if not np.isfinite(J).all():
+    R = chain.R
+    ratios = [R[j][j + 1] / R[j][j] for j in range(r)]
+    J = [[0.0] * r for _ in range(r)]
+    for j in range(r):
+        J[j][j] = ratios[j] - (ratios[j - 1] if j else 0.0)
+        if j:
+            J[j - 1][j] = J[j][j - 1] = R[j][j] / R[j - 1][j - 1]
+    if not all(map(math.isfinite, (x for row in J for x in row))):
         raise EigFailure("the atoms' recurrence matrix overflows the double range")
     nodes, vectors = jacobi_eigh(J)
     finite("an atom", *nodes)
@@ -539,18 +547,16 @@ def verify_truncated(m: MomentSequence, mu: AtomicMeasure,
     )
 
 
-def _flat_norm2(R: np.ndarray, b) -> float:
+def _flat_norm2(rows: list[list[float]], b) -> float:
     """``|y|^2`` for ``R^T y = b``, R upper triangular with a positive
     diagonal, by forward substitution on R's rows in Python floats.  Beyond
     the double range the sum is inf or nan, for :func:`finite` to refuse."""
-    rows = R.tolist()
     y = []
     for i, bi in enumerate(b):
         y.append((bi - sum(rows[j][i] * yj for j, yj in enumerate(y))) / rows[i][i])
     return sum(v * v for v in y)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an extension beyond the double range is refused
 def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate | None:
     """Two more moments m_{2d+1}, m_{2d+2} keeping the bigger moment matrix PSD.
 
@@ -574,25 +580,25 @@ def extend_search(m: MomentSequence, tol: float = PSD_TOL) -> ExtensionCandidate
     violation, chains = _gate(m, tol)
     if violation is not None:
         return None
-    arr = m.array()
+    ms = m.moments
     d = m.d
     if chains[0].rank() == d + 1:
         a = {"halfline": 0.0, "interval": m.support.a}.get(m.support.kind)
-        m_odd = 0.0 if a is None else a * m.moments[-1]
+        m_odd = 0.0 if a is None else a * ms[-1]
         if a is not None and d:  # on the halfline S is the gate's localizing matrix
-            s = arr[1:] - a * arr[:-1]
+            s = [m1 - a * m0 for m0, m1 in zip(ms, ms[1:])]
             chain_s = (chains[1] if m.support.kind == "halfline"
-                       else _leading_chain(_hankel_array(s, d)))
+                       else _leading_chain(_hankel_rows(s, d)))
             if chain_s.rank() < d:
                 return None
-            m_odd += _flat_norm2(chain_s.R, s[d:].tolist())
-        ext = np.array([m_odd, _flat_norm2(chains[0].R, arr[d + 1:].tolist() + [m_odd])])
+            m_odd += _flat_norm2(chain_s.R, s[d:])
+        ext = (m_odd, _flat_norm2(chains[0].R, ms[d + 1:] + (m_odd,)))
     else:
         mu = _atoms(m, chains[0])
         if not (verify_truncated(m, mu, through_degree=2 * d, tol=tol).passed
                 and mu.within_support()):
             return None
-        ext = np.asarray(mu.moments_to(2 * d + 2)[-2:])
+        ext = mu.moments_to(2 * d + 2)[-2:]
     finite("an extension moment", *ext)
-    lam = lambda_min(_hankel_array(np.concatenate([arr, ext]), d + 2))
-    return ExtensionCandidate(float(ext[0]), float(ext[1]), float(lam))
+    lam = lambda_min(_hankel_rows(ms + ext, d + 2))
+    return ExtensionCandidate(ext[0], ext[1], lam)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from momentkit import counters
-from momentkit.eig import MAX_SWEEPS, _jacobi_kernel, jacobi_eigh, lambda_min
+from momentkit.eig import MAX_SWEEPS, SIZE_CAP, _jacobi_kernel, jacobi_eigh, lambda_min
 from momentkit.errors import EigFailure
-from momentkit.tolerances import OFFDIAG_MASS_TOL
+from momentkit.tolerances import OFFDIAG_MASS_TOL, SYMMETRY_TOL
 
 
 def test_identity():
@@ -186,12 +186,12 @@ def test_kernel_bit_identical_to_numpy_indexed(seed, n, hankel, accumulate, log_
     a = _symmetric(np.random.default_rng(seed), n, hankel, 10.0**log_scale)
     threshold = OFFDIAG_MASS_TOL**2 * float(np.sum(a * a))
     v = np.eye(n) if accumulate else np.zeros((1, 1))
-    a_ref, v_ref = a.copy(), v.copy()
-    got = _jacobi_kernel(a, v, accumulate, threshold, max_sweeps)
-    want = _numpy_indexed_kernel(a_ref, v_ref, accumulate, threshold, max_sweeps)
+    rows, vrows = a.tolist(), v.tolist()
+    got = _jacobi_kernel(rows, vrows, accumulate, threshold, max_sweeps)
+    want = _numpy_indexed_kernel(a, v, accumulate, threshold, max_sweeps)
     assert got == want
-    assert a.tobytes() == a_ref.tobytes()
-    assert v.tobytes() == v_ref.tobytes()
+    assert np.array(rows).reshape(a.shape).tobytes() == a.tobytes()
+    assert np.array(vrows).tobytes() == v.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,16 +199,152 @@ def test_kernel_bit_identical_to_numpy_indexed(seed, n, hankel, accumulate, log_
        st.sampled_from([1, 2, MAX_SWEEPS]))
 def test_kernel_keeps_a_bitwise_symmetric(seed, n, hankel, log_scale, max_sweeps):
     # Each rotated pair (k, p), (p, k) is computed once and stored twice.
-    a = _symmetric(np.random.default_rng(seed), n, hankel, 10.0**log_scale)
-    _jacobi_kernel(a, np.zeros((1, 1)), False, 0.0, max_sweeps)
-    assert a.tobytes() == a.T.copy().tobytes()
+    a = _symmetric(np.random.default_rng(seed), n, hankel, 10.0**log_scale).tolist()
+    _jacobi_kernel(a, None, False, 0.0, max_sweeps)
+    assert np.array(a).tobytes() == np.array(a).T.copy().tobytes()
 
 
 @pytest.mark.parametrize("accumulate", [False, True])
 def test_kernel_without_sweeps_fails_on_off_diagonal_mass(accumulate):
     a = _symmetric(np.random.default_rng(3), 4, False, 1.0)
     v = np.eye(4)
-    a_ref, v_ref = a.copy(), v.copy()
-    assert _jacobi_kernel(a, v, accumulate, 1e-28, 0) == -1
-    assert _numpy_indexed_kernel(a_ref, v_ref, accumulate, 1e-28, 0) == -1
-    assert a.tobytes() == a_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    rows, vrows = a.tolist(), v.tolist()
+    assert _jacobi_kernel(rows, vrows, accumulate, 1e-28, 0) == -1
+    assert _numpy_indexed_kernel(a, v, accumulate, 1e-28, 0) == -1
+    assert rows == a.tolist() and vrows == v.tolist()
+
+
+def _reference_scaled_symmetric(matrix):
+    # The wrapper's set-up as it was on numpy arrays, before it ran on the
+    # kernel's rows: the oracle that the list path must match bit for bit.
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise EigFailure(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n > SIZE_CAP:
+        raise EigFailure(f"matrix size {n} exceeds the {SIZE_CAP}x{SIZE_CAP} cap")
+    amax = float(np.abs(a).max()) if n else 0.0
+    if not math.isfinite(amax):
+        raise EigFailure("matrix contains non-finite entries")
+    if n and np.abs(a - a.T).max() > SYMMETRY_TOL * amax:
+        raise EigFailure("matrix is not symmetric")
+    e = math.frexp(amax)[1]
+    a = np.ldexp(a, -e)
+    return 0.5 * (a + a.T), e
+
+
+def _reference_jacobi_eigh(matrix, need_vectors=True):
+    """``(w, V, sweeps)`` of the array wrapper around the same kernel."""
+    a, e = _reference_scaled_symmetric(matrix)
+    n = a.shape[0]
+    threshold = OFFDIAG_MASS_TOL**2 * float((a * a).sum())
+    v = np.eye(n) if need_vectors else np.zeros((1, 1))
+    rows, vrows = a.tolist(), v.tolist()
+    result = _jacobi_kernel(rows, vrows, need_vectors, threshold, MAX_SWEEPS)
+    if result < 0:
+        raise EigFailure(f"Jacobi sweeps failed to converge in {MAX_SWEEPS} sweeps")
+    a[:, :], v[:, :] = rows, vrows
+    with np.errstate(over="ignore"):
+        w = np.ldexp(a.diagonal(), e)
+    order = w.argsort(kind="stable")
+    return w[order], (v[:, order] if need_vectors else None), result
+
+
+def _reference_lambda_min(matrix):
+    w, _, _ = _reference_jacobi_eigh(matrix, need_vectors=False)
+    lam = float(w[0])
+    if not math.isfinite(lam):
+        raise EigFailure("the smallest eigenvalue overflows the double range")
+    return lam
+
+
+def _wrapper_input(seed, n, shape, exponent):
+    """A size-n symmetric (or Hankel) matrix scaled by 2^exponent: random,
+    zero, singular (rank below n), or off bitwise symmetry by 1e-14."""
+    rng = np.random.default_rng(seed)
+    if shape == "zero":
+        return np.zeros((n, n))
+    if shape == "hankel":
+        m = rng.normal(size=2 * n)
+        A = m[np.add.outer(np.arange(n), np.arange(n))]
+    elif shape == "singular":
+        B = rng.normal(size=(n, int(rng.integers(0, n))))
+        A = B @ B.T
+    else:
+        A = rng.normal(size=(n, n))
+        A = A + A.T
+        if shape == "nearly":
+            A = A + 1e-14 * np.triu(rng.normal(size=(n, n)), 1)
+    return np.ldexp(A, exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 13),
+       st.sampled_from(["random", "hankel", "singular", "zero", "nearly"]),
+       st.sampled_from([-300, -60, 0, 60, 300]) | st.integers(-300, 300), st.booleans(),
+       st.booleans())
+def test_list_wrapper_bit_identical_to_numpy_wrapper(seed, n, shape, exponent, as_list,
+                                                     need_vectors):
+    A = _wrapper_input(seed, n, shape, exponent)
+    matrix = A.tolist() if as_list else A
+    with counters.collect() as stats:
+        w, V = jacobi_eigh(matrix, need_vectors)
+    w_ref, V_ref, sweeps = _reference_jacobi_eigh(A, need_vectors)
+    assert stats["eig_sweeps"] == sweeps and stats["eig_calls"] == 1
+    assert w.dtype == w_ref.dtype and w.tobytes() == w_ref.tobytes()
+    if need_vectors:
+        assert V.shape == V_ref.shape and V.tobytes() == V_ref.tobytes()
+    else:
+        assert V is None
+    lam = lambda_min(matrix)
+    assert math.copysign(1.0, lam) == math.copysign(1.0, _reference_lambda_min(A))
+    assert lam == _reference_lambda_min(A)
+
+
+def test_list_wrapper_handles_the_empty_matrix_as_numpy_did():
+    w, V = jacobi_eigh(np.zeros((0, 0)))
+    w_ref, V_ref, _ = _reference_jacobi_eigh(np.zeros((0, 0)))
+    assert w.shape == w_ref.shape == (0,) and V.shape == V_ref.shape == (0, 0)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.ones((2, 3)), [1.0, 2.0], [], [[]], np.zeros((0,)), [[1.0, 2.0]],
+    np.eye(SIZE_CAP + 1), np.eye(SIZE_CAP + 1).tolist(),
+    [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]], [[1.0, -np.inf], [-np.inf, 1.0]],
+    [[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0 + 1e-9], [1.0, 1.0]], [[1e300, 1e289], [0.0, 1.0]],
+])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_list_wrapper_raises_the_numpy_wrappers_failures(matrix, as_array):
+    if as_array:
+        matrix = np.asarray(matrix, dtype=float)
+    with pytest.raises(EigFailure) as want:
+        _reference_jacobi_eigh(matrix)
+    for call in (jacobi_eigh, lambda_min):
+        with pytest.raises(EigFailure) as got:
+            call(matrix)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("exponent", [-1070, -1060, -1030, 1015, 1020])
+@pytest.mark.parametrize("shape", ["random", "hankel", "singular"])
+def test_list_wrapper_matches_at_the_ends_of_the_double_range(exponent, shape):
+    # Past 2^-1023 the largest entry's scaling 2^-e is no double and each
+    # entry is scaled by ldexp; near 2^1024 it is subnormal, and eigenvalues
+    # scaled back may overflow.  Subnormal entries round in the scaling.
+    A = _wrapper_input(3, 5, shape, exponent)
+    for need_vectors in (False, True):
+        w, V = jacobi_eigh(A, need_vectors)
+        w_ref, V_ref, _ = _reference_jacobi_eigh(A, need_vectors)
+        assert w.tobytes() == w_ref.tobytes()
+        assert need_vectors or V is None and V_ref is None
+        assert not need_vectors or V.tobytes() == V_ref.tobytes()
+
+
+def test_lambda_min_overflow_matches_the_numpy_wrapper():
+    # lambda_min of this matrix is about -2.5e308: inf after the scaling back
+    A = [[1e308, 1.7e308], [1.7e308, -1.7e308]]
+    w, _ = jacobi_eigh(A, need_vectors=False)
+    assert w.tobytes() == _reference_jacobi_eigh(A, need_vectors=False)[0].tobytes()
+    for call in (lambda_min, _reference_lambda_min):
+        with pytest.raises(EigFailure, match="overflows the double range"):
+            call(A)

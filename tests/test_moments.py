@@ -142,7 +142,7 @@ def test_certificate_diagonalises_each_matrix_once(monkeypatch):
     kernel = mk.eig._jacobi_kernel
 
     def counting(a, *args):
-        calls.append(a.shape[0])
+        calls.append(len(a))
         return kernel(a, *args)
 
     monkeypatch.setattr(mk.eig, "_jacobi_kernel", counting)
@@ -449,8 +449,9 @@ def _gate_rule(m, tol):
     """The support gate as the Jacobi sweep alone decides it, for matrices
     whose squared entries stay finite."""
     for H in moments_mod._support_matrices(m):
-        scale = max(1.0, float(np.sqrt(np.sum(H.matrix * H.matrix))))
-        lam = mk.lambda_min(H.matrix)
+        M = np.array(H.matrix)
+        scale = max(1.0, float(np.sqrt(np.sum(M * M))))
+        lam = mk.lambda_min(M)
         if lam < -tol * scale:
             return f"{H.label} matrix has scaled smallest eigenvalue {lam / scale:.3e}"
     return None
@@ -532,6 +533,14 @@ def _reference_leading_chain(H):
     return moments_mod._Chain(kept, pivot, Rs * scale[None, :], deficit * smax * smax)
 
 
+def _scaled_symmetric(H):
+    # The numpy scaling that the gate's pass rule was first written on:
+    # 2^-e H, entries below 1, symmetrized.
+    e = math.frexp(float(np.abs(H).max()))[1]
+    a = np.ldexp(H, -e)
+    return 0.5 * (a + a.T), e
+
+
 def _chain_matrix(rng, n, kind, shape, exponent):
     """A size-n Hankel or localizing matrix (weight x, or 1 - x^2) of an
     atomic measure, scaled by 2^exponent: positive definite with n + 1 atoms,
@@ -544,7 +553,7 @@ def _chain_matrix(rng, n, kind, shape, exponent):
     if shape == "indefinite":
         j = 2 * int(rng.integers(0, n))  # a diagonal moment of the Hankel matrix
         mom[j] -= rng.uniform(0.0, 2.0) * abs(mom[j]) + 10.0 ** rng.uniform(-12, 0)
-    return moments_mod._hankel_array(np.ldexp(mom, exponent), n, weight)
+    return np.array(moments_mod._hankel_rows(np.ldexp(mom, exponent).tolist(), n, weight))
 
 
 @settings(max_examples=400, deadline=None)
@@ -559,9 +568,9 @@ def test_leading_chain_matches_the_numpy_reference(seed, n, kind, shape, exponen
     # rounding reaches the later ones at most that much amplified.
     assume(shape != "singular" or n > 1)
     H = _chain_matrix(np.random.default_rng(seed), n, kind, shape, exponent)
-    new, ref = moments_mod._leading_chain(H), _reference_leading_chain(H)
+    new, ref = moments_mod._leading_chain(H.tolist()), _reference_leading_chain(H)
     scale = np.sqrt(np.where(H.diagonal() > 0.0, H.diagonal(), 1.0))
-    Rs, Rs_ref = new.R / scale, ref.R / scale
+    Rs, Rs_ref = np.array(new.R) / scale, ref.R / scale
     k = min(new.kept, ref.kept)
     S = H[k:, k:] / np.outer(scale[k:], scale[k:]) - Rs_ref[:k, k:].T @ Rs_ref[:k, k:]
     pivots = np.diagonal(Rs_ref)[:k] ** 2
@@ -579,7 +588,7 @@ def test_leading_chain_matches_the_numpy_reference(seed, n, kind, shape, exponen
     smax2 = float(scale.max()) ** 2
     assert abs(new.floor - ref.floor) <= delta * smax2
     # the gate's pass rule at PSD_TOL, as _gate applies it to each factor
-    a, e = moments_mod.scaled_symmetric(H)
+    a, e = _scaled_symmetric(H)
     k = max(e, 0)
     a = np.ldexp(a, e - k)
     gate_scale = max(math.ldexp(1.0, -k), float(np.sqrt(np.sum(a * a))))
