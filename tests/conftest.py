@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import momentkit as mk
+from momentkit.eig import SIZE_CAP
+from momentkit.errors import EigFailure
+from momentkit.tolerances import SYMMETRY_TOL
 
 
 @pytest.fixture
@@ -59,6 +64,26 @@ def atomic_moments(atoms, weights, degree: int) -> tuple[float, ...]:
     xs = np.asarray(atoms, dtype=float)
     ws = np.asarray(weights, dtype=float)
     return tuple(float(ws @ xs**k) for k in range(degree + 1))
+
+
+def reference_scaled_symmetric(matrix):
+    """``(a, e)``, ``a`` a bitwise symmetric copy of ``2^-e * matrix`` with
+    entries below 1: the Jacobi wrapper's set-up as it was on numpy arrays,
+    the reference for its list form and for the support gate's scaling."""
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise EigFailure(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n > SIZE_CAP:
+        raise EigFailure(f"matrix size {n} exceeds the {SIZE_CAP}x{SIZE_CAP} cap")
+    amax = float(np.abs(a).max()) if n else 0.0
+    if not math.isfinite(amax):
+        raise EigFailure("matrix contains non-finite entries")
+    if n and np.abs(a - a.T).max() > SYMMETRY_TOL * amax:
+        raise EigFailure("matrix is not symmetric")
+    e = math.frexp(amax)[1]
+    a = np.ldexp(a, -e)
+    return 0.5 * (a + a.T), e
 
 
 def scipy_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from momentkit import counters
 from momentkit.eig import MAX_SWEEPS, SIZE_CAP, _jacobi_kernel, jacobi_eigh, lambda_min
 from momentkit.errors import EigFailure
-from momentkit.tolerances import OFFDIAG_MASS_TOL, SYMMETRY_TOL
+from momentkit.tolerances import OFFDIAG_MASS_TOL
+
+from conftest import reference_scaled_symmetric
 
 
 def test_identity():
@@ -214,28 +216,10 @@ def test_kernel_without_sweeps_fails_on_off_diagonal_mass(accumulate):
     assert rows == a.tolist() and vrows == v.tolist()
 
 
-def _reference_scaled_symmetric(matrix):
-    # The wrapper's set-up as it was on numpy arrays, before it ran on the
-    # kernel's rows: the oracle that the list path must match bit for bit.
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise EigFailure(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > SIZE_CAP:
-        raise EigFailure(f"matrix size {n} exceeds the {SIZE_CAP}x{SIZE_CAP} cap")
-    amax = float(np.abs(a).max()) if n else 0.0
-    if not math.isfinite(amax):
-        raise EigFailure("matrix contains non-finite entries")
-    if n and np.abs(a - a.T).max() > SYMMETRY_TOL * amax:
-        raise EigFailure("matrix is not symmetric")
-    e = math.frexp(amax)[1]
-    a = np.ldexp(a, -e)
-    return 0.5 * (a + a.T), e
-
-
 def _reference_jacobi_eigh(matrix, need_vectors=True):
-    """``(w, V, sweeps)`` of the array wrapper around the same kernel."""
-    a, e = _reference_scaled_symmetric(matrix)
+    """``(w, V, sweeps)`` of the wrapper as it was on numpy arrays, around
+    the same kernel: the oracle that the list path must match bit for bit."""
+    a, e = reference_scaled_symmetric(matrix)
     n = a.shape[0]
     threshold = OFFDIAG_MASS_TOL**2 * float((a * a).sum())
     v = np.eye(n) if need_vectors else np.zeros((1, 1))

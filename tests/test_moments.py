@@ -9,7 +9,7 @@ import momentkit as mk
 from momentkit import counters
 from momentkit import moments as moments_mod
 
-from conftest import atomic_moments
+from conftest import atomic_moments, reference_scaled_symmetric
 from test_acceptance import _known_measure
 
 
@@ -533,14 +533,6 @@ def _reference_leading_chain(H):
     return moments_mod._Chain(kept, pivot, Rs * scale[None, :], deficit * smax * smax)
 
 
-def _scaled_symmetric(H):
-    # The numpy scaling that the gate's pass rule was first written on:
-    # 2^-e H, entries below 1, symmetrized.
-    e = math.frexp(float(np.abs(H).max()))[1]
-    a = np.ldexp(H, -e)
-    return 0.5 * (a + a.T), e
-
-
 def _chain_matrix(rng, n, kind, shape, exponent):
     """A size-n Hankel or localizing matrix (weight x, or 1 - x^2) of an
     atomic measure, scaled by 2^exponent: positive definite with n + 1 atoms,
@@ -588,7 +580,7 @@ def test_leading_chain_matches_the_numpy_reference(seed, n, kind, shape, exponen
     smax2 = float(scale.max()) ** 2
     assert abs(new.floor - ref.floor) <= delta * smax2
     # the gate's pass rule at PSD_TOL, as _gate applies it to each factor
-    a, e = _scaled_symmetric(H)
+    a, e = reference_scaled_symmetric(H)
     k = max(e, 0)
     a = np.ldexp(a, e - k)
     gate_scale = max(math.ldexp(1.0, -k), float(np.sqrt(np.sum(a * a))))
