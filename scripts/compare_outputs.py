@@ -15,8 +15,10 @@ example of two commits::
 
 The ``edge`` workload is a fixed corpus instead of generated inputs (seeds
 and blocks do not apply to it): it reaches every verdict of the CLI's exit
-code table, including an input of the wrong kind, a JSON syntax error and a
-``--schema-check-only`` run, which the benchmark's inputs never produce.
+code table, including an input of the wrong kind, a JSON syntax error (with
+\n, \r\n and lone \r line ends), a byte order mark, bytes that are not
+UTF-8, a directory and a ``--schema-check-only`` run, which the benchmark's
+inputs never produce.
 It runs once, in its own directory, so no path differs between dumps.
 
 ``diff`` prints, per workload, the operations whose verdict or exit code
@@ -45,7 +47,8 @@ _FINITE = {"points": ["p0", "p1"], "basis": {"one": [1, 1]}, "functional": {"one
            "sigma_algebra": [[0], [1]]}
 _NOT_POSITIVE = {"points": ["a", "b"], "basis": {"one": [1, 1], "g": [1, 0]},
                  "functional": {"one": 1.0, "g": -5e-9}, "sigma_algebra": [[0], [1]]}
-# (input name, verb, document or raw text, Command fields)
+# (input name, verb, document, raw text or raw bytes, Command fields); an input
+# of None is made a directory
 EDGE = [
     ("representable", "check", _MOMENTS, {}),
     ("not_representable", "check", _NOT_PSD, {}),
@@ -75,6 +78,11 @@ EDGE = [
     ("wrong_kind_moments", "check", _FINITE, {}),
     ("wrong_kind_finite", "build-measure", _MOMENTS, {}),
     ("syntax_error", "check", '{"moments": [1, 0, 1]', {}),
+    ("syntax_error_crlf", "check", b'{"moments": [1, 0, 1],\r\n  :\r\n}', {}),
+    ("syntax_error_cr", "check", b'{"moments": [1, 0, 1],\r  :\r}', {}),
+    ("byte_order_mark", "check", b'\xef\xbb\xbf{"moments": [1, 0, 1]}', {}),
+    ("not_utf8", "check", b'{"moments": [1, 0, 1], "note": "caf\xe9"}', {}),
+    ("directory", "check", None, {}),
     ("schema_ok", "check", _MOMENTS, {"schema_check_only": True}),
     ("schema_bad", "check", {"moments": [1, 0]}, {"schema_check_only": True}),
 ]
@@ -126,10 +134,15 @@ def _dump_edge(tmp: Path, record, command) -> None:
     os.chdir(block)
     try:
         for name, verb, doc, fields in EDGE:
-            path = f"{name}.json"
-            Path(path).write_text(doc if isinstance(doc, str) else json.dumps(doc),
-                                  encoding="utf-8")
-            record("edge", None, command(verb, path, **fields))
+            path = Path(f"{name}.json")
+            if doc is None:
+                path.mkdir()
+            elif isinstance(doc, bytes):
+                path.write_bytes(doc)
+            else:
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc),
+                                encoding="utf-8")
+            record("edge", None, command(verb, str(path), **fields))
     finally:
         os.chdir(here)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -29,12 +30,13 @@ SCHEMA_VERSION = "1"
 
 # --- canonical output ---------------------------------------------------------
 
+_INF = float("inf")
+
+
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not -_INF < x < _INF:  # NaN fails both comparisons
         raise ValueError("cannot serialize a non-finite float")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")  # x + 0.0 is x, but 0.0 for -0.0
 
 
 def dumps_canonical(obj) -> str:
@@ -44,32 +46,41 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
+# The formatter of each exact scalar type.  Subclasses (bool among them),
+# numpy scalars and None are not in it; they take the isinstance chain.
+_SCALAR = {float: _fmt_float, str: encode_basestring_ascii, int: int.__repr__}
+
+
 def _emit(obj, out: list) -> None:
-    kind = type(obj)  # the exact types first; no dict or list is a scalar
-    if kind is float:
-        out.append(_fmt_float(obj))
-    elif kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif kind is int:
-        out.append(str(obj))
+    fmt = _SCALAR.get(type(obj))  # the exact types first; no dict or list is a scalar
+    if fmt is not None:
+        out.append(fmt(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        # Each member is one piece; an exact scalar is written in place.
+        sep = "{"
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise ValueError("JSON object keys must be strings")
-            if i:
-                out.append(",")
-            out.append(encode_basestring_ascii(key))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, np.ndarray)) or kind is tuple:  # no NamedTuple record
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+            value = obj[key]
+            fmt = _SCALAR.get(type(value))
+            if fmt is None:
+                out.append(f"{sep}{encode_basestring_ascii(key)}:")
+                _emit(value, out)
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}:{fmt(value)}")
+            sep = ","
+        out.append("}" if sep == "," else "{}")
+    elif isinstance(obj, (list, np.ndarray)) or type(obj) is tuple:  # no NamedTuple record
+        sep = "["
+        for item in obj:
+            fmt = _SCALAR.get(type(item))
+            if fmt is None:
+                out.append(sep)
+                _emit(item, out)
+            else:
+                out.append(sep + fmt(item))
+            sep = ","
+        out.append("]" if sep == "," else "[]")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -162,12 +173,30 @@ def _decode(text: str):
     raise SchemaError(_repeat_path(json.loads(text, object_pairs_hook=tuple)), "repeated key")
 
 
+_READ_CHUNK = 1 << 16
+
+
 def load_json(path: str) -> dict:
+    # One os.read a chunk and one strict UTF-8 decode: the text that text
+    # mode with universal newlines reads, without its wrapper and codec.
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        # A directory opens and fails at os.read, which names no file: the
+        # message is built as open's, which names it.
+        raise IoError(f"cannot read {path}: {OSError(exc.errno, exc.strerror, path)}") from exc
+    try:
+        text = b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    if "\r" in text:  # universal newlines: \r\n and a lone \r each end a line
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = _decode(text)
     except json.JSONDecodeError as exc:

@@ -77,10 +77,10 @@ class MomentSequence(FrozenValue):
     _fields = ("moments", "support")
 
     def __init__(self, moments: tuple[float, ...], support: Support = Support.line()):
-        ms = tuple(float(x) for x in moments)
+        ms = tuple(map(float, moments))
         if len(ms) == 0 or len(ms) % 2 == 0:
             raise ValueError("need an odd count of moments m_0..m_{2d}")
-        if not all(math.isfinite(x) for x in ms):
+        if not all(map(math.isfinite, ms)):
             raise ValueError("moments must be finite")
         set_field(self, "moments", ms)
         set_field(self, "support", support)
@@ -95,7 +95,7 @@ class MomentSequence(FrozenValue):
 
     @property
     def scale(self) -> float:
-        return max(1.0, max(abs(x) for x in self.moments))
+        return max(1.0, max(map(abs, self.moments)))
 
     def array(self) -> np.ndarray:
         return np.asarray(self.moments, dtype=float)
@@ -162,13 +162,13 @@ class AtomicMeasure(FrozenValue):
 
     def __init__(self, atoms: tuple[float, ...], weights: tuple[float, ...],
                  support: Support = Support.line()):
-        atoms = tuple(float(a) for a in atoms)
-        weights = tuple(float(w) for w in weights)
+        atoms = tuple(map(float, atoms))
+        weights = tuple(map(float, weights))
         if len(atoms) != len(weights):
             raise ValueError("atom and weight counts differ")
-        if any(not (w > 0.0) for w in weights):
+        if not all(map((0.0).__lt__, weights)):  # a NaN weight fails too
             raise ValueError("weights must be strictly positive")
-        if any(b <= a for a, b in zip(atoms, atoms[1:])):
+        if any(map(float.__le__, atoms[1:], atoms)):
             raise ValueError("atoms must be strictly increasing")
         set_field(self, "atoms", atoms)
         set_field(self, "weights", weights)
@@ -512,8 +512,7 @@ def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
     weights = m.moments[0] * vectors[0, :] ** 2
     if not (weights > 0.0).all():  # m_0 v^2 below the double range
         raise EigFailure("an atom's weight underflows the double range")
-    return AtomicMeasure(tuple(float(x) for x in nodes),
-                         tuple(float(w) for w in weights), m.support)
+    return AtomicMeasure(nodes.tolist(), weights.tolist(), m.support)
 
 
 def verify_truncated(m: MomentSequence, mu: AtomicMeasure,

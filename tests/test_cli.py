@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
-from momentkit import cli, counters, measure
+from momentkit import cli, counters, jsonio, measure
 from momentkit.cli import main
 from momentkit.jsonio import _fmt_float, dumps_canonical, parse_input
 
@@ -209,6 +209,83 @@ def test_parse_reports_syntax_position(tmp_path):
     with pytest.raises(mk.SchemaError) as err:
         parse_input(str(path))
     assert ":2:" in str(err.value)  # line number of the syntax error
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_syntax_position_counts_every_newline_kind(tmp_path, newline):
+    # A file is read with universal newlines: \r\n and a lone \r each end a line.
+    path = tmp_path / "broken.json"
+    path.write_bytes(newline.join(['{"moments": [1, 0, 1],', '  "support":', "  :", "}"]).encode())
+    with pytest.raises(mk.SchemaError) as err:
+        parse_input(str(path))
+    assert str(err.value) == f"{path}:3:3: invalid JSON: Expecting value"
+
+
+@pytest.mark.parametrize("data", [b"", b'\xef\xbb\xbf{"moments": [1, 0, 1]}'])
+def test_empty_and_bom_files_are_input_errors(tmp_path, capsys, data):
+    # A byte order mark is not JSON whitespace: the decoder stops before it.
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "input-error"
+    assert doc["error"] == f"{path}:1:1: invalid JSON: Expecting value"
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"moments": [1, 0, 1], "note": "café"}'.encode("latin-1"))
+    assert main(["check", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "input-error"
+    assert doc["error"] == f"{path}: not UTF-8 text: invalid continuation byte at byte 35"
+
+
+def test_directory_is_input_error(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "input-error"
+    assert doc["error"] == f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+
+
+def test_file_longer_than_one_read_parses(tmp_path):
+    path = tmp_path / "long.json"  # 256 KiB: four reads of 64 KiB
+    path.write_text('{"moments": [1, 0, 1],' + " " * (1 << 18) + '"support": {"type": "line"}}',
+                    encoding="utf-8")
+    assert parse_input(str(path)).sequence.moments == (1.0, 0.0, 1.0)
+
+
+def _reference_load(path: str):
+    """``load_json``'s outcome as a text-mode read gives it: the document,
+    or the message of the :class:`SchemaError` it raises."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # the file is shorter than one text-mode chunk
+        return f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+    try:
+        doc = jsonio._decode(text)
+    except json.JSONDecodeError as exc:
+        return f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+    except mk.SchemaError as exc:  # a repeated key
+        return str(exc)
+    return doc if isinstance(doc, dict) else f"{path}: top level must be a JSON object"
+
+
+_PIECES = [b"{", b"}", b"[", b"]", b",", b":", b" ", b"\n", b"\r", b"\r\n", b'"k"', b'"\xc3\xa9"',
+           b"1", b"-0.5", b"null", b"\xe9", b"\xef\xbb\xbf", b"\xf0\x9f\x98", b"\xff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24))
+def test_load_json_matches_a_text_mode_read(tmp_path_factory, pieces):
+    path = tmp_path_factory.mktemp("load") / "in.json"
+    path.write_bytes(b"".join(pieces))
+    try:
+        outcome = jsonio.load_json(str(path))
+    except mk.SchemaError as exc:
+        outcome = str(exc)
+    assert outcome == _reference_load(str(path))
 
 
 def test_parse_unknown_schema_version(tmp_path):
