@@ -47,8 +47,8 @@ _FINITE = {"points": ["p0", "p1"], "basis": {"one": [1, 1]}, "functional": {"one
            "sigma_algebra": [[0], [1]]}
 _NOT_POSITIVE = {"points": ["a", "b"], "basis": {"one": [1, 1], "g": [1, 0]},
                  "functional": {"one": 1.0, "g": -5e-9}, "sigma_algebra": [[0], [1]]}
-# (input name, verb, document, raw text or raw bytes, Command fields); an input
-# of None is made a directory
+# (input name, verb, input, Command fields); the input is a document, raw text
+# or raw bytes, or None for a directory
 EDGE = [
     ("representable", "check", _MOMENTS, {}),
     ("not_representable", "check", _NOT_PSD, {}),

@@ -57,7 +57,8 @@ def _emit(obj, out: list) -> None:
         out.append(fmt(obj))
     elif isinstance(obj, dict):
         # Each member is one piece; an exact scalar is written in place.
-        sep = "{"
+        out.append("{")
+        sep = ""
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise ValueError("JSON object keys must be strings")
@@ -69,9 +70,10 @@ def _emit(obj, out: list) -> None:
             else:
                 out.append(f"{sep}{encode_basestring_ascii(key)}:{fmt(value)}")
             sep = ","
-        out.append("}" if sep == "," else "{}")
+        out.append("}")
     elif isinstance(obj, (list, np.ndarray)) or type(obj) is tuple:  # no NamedTuple record
-        sep = "["
+        out.append("[")
+        sep = ""
         for item in obj:
             fmt = _SCALAR.get(type(item))
             if fmt is None:
@@ -80,7 +82,7 @@ def _emit(obj, out: list) -> None:
             else:
                 out.append(sep + fmt(item))
             sep = ","
-        out.append("]" if sep == "," else "[]")
+        out.append("]")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):

@@ -261,7 +261,7 @@ def _reference_load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except UnicodeDecodeError as exc:  # the file is shorter than one text-mode chunk
+    except UnicodeDecodeError as exc:
         return f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
     try:
         doc = jsonio._decode(text)
