@@ -143,7 +143,7 @@ def sublinear_p(v: FunctionVec, L: Functional) -> float:
     """
     W = L.domain
     _same_ground(v, W)
-    sol = solve_lp(v.values, a_eq=W.matrix.T, b_eq=L.coeffs, nonneg=True)
+    sol = solve_lp(v.values, a_eq=W.matrix.T, b_eq=L.coeffs)
     if sol.status == "unbounded":
         raise LpUnbounded("no span element lies below the target (not in cone + span)")
     if sol.status == "infeasible":
@@ -170,7 +170,7 @@ def hb_extend_step(L: Functional, v: FunctionVec, rule: str = "midpoint"):
         raise ValueError(f"unknown extension rule {rule!r}")
     grown = L.domain.extended_by(v)
     sol = solve_lp(np.array([v.values, -v.values]), a_eq=L.domain.matrix.T, b_eq=L.coeffs,
-                   nonneg=True, start=L._chain)
+                   start=L._chain)
     if sol.status == "unbounded" or (sol.status == "infeasible"
                                      and not wc_contains(v, L.domain)):
         raise TargetNotInWC(None, "target is not sandwiched by the current domain")
@@ -271,8 +271,7 @@ def verify_positive(L: Functional, tol: float = VERDICT_TOL):
     mass = W.sum(axis=1)[:, None]
     cost = np.zeros(W.shape[1] + 2)
     cost[-2:] = -1.0, 1.0
-    sol = solve_lp(cost, a_eq=np.hstack([W, mass, -mass]), b_eq=L.coeffs, nonneg=True,
-                   start=L._chain)
+    sol = solve_lp(cost, a_eq=np.hstack([W, mass, -mass]), b_eq=L.coeffs, start=L._chain)
     if sol.status == "unbounded":
         return True, 0.0
     if sol.status == "infeasible":

@@ -205,8 +205,8 @@ def hull_contains(A: Subspace, f: FunctionVec) -> bool:
 
     This is the convex sufficient test for lattice-hull membership.  When
     the span contains the constants the answer is yes with no LP:
-    ``max|f| * 1`` lies above ``|f|``.  Otherwise one feasibility LP over
-    span coefficients decides it.
+    ``max|f| * 1`` lies above ``|f|``.  Otherwise one feasibility probe in
+    the span coefficients decides it (:func:`lp_feasible`, a Farkas LP).
     """
     _same_ground(f, A)
     if A._spans_constants:

@@ -197,6 +197,8 @@ def load_json(path: str) -> dict:
         text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    if text.startswith("\ufeff"):  # the shared decoder would stop at it and name no cause
+        raise SchemaError(f"{path}:1:1", "invalid JSON: Unexpected UTF-8 BOM")
     if "\r" in text:  # universal newlines: \r\n and a lone \r each end a line
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:

@@ -297,7 +297,7 @@ def density_check(B: Subspace, alg: SigmaAlgebra, Lbar: Functional,
         cols = _merge_copies(np.hstack([a_ub, costs.T]), np.zeros(a_ub.shape[0]))
         if cols is not None:
             a_ub, costs = a_ub[cols], costs[:, cols]
-        sol = solve_lp(costs, a_eq=a_ub.T, b_eq=-c, nonneg=True)
+        sol = solve_lp(costs, a_eq=a_ub.T, b_eq=-c)
         if not sol.optimal:
             status = {"infeasible": "unbounded", "unbounded": "infeasible"}[sol.status]
             raise LpFailure(f"density LP for block {outside[0]} ended with status {status}")

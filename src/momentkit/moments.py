@@ -382,7 +382,7 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
         cost[-1] = -1.0
         rows = _merge_copies(a_ub, b_ub)
         rows = slice(None) if rows is None else rows
-        sol = solve_lp(cost, a_ub=a_ub[rows], b_ub=b_ub[rows], nonneg=True)
+        sol = solve_lp(cost, a_ub=a_ub[rows], b_ub=b_ub[rows])
         if not sol.optimal:
             raise LpFailure(f"grid-distance LP ended with status {sol.status}")
         y = np.zeros(b_ub.size)

@@ -1,15 +1,10 @@
-"""Dense two-phase simplex.
+"""Dense two-phase simplex over nonnegative variables.
 
 Small self-contained LP solver used by every feasibility and bound
-computation in the package.  The core solves over ``x >= 0``: slack
-variables absorb the inequality rows, and phase 1 drives a full artificial
-basis to zero.  By default the variables are free (sign-unrestricted) and
-each is split into a difference of nonnegative parts, columns
-``[x+, x-, slack]``; with ``nonneg=True`` the caller's variables are the
-core's columns, ``[x, slack]``.  An LP whose variables are naturally
-nonnegative (the grid check's distance LP over grid weights and the
-distance's complement, ``(lam, tau) >= 0``) is smaller that way than the
-same LP in free variables with bound rows.
+computation in the package.  Every LP is over ``x >= 0``: masses on points,
+grid weights, or the multipliers of a Farkas alternative (:func:`lp_feasible`).
+Slack variables absorb the inequality rows, columns ``[x, slack]``, and
+phase 1 drives a full artificial basis to zero.
 
 An optimal solution carries the multipliers of the caller's rows, read from
 the final objective row: the reduced costs of the slack columns (which were
@@ -22,9 +17,9 @@ maximum of one linear form over the same polyhedron, and phase 1 is the
 part they share.
 
 A solve can also start from an earlier one (``start``).  Consecutive
-Hahn-Banach steps ask LPs in equality form over ``x >= 0`` that differ by one
-row, and the positivity audit asks the last step's LP with one more row and
-two more columns.  So an optimal solve in that form keeps its phase-1 tableau
+Hahn-Banach steps ask LPs in equality form that differ by one row, and the
+positivity audit asks the last step's LP with one more row and two more
+columns.  So an optimal solve in that form keeps its phase-1 tableau
 (``LpSolution.tableau``), and a later solve whose equality rows and columns
 lead with the earlier ones, bit for bit (else ``ValueError``), starts from it:
 
@@ -56,19 +51,19 @@ The LPs here are small (a Hahn-Banach step on the finite-space benchmark
 inputs has 1-7 rows and takes about 4 pivots when it starts from the step
 before), so a solve costs interpreter overhead more than arithmetic, in two
 parts.  The fixed work per solve builds the tableau in place (rows, slacks,
-the free-variable split, right-hand side, equilibration and sign flips
-written straight into it), or for a started solve copies the kept rows and
-eliminates each new row with one product; it prices each objective with one
-reduction over the basic rows that carry a cost, and reads out ``x`` and the
-multipliers with the per-call constants worked out once.  A started solve
-builds the rows as posed only when the final check needs them.  The work per pivot is the ratio test on the entering column and the
-right-hand side, run on Python float lists as is the lexicographic
-tie-break, and the elimination.  Both keep the operation order of a plain
-numpy solve, so every pivot and every rounding is the same: a cold solve
-returns bit for bit the status, pivots, ``x``, objective and multipliers
-(signs of zero included) of the reference kept in ``tests/test_simplex.py``,
-which builds a separate constraint matrix and prices with a loop of row
-subtractions.
+right-hand side, equilibration and sign flips written straight into it), or
+for a started solve copies the kept rows and eliminates each new row with
+one product; it prices each objective with one reduction over the basic
+rows that carry a cost, and reads out ``x`` and the multipliers with the
+per-call constants worked out once.  A started solve builds the rows as
+posed only when the final check needs them.  The work per pivot is the
+ratio test on the entering column and the right-hand side, run on Python
+float lists as is the lexicographic tie-break, and the elimination.  Both
+keep the operation order of a plain numpy solve, so every pivot and every
+rounding is the same: a cold solve returns bit for bit the status, pivots,
+``x``, objective and multipliers (signs of zero included) of the reference
+kept in ``tests/test_simplex.py``, which builds a separate constraint matrix
+and prices with a loop of row subtractions.
 
 The tableau is updated in place and never refactored, so a pivot on a tiny
 element leaves its rounding in every later row.  An optimal tableau that took
@@ -82,8 +77,7 @@ Every call that returns counts one solve and its pivots (``lp_solves`` and
 ``lp_iterations`` in :mod:`momentkit.counters`).
 
 Deliberately dense and deliberately small: problems are capped at 500
-constraint rows and 500 structural columns (``2n + m_ub``, or ``n + m_ub``
-with ``nonneg``).
+constraint rows and 500 structural columns (``n + m_ub``).
 """
 
 from __future__ import annotations
@@ -100,8 +94,8 @@ SIZE_CAP = 500
 MAX_ITERATIONS = 50_000
 
 class Phase1(NamedTuple):
-    """The phase-1 tableau of an equality-form solve over ``x >= 0``, kept so
-    that a later solve can start from it (``solve_lp``'s ``start``)."""
+    """The phase-1 tableau of an equality-form solve, kept so that a later
+    solve can start from it (``solve_lp``'s ``start``)."""
 
     T: np.ndarray  # the constraint rows: columns [x, artificial, rhs]
     basis: np.ndarray
@@ -118,12 +112,12 @@ class LpSolution(NamedTuple):
     objective: float | np.ndarray | None
     iterations: int
     # One multiplier per caller row, a_ub rows first, when optimal: y_ub <= 0,
-    # c - y @ [a_ub; a_eq] is 0 on free and >= 0 on nonneg variables, and
-    # c @ x == b @ y.  With k objectives, x, objective and duals have a
-    # leading axis of length k, one entry per row of c.
+    # c - y @ [a_ub; a_eq] >= 0 and 0 wherever x > 0, and c @ x == b @ y.
+    # With k objectives, x, objective and duals have a leading axis of
+    # length k, one entry per row of c.
     duals: np.ndarray | None = None
-    # What a later solve can start from: kept when optimal, in equality form
-    # over x >= 0, with no row dropped as redundant.
+    # What a later solve can start from: kept when optimal, in equality form,
+    # with no row dropped as redundant.
     tableau: Phase1 | None = None
 
     @property
@@ -324,10 +318,10 @@ def _posed(a_eq: np.ndarray, b_eq: np.ndarray, signed: np.ndarray):
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
-             nonneg: bool = False, start: LpSolution | None = None) -> LpSolution:
-    """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
+             start: LpSolution | None = None) -> LpSolution:
+    """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``
+    and ``x >= 0``.
 
-    Every component of ``x`` is free, or ``>= 0`` with ``nonneg``.
     Returns an :class:`LpSolution`, with ``duals`` in the caller's rows when
     optimal; a solver breakdown (iteration budget, size cap) raises
     :class:`LpFailure` while infeasible/unbounded are reported as statuses.
@@ -342,10 +336,10 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     :mod:`momentkit.counters`.
 
     ``start`` is an earlier solve to start from (see the module docstring):
-    its equality rows and columns must lead this LP's, which must be in the
-    same form (``nonneg``, equality rows only), or ``ValueError``.  A start
-    that kept no tableau (``LpSolution.tableau`` is None) starts nothing, and
-    the call solves cold.  ``iterations`` counts this call's pivots alone.
+    its equality rows and columns must lead this LP's, which must have
+    equality rows only, or ``ValueError``.  A start that kept no tableau
+    (``LpSolution.tableau`` is None) starts nothing, and the call solves
+    cold.  ``iterations`` counts this call's pivots alone.
     """
     # Reshapes in place of np.atleast_1d and np.atleast_2d, which cost more
     # per call than these small LPs can spare.
@@ -372,12 +366,11 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     kept = None if start is None else start.tableau
     if kept is not None:
         m0, n0 = kept.shape
-        if (not nonneg or m_ub or m_eq < m0 or n < n0
+        if (m_ub or m_eq < m0 or n < n0
                 or a_eq[:m0, :n0].tobytes() + b_eq[:m0].tobytes() != kept.data):
             raise ValueError("the start's rows and columns do not lead this LP")
 
-    n_var = n if nonneg else 2 * n  # columns of x: [x] or [x+, x-]
-    n_struct = n_var + m_ub
+    n_struct = n + m_ub
     if m > SIZE_CAP or n_struct > SIZE_CAP:
         raise LpFailure(
             f"problem exceeds desk-scale cap: {m} rows, {n_struct} structural columns (max {SIZE_CAP})"
@@ -414,20 +407,18 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         n_art = art_rows.size
         n_total = n_struct + n_art
         art_cols = np.arange(n_struct, n_total)
-        identity_col = np.arange(n_var, n_var + m)
+        identity_col = np.arange(n, n + m)
         identity_col[art_rows] = art_cols
         basis = identity_col.copy()
 
-        # The tableau, built in place: columns [x+, x-, slack, artificial, rhs]
-        # or, with nonneg, [x, slack, artificial, rhs]; the last row prices.
+        # The tableau, built in place: columns [x, slack, artificial, rhs];
+        # the last row prices.
         T = np.zeros((m + 1, n_total + 1))
         T[:m_ub, :n] = a_ub
         T[m_ub:m, :n] = a_eq
         if m_ub:  # each inequality row's slack
-            T[:m_ub, n_var:n_struct].flat[::m_ub + 1] = 1.0
+            T[:m_ub, n:n_struct].flat[::m_ub + 1] = 1.0
         T[:m, :n_struct] /= signed[:, None]
-        if not nonneg:
-            np.negative(T[:m, :n], out=T[:m, n:n_var])
         T[art_rows, art_cols] = 1.0
         np.abs(rhs, out=T[:m, -1])
         T0, unit = T[:m].copy(), identity_col  # the rows as posed, for the final check
@@ -436,7 +427,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
         # right-hand side is always compared before this order kicks in), then
         # the remaining columns by index: the variables' and the slacks of the
         # rows that took an artificial.
-        scan_order = np.concatenate([identity_col, np.arange(n_var), n_var + flipped_ub])
+        scan_order = np.concatenate([identity_col, np.arange(n), n + flipped_ub])
 
         smallest = np.inf
     else:
@@ -485,7 +476,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
             basis = basis[keep]
             m -= len(redundant)
     tableau = None
-    if nonneg and not m_ub and not redundant:
+    if not m_ub and not redundant:
         tableau = Phase1(T[:m].copy(), basis.copy(), scan_order, signed, (m, n),
                          a_eq.tobytes() + b_eq.tobytes(), smallest)
 
@@ -496,8 +487,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
     # column is 0 off its own row, so its price is its cost.
     cost_rows = np.zeros((k, n_total + 1))
     np.divide(costs, obj_scales[:, None], out=cost_rows[:, :n])
-    if not nonneg:
-        np.negative(cost_rows[:, :n], out=cost_rows[:, n:n_var])
     prices = cost_rows[:, basis, None]
 
     # The read-out's constants.  A slack column was scaled and flipped with
@@ -526,10 +515,10 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
 
         full = np.zeros(n_total)
         full[bj] = Tj[:m, -1]
-        x = full[:n] if nonneg else full[:n] - full[n:n_var]
+        x = full[:n]
         xs.append(x)
         objs.append(float(cj @ x))
-        ys.append(np.concatenate([Tj[-1, n_var:n_struct] * -obj_scale,
+        ys.append(np.concatenate([Tj[-1, n:n_struct] * -obj_scale,
                                   obj_scale * Tj[-1, eq_cols] / eq_scale]))
     count(lp_solves=1, lp_iterations=iterations)
 
@@ -539,6 +528,15 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
 
 
 def lp_feasible(a_ub, b_ub) -> bool:
-    """Feasibility probe: is ``{x : a_ub @ x <= b_ub}`` nonempty?"""
-    n_vars = np.atleast_2d(np.asarray(a_ub, dtype=float)).shape[1]
-    return solve_lp(np.zeros(n_vars), a_ub, b_ub).optimal
+    """Feasibility probe: is ``{x : a_ub @ x <= b_ub}`` nonempty?
+
+    Decided by Farkas's lemma over measures on the rows: it is, unless min
+    ``b_ub @ y`` over ``y >= 0`` with ``a_ub.T @ y == 0`` and ``sum(y) == 1`` lies
+    below ``-FEAS_TOL * max(1, max|b_ub|)``, which is ``FEAS_TOL`` on the
+    solver's scaled objective (that LP infeasible is Gordan's alternative: yes).
+    Each variable is a row with right-hand side 0 there, so its units are
+    never weighed against ``b_ub``'s.  A repeated row is a repeated column.
+    """
+    a, b = np.atleast_2d(a_ub), np.atleast_1d(b_ub)
+    sol = solve_lp(b, a_eq=np.vstack([a.T, np.ones(b.size)]), b_eq=np.r_[np.zeros(len(a.T)), 1.0])
+    return not sol.optimal or sol.objective >= -FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))

@@ -35,7 +35,7 @@ OFFDIAG_MASS_TOL = 1e-14
 SYMMETRY_TOL = 1e-12
 
 # --- simplex (simplex.py) ----------------------------------------------------
-# Absolute, on rows scaled to largest entry 1: the primal infeasibility an LP may keep.
+# Absolute, on rows and objectives scaled to entries <= 1: primal infeasibility; lp_feasible's band.
 FEAS_TOL = 1e-9
 # Absolute, on the scaled tableau: a reduced cost below minus it enters; an entry above it leaves.
 PIVOT_TOL = 1e-9

@@ -115,3 +115,30 @@ def scipy_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None))
         if feas.status == 0 and ray.status == 0 and ray.fun < -1e-9:
             return "unbounded", None
     raise RuntimeError(f"scipy linprog status {res.status}")
+
+
+def solve_free(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, solve=mk.solve_lp):
+    """``solve`` (``solve_lp`` by default) on an LP whose variables are free.
+
+    The LP is handed over split, ``x = x+ - x-`` with both parts ``>= 0``:
+    columns ``[a, -a]`` and costs ``[c, -c]``.  The solution is read back as
+    ``x = x+ - x-`` and the objective as ``c @ x``, one per row of a 2-D
+    ``c``; the status, pivots and multipliers are the split LP's.
+    """
+    def split(a):
+        if a is None:
+            return None
+        a = np.asarray(a, dtype=float)
+        return np.concatenate([a, -a], axis=-1)
+
+    c = np.asarray(c, dtype=float)
+    sol = solve(split(c), split(a_ub), b_ub, split(a_eq), b_eq)
+    if not sol.optimal:
+        return sol
+    n = c.shape[-1]
+    if c.ndim == 1:
+        x = sol.x[:n] - sol.x[n:]
+        return sol._replace(x=x, objective=float(c @ x))
+    xs = [xj[:n] - xj[n:] for xj in sol.x]
+    return sol._replace(x=np.array(xs), objective=np.array([float(cj @ xj)
+                                                            for cj, xj in zip(c, xs)]))

@@ -223,13 +223,15 @@ def test_syntax_position_counts_every_newline_kind(tmp_path, newline):
 
 @pytest.mark.parametrize("data", [b"", b'\xef\xbb\xbf{"moments": [1, 0, 1]}'])
 def test_empty_and_bom_files_are_input_errors(tmp_path, capsys, data):
-    # A byte order mark is not JSON whitespace: the decoder stops before it.
+    # A byte order mark is not JSON whitespace: the decoder would stop
+    # before it, so load_json names it as the cause.
+    message = "Unexpected UTF-8 BOM" if data else "Expecting value"
     path = tmp_path / "in.json"
     path.write_bytes(data)
     assert main(["check", str(path)]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "input-error"
-    assert doc["error"] == f"{path}:1:1: invalid JSON: Expecting value"
+    assert doc["error"] == f"{path}:1:1: invalid JSON: {message}"
 
 
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
@@ -257,12 +259,15 @@ def test_file_longer_than_one_read_parses(tmp_path):
 
 def _reference_load(path: str):
     """``load_json``'s outcome as a text-mode read gives it: the document,
-    or the message of the :class:`SchemaError` it raises."""
+    or the message of the :class:`SchemaError` it raises.  A leading byte
+    order mark is named, as ``json.loads`` names it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         return f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+    if text.startswith("\ufeff"):
+        return f"{path}:1:1: invalid JSON: Unexpected UTF-8 BOM"
     try:
         doc = jsonio._decode(text)
     except json.JSONDecodeError as exc:
@@ -609,16 +614,19 @@ def test_build_measure_pivot_count_constants_only(tmp_path, capsys):
     assert _lp_counts(tmp_path, capsys, doc, 1) == (2, 17)
 
 
-@pytest.mark.parametrize("b_basis, counts", [(None, (3, 10)), ("g1", (8, 24))])
+@pytest.mark.parametrize("b_basis, counts", [(None, (3, 10)), ("g1", (8, 29))])
 def test_build_measure_pivot_count_without_constants(tmp_path, capsys, b_basis, counts):
     # A domain without the constants: hull membership is one LP over the 24
     # points, 4 of them distinct.  With g1 alone as designated subspace (not
     # dense, exit 1), one density LP (four objectives) and four domination
     # LPs join.  hull_contains and dominates keep one copy of each
-    # block-repeated row; over the full rows the runs take 32 and 64
-    # pivots.  The two Hahn-Banach steps are one chain: the second starts
-    # from the first's tableau (12 and 26 pivots when each solved cold).
-    # The pins guard those merges, the chain and the single density LP.
+    # block-repeated row, and lp_feasible decides each by its Farkas LP over
+    # measures on those rows: the hull probe takes 4 pivots and the four
+    # domination probes 10, where the free-variable phase 1 that decided
+    # them before took 4 and 5 (24 pivots for g1).  The two Hahn-Banach steps
+    # are one chain: the second starts from the first's tableau (12 and 26
+    # pivots when each solved cold).  The pins guard the chain, the single
+    # density LP and the probes' pivots.
     doc = _pivot_count_doc()
     for key in ("basis", "functional"):
         del doc[key]["one"]

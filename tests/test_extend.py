@@ -9,7 +9,7 @@ from momentkit import counters
 from momentkit.simplex import LpSolution
 
 from conftest import (density_functional, ground, ones, random_partition, random_subspace_with_one,
-                      scipy_lp, vec)
+                      scipy_lp, solve_free, vec)
 
 
 def span_one(g):
@@ -475,8 +475,8 @@ def primal_worst(L):
     repeated row; (ok at tol 0, worst)."""
     W = L.domain
     a_ub, b_ub = momentkit.funcspace._one_copy(-W.matrix, np.zeros(W.ground.size))
-    sol = mk.solve_lp(L.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=W.matrix.sum(axis=0)[None, :],
-                      b_eq=[1.0])
+    sol = solve_free(L.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=W.matrix.sum(axis=0)[None, :],
+                     b_eq=[1.0])
     return 0.0 if sol.status == "infeasible" else float(sol.objective)
 
 
@@ -538,10 +538,10 @@ def test_started_solves_match_cold_solves(data):
     rules = data.draw(st.sampled_from([("midpoint",), momentkit.extend.RULES]))
     started = []
 
-    def checked(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg=False, start=None):
-        sol = mk.solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg, start=start)
+    def checked(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, start=None):
+        sol = mk.solve_lp(c, a_ub, b_ub, a_eq, b_eq, start=start)
         if start is not None and start.tableau is not None:
-            cold = mk.solve_lp(c, a_ub, b_ub, a_eq, b_eq, nonneg=nonneg)
+            cold = mk.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
             assert sol.status == cold.status
             if cold.optimal:
                 assert_certified(sol, c, a_eq, b_eq)

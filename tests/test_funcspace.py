@@ -6,9 +6,10 @@ import momentkit as mk
 from momentkit import counters, extend, funcspace
 from momentkit.funcspace import _merge_copies
 from momentkit.tolerances import ADAPTED_EPS, INDEPENDENCE_TOL
-from momentkit.simplex import lp_feasible, solve_lp
+from momentkit.simplex import lp_feasible
 
-from conftest import density_functional, ground, ones, random_partition, random_subspace_with_one, vec
+from conftest import (density_functional, ground, ones, random_partition, random_subspace_with_one,
+                      solve_free, vec)
 
 
 # --- types ---------------------------------------------------------------------
@@ -252,6 +253,20 @@ def test_hull_and_dominates_match_the_lp(seed, with_one):
     assert dom == lp_feasible(a_ub=-B.matrix, b_ub=-deficit)
 
 
+@pytest.mark.parametrize("g_values", [[1e-4, 2e-4], [1.0, 2.0]])
+def test_probes_do_not_depend_on_units(g_values):
+    # span{g} holds 1e10 * [1e-4, 2e-4], above [1e6, 1e6], and its negative,
+    # below [-1e6, -1e6]; [1, 2] spans the same line in other units.  Each
+    # probe's Farkas LP has the span's columns as rows with right-hand side
+    # 0, so no equilibration weighs g against the targets.
+    g = ground(2)
+    W = mk.Subspace(g, [vec(g, g_values)])
+    big = vec(g, [1e6, 1e6])
+    assert mk.hull_contains(W, big)
+    assert mk.dominates(big, vec(g, [1.0, 1.0]), W, 0.5)
+    assert mk.in_cone_plus_subspace(vec(g, [-1e6, -1e6]), W)
+
+
 def test_dominates_requires_positive_eps():
     g = ground(1)
     with pytest.raises(ValueError):
@@ -474,7 +489,7 @@ def test_lps_over_points_get_one_copy_of_each_row(seed):
         assert rows is not None and rows.size < b_full.size
         assert np.array_equal(a_ub, a_full[rows]) and np.array_equal(b_ub, b_full[rows])
     assert answers[:3] == [lp_feasible(a, b) for a, b in full[:3]]
-    sol = solve_lp(L.coeffs, a_ub=full[3][0], b_ub=full[3][1],
-                   a_eq=A.matrix.sum(axis=0)[None, :], b_eq=[1.0])
+    sol = solve_free(L.coeffs, a_ub=full[3][0], b_ub=full[3][1],
+                     a_eq=A.matrix.sum(axis=0)[None, :], b_eq=[1.0])
     worst = float(sol.objective) if sol.optimal else 0.0
     assert answers[3][1] == pytest.approx(worst, rel=1e-9, abs=1e-9)

@@ -8,7 +8,7 @@ from momentkit.funcspace import _merge_copies
 from momentkit.measure import TDecayEntry
 from momentkit.tolerances import ADAPTED_EPS, MEASURABLE_TOL
 
-from conftest import density_functional, ground, ones, random_partition, vec
+from conftest import density_functional, ground, ones, random_partition, solve_free, vec
 
 
 def counting_functional(g, domain=None):
@@ -310,7 +310,7 @@ def lp_distances(B, alg, Lbar):
     c = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     out = []
     for chi in alg.indicators():
-        sol = mk.solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([-chi.values, chi.values]))
+        sol = solve_free(c, a_ub=a_ub, b_ub=np.concatenate([-chi.values, chi.values]))
         assert sol.optimal
         out.append(max(0.0, float(sol.objective)))
     return out
@@ -378,9 +378,9 @@ def test_density_lps_get_one_copy_of_each_row(seed, variant):
     c_full = np.concatenate([Lbar.coeffs, np.zeros(N.shape[1])])
     posed, real = [], measure.solve_lp
 
-    def watched(c, *, a_eq, b_eq, nonneg):
-        posed.append((c, a_eq, b_eq, nonneg))
-        return real(c, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
+    def watched(c, *, a_eq, b_eq):
+        posed.append((c, a_eq, b_eq))
+        return real(c, a_eq=a_eq, b_eq=b_eq)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "solve_lp", watched)
@@ -388,9 +388,9 @@ def test_density_lps_get_one_copy_of_each_row(seed, variant):
     costs = np.array([np.concatenate([-chi.values, chi.values])
                       for chi in chis if not B.contains(chi)])
     assert len(posed) == 1 and len(costs) > 0
-    c, a_eq, b_eq, nonneg = posed[0]
+    c, a_eq, b_eq = posed[0]
     cols = _merge_copies(np.hstack([a_full, costs.T]), np.zeros(2 * n))
-    assert cols is not None and cols.size < 2 * n and nonneg
+    assert cols is not None and cols.size < 2 * n
     assert np.array_equal(a_eq, a_full[cols].T) and np.array_equal(b_eq, -c_full)
     assert np.array_equal(c, costs[:, cols])
     tol = 1e-9 * max(1.0, Lbar(ones(g)))

@@ -1,79 +1,82 @@
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from momentkit import counters, funcspace, simplex
 from momentkit.errors import LpFailure
 from momentkit.simplex import lp_feasible, solve_lp
 
-from conftest import scipy_lp
+from conftest import scipy_lp, solve_free
 
 
 def test_basic_minimization():
     # min x + 2y subject to x, y >= 0 and x + y <= 4
-    sol = solve_lp([1.0, 2.0], a_ub=[[-1, 0], [0, -1], [1, 1]], b_ub=[0, 0, 4])
+    sol = solve_free([1.0, 2.0], a_ub=[[-1, 0], [0, -1], [1, 1]], b_ub=[0, 0, 4])
     assert sol.optimal
     assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negative_rhs_needs_phase1():
-    sol = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-3.0])  # x >= 3
+    sol = solve_free([1.0], a_ub=[[-1.0]], b_ub=[-3.0])  # x >= 3
     assert sol.optimal
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_equality_constraint():
-    sol = solve_lp([0.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], a_ub=[[0.0, -1.0]], b_ub=[0.0])
+    sol = solve_free([0.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], a_ub=[[0.0, -1.0]], b_ub=[0.0])
     assert sol.optimal
     assert sol.x[0] + sol.x[1] == pytest.approx(2.0, abs=1e-9)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_unbounded_detected():
-    assert solve_lp([-1.0]).status == "unbounded"
+    assert solve_free([-1.0]).status == "unbounded"
 
 
 def test_infeasible_detected():
-    sol = solve_lp([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
+    sol = solve_free([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
     assert sol.status == "infeasible"
 
 
 def test_size_cap():
     with pytest.raises(LpFailure):
-        solve_lp(np.zeros(300), a_ub=np.zeros((1, 300)), b_ub=[1.0])
+        solve_free(np.zeros(300), a_ub=np.zeros((1, 300)), b_ub=[1.0])
 
 
 def test_size_cap_counts_rows_before_merging():
     # 501 copies of one row are 501 rows: the cap counts the rows as given,
     # and the callers whose rows repeat merge copies before the solve
     with pytest.raises(LpFailure):
-        solve_lp([1.0], a_ub=np.ones((501, 1)), b_ub=np.arange(501.0))
+        solve_free([1.0], a_ub=np.ones((501, 1)), b_ub=np.arange(501.0))
 
 
 def test_nonneg_without_rows():
-    assert solve_lp([1.0, -0.5], nonneg=True).status == "unbounded"
-    sol = solve_lp([1.0, 0.0], nonneg=True)
+    assert solve_lp([1.0, -0.5]).status == "unbounded"
+    sol = solve_lp([1.0, 0.0])
     assert sol.optimal and sol.objective == 0.0
     assert np.array_equal(sol.x, [0.0, 0.0])
 
 
 def test_nonneg_size_cap_counts_one_column_per_variable():
-    # 300 free variables are 600 columns; 300 nonnegative ones and 200 slacks are 500
+    # 300 variables and 200 slacks are 500 columns; in free variables, split,
+    # the 300 alone are 600 (test_size_cap)
     a_ub = np.eye(201, 300)
-    assert solve_lp(np.ones(300), a_ub=a_ub[:200], b_ub=np.ones(200), nonneg=True).optimal
+    assert solve_lp(np.ones(300), a_ub=a_ub[:200], b_ub=np.ones(200)).optimal
     with pytest.raises(LpFailure):
-        solve_lp(np.ones(300), a_ub=a_ub, b_ub=np.ones(201), nonneg=True)
+        solve_lp(np.ones(300), a_ub=a_ub, b_ub=np.ones(201))
 
 
 def test_tighter_copy_makes_infeasible():
     # x >= 1 and x <= 2 is feasible; a copy x <= 0.5 of the second row is not
-    sol = solve_lp([1.0], a_ub=[[-1.0], [1.0], [1.0]], b_ub=[-1.0, 2.0, 0.5])
+    sol = solve_free([1.0], a_ub=[[-1.0], [1.0], [1.0]], b_ub=[-1.0, 2.0, 0.5])
     assert sol.status == "infeasible"
 
 
 def test_non_finite_rejected():
     with pytest.raises(LpFailure):
-        solve_lp([np.nan])
+        solve_free([np.nan])
 
 
 def test_feasibility_probe():
@@ -81,10 +84,49 @@ def test_feasibility_probe():
     assert not lp_feasible(a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])  # x <= 1 and x >= 2
 
 
+@st.composite
+def _systems(draw):
+    """``(a, b, feasible)``: a system ``a @ x <= b`` with |a| in [1e-4, 1e2] and
+    |b| up to about 1e8, feasible or not by construction.  Every row holds
+    at x0 (coordinates up to 1e12 where their column is small) with a slack
+    of at least 1e-2 of its scale; an infeasible one gets a row that
+    opposes one of them across a gap of at least 1e-2 of max |b|, far
+    outside lp_feasible's band of 1e-9 of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    x0 = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(0.0, 12.0, size=n)
+    # column j's entries lie in [1e-4, 1e2] and below 2.5e7 / (n |x0_j|)
+    top = np.minimum(2.0, np.log10(2.5e7 / n) - np.log10(np.abs(x0)))
+    a = rng.choice([-1.0, 1.0], size=(m, n)) * 10.0 ** rng.uniform(-4.0, np.maximum(top, -4.0),
+                                                                   size=(m, n))
+    ax = a @ x0
+    b = ax + rng.uniform(1e-2, 1.0, size=m) * np.maximum(1.0, np.abs(ax))
+    feasible = draw(st.booleans())
+    if not feasible:
+        r = int(rng.integers(m))
+        gap = rng.uniform(1e-2, 1.0) * max(1.0, float(np.abs(b).max()))
+        a, b = np.vstack([a, -a[r]]), np.r_[b, -(b[r] + gap)]
+        order = rng.permutation(m + 1)
+        a, b = a[order], b[order]
+    return a, b, feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+@example((np.array([[-1e-4]]), np.array([-1e6]), True))  # x >= 1e10
+def test_feasibility_probe_matches_reference_at_any_units(system):
+    # The probe's verdict is the construction's and HiGHS's, in free
+    # variables, whatever the units of x and of b.
+    a, b, feasible = system
+    assert lp_feasible(a, b) == feasible
+    assert scipy_lp(np.zeros(a.shape[1]), a_ub=a, b_ub=b)[0] == \
+        ("optimal" if feasible else "infeasible")
+
+
 def test_stats_collection():
     with counters.collect() as stats:
-        solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-3.0])
-        solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
+        solve_free([1.0], a_ub=[[-1.0]], b_ub=[-3.0])
+        solve_free([1.0], a_ub=[[-1.0]], b_ub=[-1.0])
     assert stats["lp_solves"] == 2
     assert stats["lp_iterations"] >= 1
 
@@ -97,7 +139,7 @@ def test_degenerate_vertex_converges():
     a_ub = np.vstack([-a_rows, np.ones((1, n))])
     b_ub = np.concatenate([np.zeros(120), [1.0]])
     c = rng.normal(size=n)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    sol = solve_free(c, a_ub=a_ub, b_ub=b_ub)
     ref_status, ref_obj = scipy_lp(c, a_ub=a_ub, b_ub=b_ub)
     assert sol.status == ref_status == "optimal"
     assert sol.objective == pytest.approx(ref_obj, abs=1e-7)
@@ -111,7 +153,7 @@ def test_reference_settles_highs_infeasible_on_unbounded_lp():
     b_ub = rng.normal(size=4)
     c = rng.normal(size=3)
     assert np.all(b_ub > 0)
-    assert solve_lp(c, a_ub=a_ub, b_ub=b_ub).status == "unbounded"
+    assert solve_free(c, a_ub=a_ub, b_ub=b_ub).status == "unbounded"
     assert scipy_lp(c, a_ub=a_ub, b_ub=b_ub) == ("unbounded", None)
 
 
@@ -124,7 +166,7 @@ def test_matches_reference_solver(data):
     a_ub = rng.normal(size=(m, n))
     b_ub = rng.normal(size=m)
     c = rng.normal(size=n)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    sol = solve_free(c, a_ub=a_ub, b_ub=b_ub)
     ref_status, ref_obj = scipy_lp(c, a_ub=a_ub, b_ub=b_ub)
     assert sol.status == ref_status
     if sol.optimal:
@@ -148,7 +190,7 @@ def test_duplicated_rows_match_reference_solver(data):
     order = rng.permutation(a_ub.shape[0])
     a_ub, b_ub = a_ub[order], b_ub[order]
     c = rng.normal(size=n)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    sol = solve_free(c, a_ub=a_ub, b_ub=b_ub)
     ref_status, ref_obj = scipy_lp(c, a_ub=a_ub, b_ub=b_ub)
     assert sol.status == ref_status
     if sol.optimal:
@@ -166,7 +208,7 @@ def test_matches_reference_with_equalities(data):
     a_eq = rng.normal(size=(1, n))
     b_eq = rng.normal(size=1)
     c = rng.normal(size=n)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    sol = solve_free(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     ref_status, ref_obj = scipy_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     assert sol.status == ref_status
     if sol.optimal:
@@ -185,7 +227,7 @@ def test_nonneg_matches_reference_solver(data):
     if data.draw(st.booleans()):
         a_eq, b_eq = rng.normal(size=(1, n)), rng.normal(size=1)
     c = rng.normal(size=n)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=True)
+    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     ref_status, ref_obj = scipy_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                                    bounds=(0, None))
     assert sol.status == ref_status
@@ -203,7 +245,7 @@ def test_final_basis_is_settled_on_the_rows_as_posed(monkeypatch):
     # rows as posed, finds the negative reduced costs and pivots on from a
     # rebuilt tableau.
     c, a, b = [-1.0, -2.0, -0.5], [[1.0, 1.0, 1.0], [2.0, 0.5, 0.0], [0.0, 1.0, 3.0]], [4.0, 3.0, 5.0]
-    ref = solve_lp(c, a_ub=a, b_ub=b, nonneg=True)
+    ref = solve_lp(c, a_ub=a, b_ub=b)
     real, calls = simplex._iterate, []
 
     def stop_at_once(T, basis, *args):
@@ -211,7 +253,7 @@ def test_final_basis_is_settled_on_the_rows_as_posed(monkeypatch):
         return ("optimal", 0, 1e-9) if len(calls) == 1 else real(T, basis, *args)
 
     monkeypatch.setattr(simplex, "_iterate", stop_at_once)
-    sol = solve_lp(c, a_ub=a, b_ub=b, nonneg=True)
+    sol = solve_lp(c, a_ub=a, b_ub=b)
     assert len(calls) == 2 and sol.optimal
     assert sol.objective == pytest.approx(ref.objective, abs=1e-12)
     assert np.allclose(sol.x, ref.x, atol=1e-12) and np.allclose(sol.duals, ref.duals, atol=1e-12)
@@ -219,10 +261,10 @@ def test_final_basis_is_settled_on_the_rows_as_posed(monkeypatch):
 
 def test_redundant_equality_gets_zero_multiplier():
     # the copied equality row is dropped after phase 1; its multiplier is 0
-    sol = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[2.0, 2.0], nonneg=True)
+    sol = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[2.0, 2.0])
     assert sol.optimal and sol.objective == pytest.approx(2.0)
     assert sorted(sol.duals) == pytest.approx([0.0, 1.0])
-    assert solve_lp([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]).duals is None
+    assert solve_free([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]).duals is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,7 +275,7 @@ def test_duals_certify_optimal_solutions(data):
     # the draws ask several objectives at once; each row is checked alone.
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(1, 6))
-    nonneg = data.draw(st.booleans())
+    free = data.draw(st.booleans())
     scale = 10.0 ** data.draw(st.integers(-2, 2))
     a_ub = scale * rng.normal(size=(data.draw(st.integers(1, 10)), n))
     b_ub = rng.normal(size=a_ub.shape[0])
@@ -249,7 +291,7 @@ def test_duals_certify_optimal_solutions(data):
             a_eq, b_eq = np.vstack([a_eq, a_eq[:1]]), np.r_[b_eq, b_eq[:1]]
     shape = (data.draw(st.integers(1, 3)), n) if data.draw(st.booleans()) else n
     c = 10.0 ** data.draw(st.integers(-2, 2)) * rng.normal(size=shape)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
+    sol = (solve_free if free else solve_lp)(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     if not sol.optimal:
         assert sol.duals is None
         return
@@ -266,11 +308,11 @@ def test_duals_certify_optimal_solutions(data):
         data_scale = max(1.0, np.abs(c).max(), (np.abs(y) @ np.abs(a)).max())
         assert np.all(y_ub <= 1e-9 * data_scale)
         reduced = c - y @ a
-        if nonneg:
+        if free:
+            assert np.all(np.abs(reduced) <= 1e-9 * data_scale)
+        else:
             assert np.all(reduced >= -1e-9 * data_scale)
             assert np.all(np.abs(reduced * x) <= 1e-9 * data_scale * max(1.0, np.abs(x).max()))
-        else:
-            assert np.all(np.abs(reduced) <= 1e-9 * data_scale)
         slack = b_ub - a_ub @ x
         row_scale = np.maximum(1.0, np.abs(a_ub) @ np.abs(x) + np.abs(b_ub))
         assert np.all(np.abs(y_ub * slack) <= 1e-9 * data_scale * row_scale)
@@ -288,7 +330,7 @@ def test_many_objectives_match_one_at_a_time(data):
     # solve; the status is infeasible, unbounded if any row is, else optimal.
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(1, 6))
-    nonneg = data.draw(st.booleans())
+    solve = solve_free if data.draw(st.booleans()) else solve_lp
     a_ub = rng.normal(size=(data.draw(st.integers(1, 10)), n))
     b_ub = rng.normal(size=a_ub.shape[0])
     a_eq, b_eq = None, None
@@ -297,9 +339,8 @@ def test_many_objectives_match_one_at_a_time(data):
     c = rng.normal(size=(data.draw(st.integers(1, 4)), n))
     if data.draw(st.booleans()):
         c[-1] = -c[0]  # a minimum and a maximum, as the Hahn-Banach step asks
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
-    singles = [solve_lp(row, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
-               for row in c]
+    sol = solve(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    singles = [solve(row, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq) for row in c]
     statuses = {s.status for s in singles}
     if "infeasible" in statuses:
         assert statuses == {"infeasible"}
@@ -316,15 +357,15 @@ def test_many_objectives_match_one_at_a_time(data):
         assert sol.x is None and sol.objective is None and sol.duals is None
 
 
-def _assert_phase_one_counted_once(c, **constraints):
+def _assert_phase_one_counted_once(c, solve=solve_lp, **constraints):
     # A zero objective takes no phase-2 pivot, so its 1-D solve counts
     # phase 1 alone.
     c = np.array(c)
-    phase1 = solve_lp(np.zeros(c.shape[1]), **constraints).iterations
+    phase1 = solve(np.zeros(c.shape[1]), **constraints).iterations
     assert phase1 > 0
-    singles = [solve_lp(row, **constraints) for row in c]
+    singles = [solve(row, **constraints) for row in c]
     with counters.collect() as stats:
-        sol = solve_lp(c, **constraints)
+        sol = solve(c, **constraints)
     assert sol.optimal
     assert sol.objective == pytest.approx([s.objective for s in singles])
     assert sol.iterations == sum(s.iterations for s in singles) - (len(c) - 1) * phase1
@@ -334,7 +375,7 @@ def _assert_phase_one_counted_once(c, **constraints):
 
 def test_many_objectives_count_phase_one_once():
     # x >= 1, y >= 2 needs phase 1
-    _assert_phase_one_counted_once([[1.0, 1.0], [-1.0, -1.0], [1.0, -2.0]],
+    _assert_phase_one_counted_once([[1.0, 1.0], [-1.0, -1.0], [1.0, -2.0]], solve_free,
                                    a_ub=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
                                    b_ub=[-1.0, -2.0, 5.0])
 
@@ -345,20 +386,20 @@ def test_many_objectives_two_artificials_start_from_phase_one():
     v = [0.0, 1.0, -2.0, -1.0]
     _assert_phase_one_counted_once([v, [-x for x in v]],
                                    a_eq=[[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 0.0]],
-                                   b_eq=[6.0, 10.0], nonneg=True)
+                                   b_eq=[6.0, 10.0])
 
 
 def test_many_objectives_one_unbounded_row():
     # min x is 1, min -x is unbounded: the whole solve is unbounded
-    sol = solve_lp([[1.0], [-1.0]], a_ub=[[-1.0]], b_ub=[-1.0])
+    sol = solve_free([[1.0], [-1.0]], a_ub=[[-1.0]], b_ub=[-1.0])
     assert sol.status == "unbounded" and sol.x is None and sol.objective is None
 
 
 def test_objective_shape_checked():
     with pytest.raises(LpFailure):
-        solve_lp(np.zeros((0, 2)))
+        solve_free(np.zeros((0, 2)))
     with pytest.raises(LpFailure):
-        solve_lp(np.zeros((1, 1, 2)))
+        solve_free(np.zeros((1, 1, 2)))
 
 
 # --- the pivot loop against its numpy reference -------------------------------------
@@ -422,10 +463,10 @@ def _reference_iterate(T, basis, enter_cols, scan_order, budget):
     raise LpFailure(f"simplex did not converge within {budget} pivots")
 
 
-def _solve_both(*args, **kwargs):
+def _solve_both(solve, *args, **kwargs):
     def run():
         try:
-            return solve_lp(*args, **kwargs)
+            return solve(*args, **kwargs)
         except LpFailure as exc:
             return str(exc)
     got = run()
@@ -456,8 +497,8 @@ def test_pivot_loop_matches_numpy_reference_bitwise(data):
     c = rng.integers(-3, 4, size=n).astype(float)
     if data.draw(st.booleans()):
         c = np.array([c, -c])  # a minimum and a maximum, as the Hahn-Banach step asks
-    got, want = _solve_both(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                            nonneg=data.draw(st.booleans()))
+    solve = solve_free if data.draw(st.booleans()) else solve_lp
+    got, want = _solve_both(solve, c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     if isinstance(want, str):
         assert got == want
         return
@@ -489,7 +530,7 @@ def test_leaving_row_ties_past_the_first_chunk():
 
 # --- the whole solve against its reference ------------------------------------------
 
-def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg=False):
+def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
     # solve_lp as it was before it built the tableau in place: a separate A
     # and b, equilibrated and flipped there, a pricing loop of in-place row
     # subtractions, the read-out's constants worked out per objective, a
@@ -518,8 +559,7 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
 
-    n_var = n if nonneg else 2 * n  # columns of x: [x] or [x+, x-]
-    n_struct = n_var + m_ub
+    n_struct = n + m_ub
     if m > simplex.SIZE_CAP or n_struct > simplex.SIZE_CAP:
         raise LpFailure(
             f"problem exceeds desk-scale cap: {m} rows, {n_struct} structural columns "
@@ -539,16 +579,13 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
             a_ub, b_ub = a_ub[ub_rows], b_ub[ub_rows]
             m_ub = ub_rows.size
             m = m_ub + m_eq
-            n_struct = n_var + m_ub
+            n_struct = n + m_ub
 
-    # Split free variables, append slacks: columns are [x+, x-, slack] or,
-    # with nonneg, [x, slack].
+    # Append slacks: columns are [x, slack].
     A = np.zeros((m, n_struct))
     A[:m_ub, :n] = a_ub
     A[m_ub:, :n] = a_eq
-    if not nonneg:
-        A[:, n:2 * n] = -A[:, :n]
-    A[:m_ub, n_var:] = np.eye(m_ub)
+    A[:m_ub, n:] = np.eye(m_ub)
     b = np.concatenate([b_ub, b_eq])
 
     # Mild row equilibration keeps the fixed tolerances meaningful.  It
@@ -572,7 +609,7 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
     art_rows = np.nonzero(needs_art)[0]
     n_art = int(art_rows.size)
     n_total = n_struct + n_art
-    identity_col = np.arange(n_var, n_var + m)
+    identity_col = np.arange(n, n + m)
     identity_col[art_rows] = np.arange(n_struct, n_total)
     basis = identity_col.copy()
 
@@ -629,8 +666,6 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
         Tj, bj = (T, basis) if j == k - 1 else (T.copy(), basis.copy())
         Tj[-1, :] = 0.0
         Tj[-1, :n] = cj
-        if not nonneg:
-            Tj[-1, n:2 * n] = -cj
         obj_scale = max(1.0, float(np.abs(cj).max(initial=0.0)))
         Tj[-1, :n_struct] /= obj_scale
         cost = Tj[-1].copy()
@@ -648,7 +683,7 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
 
         full = np.zeros(n_total)
         full[bj] = Tj[:m, -1]
-        x = full[:n] if nonneg else full[:n] - full[n:2 * n]
+        x = full[:n]
         xs.append(x)
         objs.append(float(cj @ x))
 
@@ -657,7 +692,7 @@ def _reference_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, nonneg
         # up to obj_scale; an artificial is a unit column of the scaled,
         # flipped row.  An equality row dropped as redundant leaves an
         # all-zero artificial column, so its multiplier is 0.
-        y = Tj[-1, n_var:n_struct] * -obj_scale
+        y = Tj[-1, n:n_struct] * -obj_scale
         if m_eq:
             sign = np.where(flip[m_ub:], obj_scale, -obj_scale)
             y = np.concatenate([y, sign * Tj[-1, n_total - m_eq:n_total] / row_scale[m_ub:]])
@@ -704,9 +739,10 @@ def _stopping_once(iterate):
 
 def _draw_lp(data, rng):
     """An LP of any kind solve_lp takes: inequalities, equalities or both,
-    free or nonneg, 1-D c or k = 1-3 objectives, m = 0 or n = 0, copied
-    inequality rows, negative and signed-zero right-hand sides, redundant
-    equalities, tiny entries (small pivots), and malformed input."""
+    1-D c or k = 1-3 objectives, m = 0 or n = 0, copied inequality rows,
+    negative and signed-zero right-hand sides, redundant equalities, tiny
+    entries (small pivots), and malformed input.  Returns ``(c, kwargs,
+    free)``: half the LPs are in free variables, posed split (``solve_free``)."""
     n = data.draw(st.sampled_from([3, 1, 2, 4, 5, 0]))
     integers = data.draw(st.booleans())  # small integers: degenerate vertices and ties
 
@@ -719,8 +755,8 @@ def _draw_lp(data, rng):
 
     # Half the draws are feasible by construction: the rows hold at x0 with
     # slacks of 0 (degenerate) or more; the rest take any right-hand side.
-    nonneg, feasible = data.draw(st.booleans()), data.draw(st.booleans())
-    x0 = rng.integers(0, 3, size=n) - (0.0 if nonneg else 1.0)
+    free, feasible = data.draw(st.booleans()), data.draw(st.booleans())
+    x0 = rng.integers(0, 3, size=n) - (1.0 if free else 0.0)
 
     def rhs(a, slack):
         if feasible:
@@ -749,7 +785,7 @@ def _draw_lp(data, rng):
     c = rows(1)[0] if k is None else rows(k)
     if k and k > 1 and data.draw(st.booleans()):
         c[1] = -c[0]  # a minimum and a maximum, as the Hahn-Banach step asks
-    kwargs = {"nonneg": nonneg}
+    kwargs = {}
     if m_ub or data.draw(st.booleans()):
         kwargs.update(a_ub=a_ub, b_ub=b_ub)
     if m_eq or data.draw(st.booleans()):
@@ -767,7 +803,12 @@ def _draw_lp(data, rng):
         c = np.zeros(data.draw(st.sampled_from([(0, n), (1, 1, n)])))
     elif bad == "cap":
         kwargs.update(a_ub=np.ones((501, n)), b_ub=np.ones(501))
-    return c, kwargs
+    return c, kwargs, free
+
+
+def _posed(solve, free):
+    """``solve``, or ``solve`` handed the split LP when the variables are free."""
+    return partial(solve_free, solve=solve) if free else solve
 
 
 def _in_caller_rows(sol, rows, m_ub):
@@ -788,7 +829,7 @@ def _in_caller_rows(sol, rows, m_ub):
 def test_solve_matches_reference_bitwise(data):
     # The reference merges copied inequality rows itself; where it does,
     # solve_lp is given the kept rows, as the LPs over points give them.
-    c, kwargs = _draw_lp(data, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    c, kwargs, free = _draw_lp(data, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     # Only a tableau with rows can have taken a pivot, tiny or not.
     has_rows = any(np.size(kwargs.get(b, ())) for b in ("b_ub", "b_eq"))
     stop_first = has_rows and data.draw(st.booleans())
@@ -804,13 +845,13 @@ def test_solve_matches_reference_bitwise(data):
         mp.setattr(simplex, "_leaving_row", _reference_leaving_row)
         mp.setattr(simplex, "_pivot", _reference_pivot)
         mp.setattr(funcspace, "_merge_copies", watched_merge)
-        want = _outcome(_reference_solve_lp, c, kwargs)
+        want = _outcome(_posed(_reference_solve_lp, free), c, kwargs)
 
     rows = merged[0] if merged else None
     m_ub = np.size(kwargs.get("b_ub", ()))
 
     def solve(c, **kw):
-        sol = solve_lp(c, **kw)
+        sol = _posed(solve_lp, free)(c, **kw)
         return sol if rows is None else _in_caller_rows(sol, rows, m_ub)
 
     if rows is not None:
@@ -826,14 +867,14 @@ def test_solve_matches_reference_bitwise(data):
 
 def test_start_must_lead_the_new_lp():
     # A started solve reuses the earlier tableau only when the earlier rows
-    # and columns are, bit for bit, the leading block of the new LP, in the
-    # same form (nonneg, equality rows only); anything else is refused.
+    # and columns are, bit for bit, the leading block of the new LP, with
+    # equality rows only; anything else is refused.
     a, b = np.array([[1.0, 1.0, 1.0]]), np.array([2.0])
-    start = solve_lp([1.0, 2.0, 3.0], a_eq=a, b_eq=b, nonneg=True)
+    start = solve_lp([1.0, 2.0, 3.0], a_eq=a, b_eq=b)
     assert start.tableau is not None
     grown_a, grown_b = np.vstack([a, [1.0, -1.0, 0.0]]), np.r_[b, 0.5]
-    sol = solve_lp([1.0, 2.0, 3.0], a_eq=grown_a, b_eq=grown_b, nonneg=True, start=start)
-    cold = solve_lp([1.0, 2.0, 3.0], a_eq=grown_a, b_eq=grown_b, nonneg=True)
+    sol = solve_lp([1.0, 2.0, 3.0], a_eq=grown_a, b_eq=grown_b, start=start)
+    cold = solve_lp([1.0, 2.0, 3.0], a_eq=grown_a, b_eq=grown_b)
     assert sol.optimal and sol.objective == pytest.approx(cold.objective, rel=1e-12)
     refused = [
         dict(a_eq=np.vstack([[1.0, 1.0, 2.0], grown_a[1]]), b_eq=grown_b),  # another row
@@ -845,17 +886,21 @@ def test_start_must_lead_the_new_lp():
     for kwargs in refused:
         n = kwargs["a_eq"].shape[1]
         with pytest.raises(ValueError, match="do not lead"):
-            solve_lp(np.ones(n), **kwargs, nonneg=True, start=start)
-    with pytest.raises(ValueError, match="do not lead"):
-        solve_lp(np.ones(3), a_eq=grown_a, b_eq=grown_b, start=start)  # free variables
+            solve_lp(np.ones(n), **kwargs, start=start)
+    # The grown LP in free variables, split, leads with the start's columns
+    # (the new ones are x-), so it starts, and solves as it does cold.
+    started = solve_free(np.ones(3), a_eq=grown_a, b_eq=grown_b,
+                         solve=partial(solve_lp, start=start))
+    cold = solve_free(np.ones(3), a_eq=grown_a, b_eq=grown_b)
+    assert started.optimal and started.objective == pytest.approx(cold.objective, rel=1e-12)
 
 
 def test_start_without_a_tableau_solves_cold():
     # Only an optimal solve in equality form over x >= 0 keeps its tableau;
     # starting from one that kept none is a cold solve, bit for bit.
-    kept = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-3.0], nonneg=True)
+    kept = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-3.0])
     assert kept.optimal and kept.tableau is None
-    assert solve_lp([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0], nonneg=True).tableau is None
-    args = dict(a_eq=[[1.0, 1.0]], b_eq=[2.0], nonneg=True)
+    assert solve_lp([0.0], a_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]).tableau is None
+    args = dict(a_eq=[[1.0, 1.0]], b_eq=[2.0])
     assert _outcome(lambda c, **kw: solve_lp(c, **kw, start=kept), [1.0, 3.0], args) == \
         _outcome(solve_lp, [1.0, 3.0], args)
