@@ -33,9 +33,12 @@ A checkout whose ``solve_lp`` takes no ``start`` captures different LPs (its
 steps carry no predecessor, and its positivity audit is another LP), so the
 captures differ and the script exits 1; its solver replays this capture's
 started solves cold, and the timings still compare the two.  Every LP is
-over nonnegative variables; a checkout whose ``solve_lp`` also has a
-free-variable form (its ``nonneg`` keyword) is called with ``nonneg=True``,
-and a free-variable LP it poses is marked in its capture, which then differs.
+over nonnegative variables.  For older checkouts only, whose ``solve_lp``
+also has a free-variable form (its ``nonneg`` keyword): such a solver is
+called with ``nonneg=True``, and a free-variable LP it poses is marked in
+its capture, which then differs.  This handling (``two_forms`` in
+:func:`capture`, ``forms`` in :func:`replay`) can go once no checkout with
+that keyword is compared.
 """
 
 import argparse

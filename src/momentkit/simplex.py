@@ -528,15 +528,15 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
 
 
 def lp_feasible(a_ub, b_ub) -> bool:
-    """Feasibility probe: is ``{x : a_ub @ x <= b_ub}`` nonempty?
+    """Is ``{x : a_ub @ x <= b_ub}`` nonempty, each row relaxed by its own band?
 
-    Decided by Farkas's lemma over measures on the rows: it is, unless min
-    ``b_ub @ y`` over ``y >= 0`` with ``a_ub.T @ y == 0`` and ``sum(y) == 1`` lies
-    below ``-FEAS_TOL * max(1, max|b_ub|)``, which is ``FEAS_TOL`` on the
-    solver's scaled objective (that LP infeasible is Gordan's alternative: yes).
-    Each variable is a row with right-hand side 0 there, so its units are
-    never weighed against ``b_ub``'s.  A repeated row is a repeated column.
+    Row ``i``'s band is ``FEAS_TOL * max(1, |b_ub[i]|)``.  By Farkas's lemma the
+    relaxed system ``a @ x <= b`` is empty exactly when min ``b @ y`` over
+    measures ``y >= 0`` on its rows with ``a.T @ y == 0``, ``sum(y) == 1`` is below
+    0 (that LP infeasible is Gordan's alternative).  Those rows have right-hand
+    side 0, so ``x``'s units never meet ``b``'s.  A repeated row is a repeated column.
     """
     a, b = np.atleast_2d(a_ub), np.atleast_1d(b_ub)
+    b = b + FEAS_TOL * np.maximum(1.0, np.abs(b))
     sol = solve_lp(b, a_eq=np.vstack([a.T, np.ones(b.size)]), b_eq=np.r_[np.zeros(len(a.T)), 1.0])
-    return not sol.optimal or sol.objective >= -FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
+    return not sol.optimal or sol.objective >= 0.0

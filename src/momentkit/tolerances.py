@@ -35,7 +35,7 @@ OFFDIAG_MASS_TOL = 1e-14
 SYMMETRY_TOL = 1e-12
 
 # --- simplex (simplex.py) ----------------------------------------------------
-# Absolute, on rows and objectives scaled to entries <= 1: primal infeasibility; lp_feasible's band.
+# Absolute, on rows scaled to entries <= 1: primal infeasibility; times max(1, |b_i|): lp_feasible's band on row i.
 FEAS_TOL = 1e-9
 # Absolute, on the scaled tableau: a reduced cost below minus it enters; an entry above it leaves.
 PIVOT_TOL = 1e-9

@@ -267,6 +267,18 @@ def test_probes_do_not_depend_on_units(g_values):
     assert mk.in_cone_plus_subspace(vec(g, [-1e6, -1e6]), W)
 
 
+def test_probes_band_each_row_by_its_own_scale():
+    # Each probe asks for c1 >= 0.05 and -c1 >= 0.05, which miss by 0.1; the
+    # third point's 1e8 plays no part in that conflict, so it must not
+    # widen the band on the other two.
+    g = ground(3)
+    W = mk.Subspace(g, [vec(g, [1.0, -1.0, 0.0]), vec(g, [0.0, 0.0, 1.0])])
+    f = vec(g, [0.05, 0.05, 1e8])
+    assert not mk.hull_contains(W, f)
+    assert not mk.dominates(f, vec(g, [0.0, 0.0, 0.0]), W, 0.5)
+    assert not mk.in_cone_plus_subspace(vec(g, [-0.05, -0.05, 1e8]), W)
+
+
 def test_dominates_requires_positive_eps():
     g = ground(1)
     with pytest.raises(ValueError):

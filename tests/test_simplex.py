@@ -84,14 +84,25 @@ def test_feasibility_probe():
     assert not lp_feasible(a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])  # x <= 1 and x >= 2
 
 
+def test_feasibility_probe_bands_each_row_by_its_own_scale():
+    # x <= 1 and x >= 1 + 1e-10 meet within the rows' bands of 1e-9; x >= 1 +
+    # 1e-8 does not, and a row 0 <= 1e8 that plays no part in the conflict
+    # must not widen their bands.
+    assert lp_feasible(a_ub=[[1.0], [-1.0]], b_ub=[1.0, -1.0 - 1e-10])
+    assert not lp_feasible(a_ub=[[1.0], [-1.0]], b_ub=[1.0, -1.0 - 1e-8])
+    assert not lp_feasible(a_ub=[[1.0], [-1.0], [0.0]], b_ub=[1.0, -1.0 - 1e-8, 1e8])
+
+
 @st.composite
 def _systems(draw):
     """``(a, b, feasible)``: a system ``a @ x <= b`` with |a| in [1e-4, 1e2] and
     |b| up to about 1e8, feasible or not by construction.  Every row holds
     at x0 (coordinates up to 1e12 where their column is small) with a slack
-    of at least 1e-2 of its scale; an infeasible one gets a row that
-    opposes one of them across a gap of at least 1e-2 of max |b|, far
-    outside lp_feasible's band of 1e-9 of it."""
+    of at least 1e-2 of its scale, and half the systems get a row that holds
+    with a slack of 1e8.  An infeasible one gets two opposite rows, ``a_r @ x
+    <= t`` and ``-a_r @ x <= -(t + gap)``, with |t| from 1e-2 to 1e8 and a gap
+    of at least 1e-2 of max(1, |t|), far outside lp_feasible's band of 1e-9
+    of each row's scale."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m, n = draw(st.integers(1, 12)), draw(st.integers(1, 5))
     x0 = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(0.0, 12.0, size=n)
@@ -101,19 +112,24 @@ def _systems(draw):
                                                                    size=(m, n))
     ax = a @ x0
     b = ax + rng.uniform(1e-2, 1.0, size=m) * np.maximum(1.0, np.abs(ax))
+    if draw(st.booleans()):
+        row = a[int(rng.integers(m))] * rng.uniform(0.5, 1.0)
+        a, b = np.vstack([a, row]), np.r_[b, row @ x0 + 1e8]
     feasible = draw(st.booleans())
     if not feasible:
         r = int(rng.integers(m))
-        gap = rng.uniform(1e-2, 1.0) * max(1.0, float(np.abs(b).max()))
-        a, b = np.vstack([a, -a[r]]), np.r_[b, -(b[r] + gap)]
-        order = rng.permutation(m + 1)
-        a, b = a[order], b[order]
-    return a, b, feasible
+        t = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-2.0, 8.0)
+        gap = 10.0 ** rng.uniform(-2.0, 0.0) * max(1.0, abs(t))
+        a, b = np.vstack([a, a[r], -a[r]]), np.r_[b, t, -(t + gap)]
+    order = rng.permutation(len(b))
+    return a[order], b[order], feasible
 
 
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 @example((np.array([[-1e-4]]), np.array([-1e6]), True))  # x >= 1e10
+@example((np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([-0.05, -0.05, 1e8]),
+          False))  # x1 <= -0.05 and x1 >= 0.05, next to -x2 <= 1e8
 def test_feasibility_probe_matches_reference_at_any_units(system):
     # The probe's verdict is the construction's and HiGHS's, in free
     # variables, whatever the units of x and of b.
