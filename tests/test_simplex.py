@@ -82,9 +82,6 @@ def test_non_finite_rejected():
 def test_feasibility_probe():
     assert lp_feasible(a_ub=[[1.0]], b_ub=[1.0])
     assert not lp_feasible(a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])  # x <= 1 and x >= 2
-
-
-def test_feasibility_probe_bands_each_row_by_its_own_scale():
     # x <= 1 and x >= 1 + 1e-10 meet within the rows' bands of 1e-9; x >= 1 +
     # 1e-8 does not, and a row 0 <= 1e8 that plays no part in the conflict
     # must not widen their bands.
