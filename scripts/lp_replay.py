@@ -33,12 +33,7 @@ A checkout whose ``solve_lp`` takes no ``start`` captures different LPs (its
 steps carry no predecessor, and its positivity audit is another LP), so the
 captures differ and the script exits 1; its solver replays this capture's
 started solves cold, and the timings still compare the two.  Every LP is
-over nonnegative variables.  For older checkouts only, whose ``solve_lp``
-also has a free-variable form (its ``nonneg`` keyword): such a solver is
-called with ``nonneg=True``, and a free-variable LP it poses is marked in
-its capture, which then differs.  This handling (``two_forms`` in
-:func:`capture`, ``forms`` in :func:`replay`) can go once no checkout with
-that keyword is compared.
+over nonnegative variables, the one form of ``solve_lp``.
 """
 
 import argparse
@@ -117,28 +112,24 @@ def _site(frame) -> str:
 def capture(root: Path, workloads, seeds, blocks):
     """Every ``solve_lp`` call of the operations of the given blocks, in order:
     ``{"workload", "site", "args", "start", "result"}``, where ``start`` is
-    the index of the call whose solution the call started from, or None, and
-    ``"free": True`` marks an LP in free variables (see the module docstring)."""
+    the index of the call whose solution the call started from, or None."""
     runner = load_runner(root)
     from momentkit import cli, simplex
 
     runner.configure_logging()
     original = simplex.solve_lp
-    two_forms = "nonneg" in inspect.signature(original).parameters
     calls, solutions = [], {}  # id of each returned solution -> (its call's index, it)
 
-    def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, start=None, **form):
+    def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, start=None):
         args = dict(zip(ARGS, (c, a_ub, b_ub, a_eq, b_eq)))
         record = {"workload": workload, "site": _site(sys._getframe(1)),
                   "args": {k: None if v is None else _array(v) for k, v in args.items()},
                   "start": None if start is None else solutions[id(start)][0]}
-        if two_forms and not form.get("nonneg"):
-            record["free"] = True
         calls.append(record)
         if start is not None:  # a solver without starts is never given one
             args["start"] = start
         try:
-            sol = original(**args, **form)
+            sol = original(**args)
         except simplex.LpFailure as exc:
             record["result"] = {"error": str(exc)}
             raise
@@ -172,16 +163,13 @@ def replay(calls, solvers, repeats):
     ``repeats`` times, alternating which solver goes first from round to round.
     Calls run in capture order, and a started one starts from that solver's
     replay of its predecessor in the same round; a solver whose ``solve_lp``
-    takes no ``start`` solves it cold, and one with a ``nonneg`` keyword is
-    given ``nonneg=True``.  Returns, per solver, the fastest time
+    takes no ``start`` solves it cold.  Returns, per solver, the fastest time
     of each call in seconds and whether every replay returned bitwise the
     captured result."""
     decoded = [{k: None if v is None else _unarray(v) for k, v in call["args"].items()}
                for call in calls]
     starts = [call.get("start") for call in calls]
-    params = [inspect.signature(solve).parameters for solve, _ in solvers]
-    chains = ["start" in names for names in params]
-    forms = [{"nonneg": True} if "nonneg" in names else {} for names in params]
+    chains = ["start" in inspect.signature(solve).parameters for solve, _ in solvers]
     best = [[float("inf")] * len(calls) for _ in solvers]
     equal = [True] * len(solvers)
     for round_ in range(repeats):
@@ -189,7 +177,7 @@ def replay(calls, solvers, repeats):
         replayed = [[None] * len(calls) for _ in solvers]
         for i, (call, args, start) in enumerate(zip(calls, decoded, starts)):
             for j in order:
-                kwargs = dict(args, **forms[j])
+                kwargs = dict(args)
                 if start is not None and chains[j]:
                     kwargs["start"] = replayed[j][start]
                 replayed[j][i], result, seconds = _timed(*solvers[j], kwargs)

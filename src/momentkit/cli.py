@@ -21,8 +21,6 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__, counters
 from .errors import (
     DegreeTooHigh,
@@ -34,17 +32,7 @@ from .errors import (
     RankDetectionAmbiguous,
     SchemaError,
 )
-from .extend import hb_extend, verify_positive
-from .funcspace import FunctionVec
 from .jsonio import FiniteSpaceInput, MomentInput, dumps_canonical, encode_support, parse_input
-from .measure import (
-    BinningSpec,
-    RepresentOptions,
-    approx_below,
-    gap_T,
-    represent_via_adapted,
-    seminorm_rho,
-)
 from .moments import (
     extend_search,
     haviland_grid_check,
@@ -56,6 +44,18 @@ from .moments import (
 from .tolerances import BIN_PAD, GRID_TOL_FLOOR, VERDICT_TOL
 
 log = logging.getLogger("momentkit")
+
+# numpy, and the finite-space modules built on it, bound by _load_numpy() on
+# first use: of the moment verbs only interval check's grid needs numpy.
+np = extend = funcspace = measure = None
+
+
+def _load_numpy(finite_space: bool = False) -> None:
+    global np, extend, funcspace, measure
+    if np is None:
+        import numpy as np
+    if finite_space and measure is None:
+        from . import extend, funcspace, measure
 
 EXIT_CODES = {
     "schema-ok": 0,
@@ -166,6 +166,7 @@ def _run_check(cmd: Command, inp: MomentInput) -> RunResult:
     })
     grid_info = {"ran": False}
     if seq.support.kind == "interval" and cmd.grid >= 2:
+        _load_numpy()
         grid = np.linspace(seq.support.a, seq.support.b, cmd.grid)
         ok, worst = haviland_grid_check(seq, grid, max(cmd.tol, GRID_TOL_FLOOR))
         grid_info = {
@@ -209,10 +210,11 @@ def _run_extend_moments(cmd: Command, inp: MomentInput) -> RunResult:
 def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
     if fs.functional is None:
         raise SchemaError("functional", "hb-extend requires functional values")
-    current, trace = hb_extend(fs.functional, [t for _, t in fs.targets], cmd.rule)
+    _load_numpy(finite_space=True)
+    current, trace = extend.hb_extend(fs.functional, [t for _, t in fs.targets], cmd.rule)
     step_names = [fs.targets[step.target_index][0] for step in trace.steps]
     names = list(fs.basis_names) + step_names
-    ok, worst = verify_positive(current, cmd.tol)
+    ok, worst = extend.verify_positive(current, cmd.tol)
     payload = {
         "rule": cmd.rule,
         "trace": [{"target": name, "interval_lo": step.interval_lo,
@@ -229,23 +231,25 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
         raise SchemaError("functional", "build-measure requires functional values")
     if fs.algebra is None:
         raise SchemaError("sigma_algebra", "build-measure requires a partition")
-    opts = RepresentOptions(
+    _load_numpy(finite_space=True)
+    opts = measure.RepresentOptions(
         rule=cmd.rule,
         tol=cmd.tol,
         subspace_variant=fs.subspace_variant,
         witnesses=fs.witnesses or None,
     )
-    mu, report = represent_via_adapted(fs.domain, fs.designated, fs.functional, fs.algebra, opts)
+    mu, report = measure.represent_via_adapted(fs.domain, fs.designated, fs.functional,
+                                               fs.algebra, opts)
 
     binning = []
     if cmd.bins >= 1 and fs.domain.dim:
-        Lt_one = report.extended(FunctionVec(fs.ground, np.ones(fs.ground.size)))
+        Lt_one = report.extended(funcspace.FunctionVec(fs.ground, np.ones(fs.ground.size)))
         for name, g in zip(fs.basis_names, fs.domain.basis):
             lo = float(g.values.min())
             hi = float(g.values.max())
-            spec = BinningSpec(lo, hi + max(1.0, hi - lo) * BIN_PAD, cmd.bins)
-            phi = approx_below(g, spec)
-            rho = seminorm_rho(report.extended, g - phi.as_vec())
+            spec = measure.BinningSpec(lo, hi + max(1.0, hi - lo) * BIN_PAD, cmd.bins)
+            phi = measure.approx_below(g, spec)
+            rho = measure.seminorm_rho(report.extended, g - phi.as_vec())
             bound = Lt_one * spec.width
             binning.append({
                 "name": name,
@@ -293,7 +297,8 @@ def _run_verify(cmd: Command, inp) -> RunResult:
         if inp.functional is None or inp.algebra is None or inp.measure is None:
             raise SchemaError("measure",
                               "finite-space verify requires functional, sigma_algebra and measure")
-        residuals = {name: gap_T(inp.functional, inp.measure, inp.algebra, g)
+        _load_numpy(finite_space=True)
+        residuals = {name: measure.gap_T(inp.functional, inp.measure, inp.algebra, g)
                      for name, g in zip(inp.basis_names, inp.domain.basis)}
         worst = max((abs(r) for r in residuals.values()), default=0.0)
         payload = {"residuals": residuals, "max_residual": worst, "tol": cmd.tol}

@@ -8,9 +8,9 @@ the matrix (an absolute threshold would be unreachable in float64 once
 entries grow large, and a looser one would poison small eigenvalues).
 
 The wrapper and the kernel share one form, nested lists of Python floats:
-the checks, the exact power-of-two scaling, the symmetrization and the
-threshold run on the rows the kernel rotates, and arrays are made only for
-the return value.  The sweep runs only where a spectrum is reported or a
+the checks, the exact power-of-two scaling, the symmetrization, the
+threshold and the return value are all lists, and numpy is imported only to
+read a matrix given in another form.  The sweep runs only where a spectrum is reported or a
 failure is worded: the moment support gate passes what it can from its
 Cholesky factors.  Each call counts itself and its sweeps in
 :mod:`momentkit.counters`, where the gate counts its factorizations.
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-
-import numpy as np
 
 from .counters import count
 from .errors import EigFailure
@@ -93,21 +91,52 @@ def _jacobi_kernel(rows, vrows, accumulate, threshold, max_sweeps):
     return result
 
 
+def _pairwise_sum(xs: list[float]) -> float:
+    """``xs`` summed in numpy's pairwise order, as ``np.add.reduce`` sums a
+    float array, bit for bit: under 8 terms in order, up to 128 in 8
+    interleaved accumulators, beyond that the two halves split at n/2
+    rounded down to a multiple of 8.  (``sum`` would not do: from Python
+    3.12 it compensates float rounding.)"""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        end = n - n % 8
+        r = []
+        for j in range(8):
+            acc = xs[j]
+            for x in xs[j + 8:end:8]:
+                acc += x
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[end:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
 def _frobenius2(rows, s: float = 1.0) -> float:
     """``||s A||_F^2`` of the rows of A, summed as ``np.sum`` sums an array."""
-    return float(np.add.reduce([(x * s) * (x * s) for r in rows for x in r]))
+    return _pairwise_sum([(x * s) * (x * s) for r in rows for x in r])
 
 
 def _checked_rows(matrix):
     """``(rows, amax, symmetric)``: ``matrix`` as a list of rows, the largest
     entry's magnitude, and whether it is bitwise symmetric.
 
-    A square list of lists is taken as it is; anything else is read by numpy.
+    A square list of lists is taken as it is; anything else is read by numpy,
+    imported then.
     The matrix must be square, at most SIZE_CAP rows, finite and symmetric
     to 1e-12 of its largest entry (EigFailure otherwise).
     """
     n = len(matrix) if type(matrix) is list else 0
     if not (n and all(type(r) is list and len(r) == n for r in matrix)):
+        import numpy as np
+
         a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise EigFailure(f"expected a square matrix, got shape {a.shape}")
@@ -128,8 +157,10 @@ def _checked_rows(matrix):
 def jacobi_eigh(matrix, need_vectors: bool = True):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
-    Returns ``(w, V)`` with ``V[:, i]`` the eigenvector for ``w[i]``;
-    ``V`` is None when ``need_vectors`` is false.
+    Returns ``(w, V)``, lists of Python floats: ``w`` the eigenvalues and
+    ``V`` the rows of the matrix whose column i, ``[r[i] for r in V]``, is
+    the eigenvector for ``w[i]``; ``V`` is None when ``need_vectors`` is
+    false.
     """
     # Sweep on a bitwise symmetric s * A, s = 2^-e with 2^(e-1) <= max |A_ij|
     # < 2^e (e at least -1022, so that s is a double): rotations are
@@ -147,7 +178,7 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
     # eigenvalue error stays ~1e-14 relative to the matrix scale.  No floor:
     # max(1, ||A||_F^2) would make it absolute for matrices below norm 1.
     threshold = OFFDIAG_MASS_TOL**2 * _frobenius2(a)
-    v = np.eye(n).tolist() if need_vectors else None
+    v = [[float(i == j) for j in range(n)] for i in range(n)] if need_vectors else None
     result = _jacobi_kernel(a, v, need_vectors, threshold, MAX_SWEEPS)
     count(eig_calls=1, eig_sweeps=MAX_SWEEPS if result < 0 else result)
     if result < 0:
@@ -155,8 +186,8 @@ def jacobi_eigh(matrix, need_vectors: bool = True):
 
     w = [r[i] / s for i, r in enumerate(a)]  # inf beyond the double range
     order = sorted(range(n), key=w.__getitem__)  # stable, as numpy's stable argsort
-    return (np.array([w[i] for i in order]),
-            np.array([[vk[i] for i in order] for vk in v]).reshape(n, n) if need_vectors else None)
+    return ([w[i] for i in order],
+            [[vk[i] for i in order] for vk in v] if need_vectors else None)
 
 
 def finite(what: str, *values: float) -> None:
@@ -169,6 +200,6 @@ def finite(what: str, *values: float) -> None:
 def lambda_min(matrix) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     w, _ = jacobi_eigh(matrix, need_vectors=False)
-    lam = float(w[0])
+    lam = w[0]
     finite("the smallest eigenvalue", lam)
     return lam

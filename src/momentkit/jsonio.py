@@ -12,20 +12,33 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import suppress
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import IoError, SchemaError
-from .funcspace import FunctionVec, GroundSet, Subspace
-from .extend import Functional
-from .measure import Measure, SigmaAlgebra
 from .moments import AtomicMeasure, MomentSequence, Support
 from .tolerances import MASS_DUST
 
+if TYPE_CHECKING:
+    from .extend import Functional
+    from .funcspace import FunctionVec, GroundSet, Subspace
+    from .measure import Measure, SigmaAlgebra
+
 SCHEMA_VERSION = "1"
+
+# numpy and the finite-space modules, bound by _load_finite_space() when the
+# first finite-space file is read: a moment file needs none of them.
+np = extend = funcspace = measure = None
+
+
+def _load_finite_space() -> None:
+    global np, extend, funcspace, measure
+    if np is None:
+        import numpy as np
+
+        from . import extend, funcspace, measure
 
 
 # --- canonical output ---------------------------------------------------------
@@ -47,7 +60,7 @@ def dumps_canonical(obj) -> str:
 
 
 # The formatter of each exact scalar type.  Subclasses (bool among them),
-# numpy scalars and None are not in it; they take the isinstance chain.
+# numpy values and None are not in it; they take the isinstance chain.
 _SCALAR = {float: _fmt_float, str: encode_basestring_ascii, int: int.__repr__}
 
 
@@ -71,7 +84,7 @@ def _emit(obj, out: list) -> None:
                 out.append(f"{sep}{encode_basestring_ascii(key)}:{fmt(value)}")
             sep = ","
         out.append("}")
-    elif isinstance(obj, (list, np.ndarray)) or type(obj) is tuple:  # no NamedTuple record
+    elif isinstance(obj, list) or type(obj) is tuple:  # no NamedTuple record
         out.append("[")
         sep = ""
         for item in obj:
@@ -87,14 +100,22 @@ def _emit(obj, out: list) -> None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):  # np.float64 among them
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
+        np = sys.modules.get("numpy")  # a numpy value implies a loaded numpy
+        if np is not None and isinstance(obj, np.ndarray):
+            _emit(list(obj), out)
+        elif np is not None and isinstance(obj, np.integer):
+            out.append(str(int(obj)))
+        elif np is not None and isinstance(obj, np.floating):
+            out.append(_fmt_float(float(obj)))
+        else:
+            raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
 # --- parsing ------------------------------------------------------------------
@@ -281,22 +302,23 @@ def _parse_named_vectors(raw, ground: GroundSet, path: str):
         _require(len(vals) == ground.size, f"{path}.{name}",
                  f"expected {ground.size} values, got {len(vals)}")
         names.append(str(name))
-        vecs.append(FunctionVec(ground, np.asarray(vals)))
+        vecs.append(funcspace.FunctionVec(ground, np.asarray(vals)))
     return tuple(names), tuple(vecs)
 
 
 def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
+    _load_finite_space()
     _require("points" in doc, "points", "field is required")
     points = doc["points"]
     _require(isinstance(points, list) and points, "points", "expected a nonempty list")
     try:
-        ground = GroundSet(tuple(str(p) for p in points))
+        ground = funcspace.GroundSet(tuple(str(p) for p in points))
     except ValueError as exc:
         raise SchemaError("points", str(exc)) from exc
 
     basis_names, basis_vecs = _parse_named_vectors(doc.get("basis", {}), ground, "basis")
     try:
-        domain = Subspace(ground, basis_vecs)
+        domain = funcspace.Subspace(ground, basis_vecs)
     except ValueError as exc:
         raise SchemaError("basis", str(exc)) from exc
 
@@ -307,7 +329,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         _require(set(raw) == set(basis_names), "functional",
                  "keys must match the basis names exactly")
         coeffs = [_number(raw[name], f"functional.{name}") for name in basis_names]
-        functional = Functional(domain, np.asarray(coeffs))
+        functional = extend.Functional(domain, np.asarray(coeffs))
 
     algebra = None
     if "sigma_algebra" in doc:
@@ -325,7 +347,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
                              f"expected a point index in [0, {ground.size})")
             blocks.append(tuple(block))
         try:
-            algebra = SigmaAlgebra(ground, tuple(blocks))
+            algebra = measure.SigmaAlgebra(ground, tuple(blocks))
         except ValueError as exc:
             raise SchemaError("sigma_algebra", str(exc)) from exc
 
@@ -333,7 +355,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
     if "b_basis" in doc:
         _, vecs = _parse_named_vectors(doc["b_basis"], ground, "b_basis")
         try:
-            designated = Subspace(ground, vecs)
+            designated = funcspace.Subspace(ground, vecs)
         except ValueError as exc:
             raise SchemaError("b_basis", str(exc)) from exc
 
@@ -359,7 +381,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
                      "witness must name a basis vector or target")
             witnesses[basis_names.index(gname)] = lookup[fname]
 
-    measure = None
+    mu = None
     if "measure" in doc:
         raw = doc["measure"]
         _require(isinstance(raw, dict), "measure", "expected an object")
@@ -368,7 +390,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         _require(len(mass) == algebra.n_blocks, "measure.mass",
                  f"expected {algebra.n_blocks} masses")
         _require(all(v >= -MASS_DUST for v in mass), "measure.mass", "masses must be nonnegative")
-        measure = Measure(algebra, np.asarray(mass))
+        mu = measure.Measure(algebra, np.asarray(mass))
 
     return FiniteSpaceInput(
         ground=ground,
@@ -380,7 +402,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         targets=targets,
         witnesses=witnesses,
         subspace_variant=subspace_variant,
-        measure=measure,
+        measure=mu,
     )
 
 

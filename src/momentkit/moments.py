@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .counters import count
 from .eig import _checked_rows, _frobenius2, finite, jacobi_eigh, lambda_min
 from .errors import (
@@ -27,10 +25,22 @@ from .errors import (
     RankDetectionAmbiguous,
 )
 from .frozen import FrozenValue, set_field
-from .funcspace import _merge_copies
-from .simplex import SIZE_CAP, solve_lp
 from .tolerances import (GRID_SUPPORT_TOL, GRID_VIOLATION_TOL, OFFDIAG_MASS_TOL, PSD_TOL,
                          RANK_PIVOT_DROP, RANK_PIVOT_KEEP, SUPPORT_TOL, TRUNCATION_TOL)
+
+# numpy, and the LP modules built on it, bound by _load_numpy() on first use.
+# The gate, the certificate's spectra and the flat extension run on Python
+# floats: only the grid check, a witness polynomial, an atomic measure's
+# moments and the array helpers import them.
+np = funcspace = simplex = None
+
+
+def _load_numpy(lp: bool = False) -> None:
+    global np, funcspace, simplex
+    if np is None:
+        import numpy as np
+    if lp and simplex is None:
+        from . import funcspace, simplex
 
 
 class Support(FrozenValue):
@@ -98,6 +108,7 @@ class MomentSequence(FrozenValue):
         return max(1.0, max(map(abs, self.moments)))
 
     def array(self) -> np.ndarray:
+        _load_numpy()
         return np.asarray(self.moments, dtype=float)
 
 
@@ -119,6 +130,7 @@ class Poly(FrozenValue):
         return len(self.coeffs) - 1
 
     def __call__(self, x):
+        _load_numpy()
         return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
 
     @classmethod
@@ -179,6 +191,9 @@ class AtomicMeasure(FrozenValue):
         return len(self.atoms)
 
     def moments_to(self, degree: int) -> tuple[float, ...]:
+        # numpy's powers and dot products round otherwise than Python's in
+        # the last bit, so a port would change the verbs' output bytes.
+        _load_numpy()
         xs = np.asarray(self.atoms)
         ws = np.asarray(self.weights)
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
@@ -231,6 +246,7 @@ def _hankel_rows(moments, size: int, weight: Poly | None = None) -> list[list[fl
 def hankel(m: MomentSequence, size: int, weight: Poly | None = None) -> HankelMatrix:
     """Moment matrix of the given size, optionally localized by a weight."""
     H = _hankel(m, size, weight)
+    _load_numpy()
     return H._replace(matrix=np.array(H.matrix))
 
 
@@ -292,13 +308,14 @@ def _gate(m: MomentSequence, tol: float) -> tuple[str | None, list[_Chain]]:
     return None, chains
 
 
-def _eigvec_witness(H: HankelMatrix, q: np.ndarray) -> Poly:
+def _eigvec_witness(H: HankelMatrix, q: list[float]) -> Poly:
     """Square of the polynomial with coefficients ``q``, times the weight.
 
     With ``q`` the unit eigenvector of the smallest eigenvalue of ``H``, it
     is nonnegative on the support class by construction, with moment value
     equal to that eigenvalue.
     """
+    _load_numpy()
     square = np.polynomial.polynomial.polymul(q, q)
     if H.weight is not None:
         square = np.polynomial.polynomial.polymul(square, np.asarray(H.weight.coeffs))
@@ -317,11 +334,10 @@ def positivity_certificate(m: MomentSequence, tol: float = PSD_TOL) -> Certifica
     witnesses = []
     for H in _support_matrices(m):
         w, V = jacobi_eigh(H.matrix)
-        lam = float(w[0])
+        lam = w[0]
         finite(f"the {H.label} matrix's smallest eigenvalue", lam)
-        witnesses.append(
-            MatrixWitness(H.label, H.size, lam, _eigvec_witness(H, V[:, 0]) if lam < -tol else None)
-        )
+        witness = _eigvec_witness(H, [r[0] for r in V]) if lam < -tol else None
+        witnesses.append(MatrixWitness(H.label, H.size, lam, witness))
     lam = min(w.lambda_min for w in witnesses)
     if lam < -tol:
         return Certificate("not-representable", tuple(witnesses), tol)
@@ -360,6 +376,7 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     and scaled to 1-norm at most 1, so it is grid-nonnegative and
     normalized by construction, and the verdict is read from its value.
     """
+    _load_numpy(lp=True)
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
@@ -380,9 +397,9 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
         a_ub = np.hstack([np.vstack([cols, -cols]), tau_col])
         cost = np.zeros(points.size + 1)
         cost[-1] = -1.0
-        rows = _merge_copies(a_ub, b_ub)
+        rows = funcspace._merge_copies(a_ub, b_ub)
         rows = slice(None) if rows is None else rows
-        sol = solve_lp(cost, a_ub=a_ub[rows], b_ub=b_ub[rows])
+        sol = simplex.solve_lp(cost, a_ub=a_ub[rows], b_ub=b_ub[rows])
         if not sol.optimal:
             raise LpFailure(f"grid-distance LP ended with status {sol.status}")
         y = np.zeros(b_ub.size)
@@ -392,7 +409,7 @@ def haviland_grid_check(m: MomentSequence, grid, tol: float = PSD_TOL):
     # The LP takes `room` grid columns beside tau and the 2 n_coef slacks.  When
     # it would overflow, only the points with positive weight stay: at most
     # n_coef of them are basic, and the last optimum stays feasible.
-    room = SIZE_CAP - 1 - 2 * n_coef
+    room = simplex.SIZE_CAP - 1 - 2 * n_coef
     active = np.arange(0, grid.size, -(-grid.size // max(1, min(256, room))))
     for _ in range(60):
         coeffs, lam = _witness(active)
@@ -509,10 +526,10 @@ def _atoms(m: MomentSequence, chain: _Chain) -> AtomicMeasure:
         raise EigFailure("the atoms' recurrence matrix overflows the double range")
     nodes, vectors = jacobi_eigh(J)
     finite("an atom", *nodes)
-    weights = m.moments[0] * vectors[0, :] ** 2
-    if not (weights > 0.0).all():  # m_0 v^2 below the double range
+    weights = [m.moments[0] * (v * v) for v in vectors[0]]
+    if not all(map((0.0).__lt__, weights)):  # m_0 v^2 below the double range
         raise EigFailure("an atom's weight underflows the double range")
-    return AtomicMeasure(nodes.tolist(), weights.tolist(), m.support)
+    return AtomicMeasure(nodes, weights, m.support)
 
 
 def verify_truncated(m: MomentSequence, mu: AtomicMeasure,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momentkit as mk
-from momentkit import cli, counters, jsonio, measure
+from momentkit import cli, counters, extend, jsonio, measure
 from momentkit.cli import main
 from momentkit.jsonio import _fmt_float, dumps_canonical, parse_input
 
@@ -99,6 +99,24 @@ def test_canonical_json_matches_the_isinstance_chain(value):
     # The encoder tests the exact types first; subclasses, numpy scalars,
     # bools and None take the isinstance chain, with the same bytes.
     assert dumps_canonical(value) == _reference_canonical(value)
+
+
+def test_canonical_json_numpy_values_keep_their_bytes():
+    # numpy values are recognized only once numpy is loaded, after every
+    # plain type; the bytes are those of the encoder that imported numpy.
+    doc = {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+           "i32": np.int32(3), "v": np.array([1.5, -0.0, 1e-300]),
+           "m": np.array([[1, 2], [3, 4]]), "mf": np.array([[0.1, 2.0]], dtype=np.float32),
+           "e": np.zeros((0,)), "nested": [np.float64(2.0), (np.int64(1),)]}
+    assert dumps_canonical(doc) == (
+        '{"e":[],"f32":0.10000000149011612,"f64":0.10000000000000001,"i32":3,"i64":-7,'
+        '"m":[[1,2],[3,4]],"mf":[[0.10000000149011612,2]],"nested":[2,[1]],'
+        '"v":[1.5,0,1e-300]}')
+    for bad, error in [(np.bool_(True), ValueError), (np.array([True]), ValueError),
+                       (np.float64("nan"), ValueError), (np.complex128(1), ValueError),
+                       (np.array(1.0), TypeError)]:  # a 0-d array does not iterate
+        with pytest.raises(error):
+            dumps_canonical(bad)
 
 
 def test_canonical_roundtrips_doubles():
@@ -371,7 +389,7 @@ def test_failure_payloads_report_their_work(tmp_path, capsys, monkeypatch):
     def failing(L, tol):
         raise mk.LpFailure("audit failed")
 
-    monkeypatch.setattr(cli, "verify_positive", failing)
+    monkeypatch.setattr(extend, "verify_positive", failing)
     fs = write(tmp_path, "fs.json", dict(FS_DOC, targets={"t0": [1, 0]}))
     assert main(["hb-extend", fs]) == 3
     doc = json.loads(capsys.readouterr().out)
@@ -380,15 +398,16 @@ def test_failure_payloads_report_their_work(tmp_path, capsys, monkeypatch):
 
 
 MOMENTS_DOC = {"moments": [1, 0, 1]}
-# verb: an input it succeeds on, and the library call its handler makes
+# verb: an input it succeeds on, and the library call its handler makes, by
+# the module that the handler finds it in
 DIAGNOSTICS_VERBS = {
-    "check": (MOMENTS_DOC, "positivity_certificate"),
-    "represent": (MOMENTS_DOC, "recover_atoms"),
-    "extend-moments": (MOMENTS_DOC, "extend_search"),
-    "hb-extend": (dict(FS_DOC, targets={"t0": [1, 0]}), "hb_extend"),
-    "build-measure": (FS_DOC, "represent_via_adapted"),
+    "check": (MOMENTS_DOC, cli, "positivity_certificate"),
+    "represent": (MOMENTS_DOC, cli, "recover_atoms"),
+    "extend-moments": (MOMENTS_DOC, cli, "extend_search"),
+    "hb-extend": (dict(FS_DOC, targets={"t0": [1, 0]}), extend, "hb_extend"),
+    "build-measure": (FS_DOC, measure, "represent_via_adapted"),
     "verify": (dict(MOMENTS_DOC, atomic_measure={"atoms": [-1, 1], "weights": [0.5, 0.5]}),
-               "verify_truncated"),
+               cli, "verify_truncated"),
 }
 OUTCOME_EXIT = {"success": 0, "failed": 1, "input-error": 2, "numerical-failure": 3,
                 "schema-ok": 0}
@@ -397,18 +416,18 @@ OUTCOME_EXIT = {"success": 0, "failed": 1, "input-error": 2, "numerical-failure"
 @pytest.mark.parametrize("outcome", sorted(OUTCOME_EXIT))
 @pytest.mark.parametrize("verb", cli.VERBS)
 def test_diagnostics_hold_the_collectors_keys(tmp_path, capsys, monkeypatch, verb, outcome):
-    doc, call = DIAGNOSTICS_VERBS[verb]
+    doc, owner, call = DIAGNOSTICS_VERBS[verb]
     if outcome == "input-error":  # the other kind of input file
         doc = FS_DOC if "moments" in doc else MOMENTS_DOC
     forced = {"failed": mk.NotPSD, "numerical-failure": mk.EigFailure}.get(outcome)
     if forced is not None:  # the call does its work, then fails
-        real = getattr(cli, call)
+        real = getattr(owner, call)
 
         def failing(*args, **kwargs):
             real(*args, **kwargs)
             raise forced("forced")
 
-        monkeypatch.setattr(cli, call, failing)
+        monkeypatch.setattr(owner, call, failing)
     args = [verb, write(tmp_path, "in.json", doc)]
     assert main(args + ["--schema-check-only"] * (outcome == "schema-ok")) == OUTCOME_EXIT[outcome]
     out = json.loads(capsys.readouterr().out)
@@ -904,6 +923,65 @@ def test_start_up_imports_no_pool_and_no_dataclasses(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "representable"
+
+
+_NO_NUMPY_CHECK = (
+    "import sys\n"
+    "from momentkit.cli import main\n"
+    "for line in sys.stdin.read().splitlines():\n"
+    "    verb, path, code = line.split()\n"
+    "    assert main([verb, path]) == int(code), line\n"
+    "    assert ('numpy' in sys.modules) == (verb not in {no_numpy!r}), line\n"
+)
+
+
+def test_moment_verbs_run_without_numpy_in_a_fresh_interpreter(tmp_path):
+    # extend-moments, and check on the line and the halfline, run on Python
+    # floats: a fresh interpreter running them never imports numpy.
+    halfline = {"type": "halfline"}
+    runs = [
+        ("extend-moments", {"moments": [1, 0, 1]}, 0),
+        ("extend-moments", {"moments": [1, 1, 2], "support": halfline}, 0),
+        ("extend-moments", {"moments": [1, 0, 0.5],
+                            "support": {"type": "interval", "a": -1, "b": 1}}, 0),
+        ("check", {"moments": [1, 0, 1]}, 0),
+        ("check", {"moments": [1, 0, 2e-9]}, 3),  # inconclusive: in the band
+        ("check", {"moments": [1, 1, 2], "support": halfline}, 0),
+        ("check", {"moments": [1, 1e-9, 2e-9], "support": halfline}, 3),
+    ]
+    lines = [f"{verb} {write(tmp_path, f'{i}.json', doc)} {code}"
+             for i, (verb, doc, code) in enumerate(runs)]
+    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
+    code = _NO_NUMPY_CHECK.format(no_numpy={"extend-moments", "check"})
+    proc = subprocess.run([sys.executable, "-c", code], input="\n".join(lines), env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = [json.loads(line)["verdict"] for line in proc.stdout.splitlines()]
+    assert verdicts == ["extended"] * 3 + ["representable", "inconclusive"] * 2
+    proc = subprocess.run([sys.executable, "-c", "import runpy, sys\n"
+                           "sys.argv = ['momentkit', '--version']\n"
+                           "try:\n    runpy.run_module('momentkit', run_name='__main__')\n"
+                           "finally:\n    assert 'numpy' not in sys.modules"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == f"momentkit {mk.__version__}\n", proc.stderr
+
+
+def test_verbs_that_need_numpy_import_it_on_use(tmp_path):
+    # Interval check, represent, hb-extend and build-measure load numpy and
+    # the finite-space modules when they first run, in a fresh interpreter.
+    interval = {"moments": [1, 0, 0.25], "support": {"type": "interval", "a": -1, "b": 1}}
+    fs = dict(FS_DOC, targets={"t0": [1, 0]})
+    runs = [("check", interval, 0), ("represent", {"moments": [1, 0, 1]}, 0),
+            ("hb-extend", fs, 0), ("build-measure", fs, 0)]
+    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
+    code = _NO_NUMPY_CHECK.format(no_numpy=set())
+    for i, (verb, doc, exit_code) in enumerate(runs):
+        line = f"{verb} {write(tmp_path, f'{i}.json', doc)} {exit_code}"
+        proc = subprocess.run([sys.executable, "-c", code], input=line, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["exit_code"] == exit_code and out["verb"] == verb
 
 
 def test_jobs_capped_by_inputs_and_cores(tmp_path, monkeypatch):

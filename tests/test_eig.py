@@ -5,15 +5,52 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from momentkit import counters
-from momentkit.eig import MAX_SWEEPS, SIZE_CAP, _jacobi_kernel, jacobi_eigh, lambda_min
+from momentkit.eig import (MAX_SWEEPS, SIZE_CAP, _frobenius2, _jacobi_kernel, jacobi_eigh,
+                           lambda_min)
 from momentkit.errors import EigFailure
 from momentkit.tolerances import OFFDIAG_MASS_TOL
 
 from conftest import reference_scaled_symmetric
 
 
+def _arrays(w, V):
+    """The lists that jacobi_eigh returns, as the arrays of the numpy wrapper."""
+    n = len(w)
+    return np.array(w, dtype=float), None if V is None else np.array(V, dtype=float).reshape(n, n)
+
+
+def test_returns_lists_of_python_floats():
+    w, V = jacobi_eigh([[2.0, 1.0], [1.0, 2.0]])
+    assert type(w) is list and all(type(x) is float for x in w)
+    assert type(V) is list and all(type(r) is list and all(type(x) is float for x in r)
+                                   for r in V)
+    assert w == pytest.approx([1.0, 3.0], abs=1e-15)
+    assert V[0][1] == pytest.approx(V[1][1], abs=1e-15)  # column 1 is (1, 1) / sqrt 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 2**32 - 1), st.integers(0, 40),
+       st.integers(-500, 500))
+@example(n=7, seed=0, spread=30, exponent=0)
+@example(n=8, seed=0, spread=30, exponent=0)
+@example(n=128, seed=1, spread=30, exponent=-3)
+@example(n=129, seed=2, spread=30, exponent=5)
+@example(n=300, seed=3, spread=40, exponent=0)
+def test_frobenius2_sums_as_numpy_does(n, seed, spread, exponent):
+    # Bit for bit np.add.reduce's pairwise order, across its 8- and
+    # 128-term blocks, with terms spread over 2^(2 spread) so that the order
+    # shows, at every power-of-two scale s.
+    rng = np.random.default_rng(seed)
+    row = rng.normal(size=n) * np.exp2(rng.integers(-spread, spread + 1, size=n))
+    s = 2.0**exponent
+    terms = [(x * s) * (x * s) for x in row.tolist()]
+    want = float(np.add.reduce(np.array(terms, dtype=float)))
+    got = _frobenius2([row.tolist()], s)
+    assert type(got) is float and got.hex() == want.hex()
+
+
 def test_identity():
-    w, V = jacobi_eigh(np.eye(3))
+    w, V = _arrays(*jacobi_eigh(np.eye(3)))
     assert np.allclose(w, 1.0)
     assert np.allclose(V @ V.T, np.eye(3), atol=1e-14)
 
@@ -29,7 +66,7 @@ def test_zero_matrix_boundary():
 
 def test_one_by_one():
     w, V = jacobi_eigh([[4.0]])
-    assert w[0] == 4.0 and V[0, 0] == 1.0
+    assert w == [4.0] and V == [[1.0]]
 
 
 def test_rejects_nonsymmetric():
@@ -53,7 +90,7 @@ def test_matches_lapack(seed, n):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
     A = A + A.T
-    w, V = jacobi_eigh(A)
+    w, V = _arrays(*jacobi_eigh(A))
     w_ref = np.linalg.eigvalsh(A)
     assert np.allclose(w, w_ref, atol=1e-10 * max(1.0, np.abs(A).max()))
     # reconstruction and orthogonality
@@ -272,7 +309,7 @@ def test_list_wrapper_bit_identical_to_numpy_wrapper(seed, n, shape, exponent, a
     A = _wrapper_input(seed, n, shape, exponent)
     matrix = A.tolist() if as_list else A
     with counters.collect() as stats:
-        w, V = jacobi_eigh(matrix, need_vectors)
+        w, V = _arrays(*jacobi_eigh(matrix, need_vectors))
     w_ref, V_ref, sweeps = _reference_jacobi_eigh(A, need_vectors)
     assert stats["eig_sweeps"] == sweeps and stats["eig_calls"] == 1
     assert w.dtype == w_ref.dtype and w.tobytes() == w_ref.tobytes()
@@ -288,7 +325,7 @@ def test_list_wrapper_bit_identical_to_numpy_wrapper(seed, n, shape, exponent, a
 def test_list_wrapper_handles_the_empty_matrix_as_numpy_did():
     w, V = jacobi_eigh(np.zeros((0, 0)))
     w_ref, V_ref, _ = _reference_jacobi_eigh(np.zeros((0, 0)))
-    assert w.shape == w_ref.shape == (0,) and V.shape == V_ref.shape == (0, 0)
+    assert w == V == [] and w_ref.shape == (0,) and V_ref.shape == (0, 0)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -317,7 +354,7 @@ def test_list_wrapper_matches_at_the_ends_of_the_double_range(exponent, shape):
     # scaled back may overflow.  Subnormal entries round in the scaling.
     A = _wrapper_input(3, 5, shape, exponent)
     for need_vectors in (False, True):
-        w, V = jacobi_eigh(A, need_vectors)
+        w, V = _arrays(*jacobi_eigh(A, need_vectors))
         w_ref, V_ref, _ = _reference_jacobi_eigh(A, need_vectors)
         assert w.tobytes() == w_ref.tobytes()
         assert need_vectors or V is None and V_ref is None
@@ -327,7 +364,7 @@ def test_list_wrapper_matches_at_the_ends_of_the_double_range(exponent, shape):
 def test_lambda_min_overflow_matches_the_numpy_wrapper():
     # lambda_min of this matrix is about -2.5e308: inf after the scaling back
     A = [[1e308, 1.7e308], [1.7e308, -1.7e308]]
-    w, _ = jacobi_eigh(A, need_vectors=False)
+    w, _ = _arrays(*jacobi_eigh(A, need_vectors=False))
     assert w.tobytes() == _reference_jacobi_eigh(A, need_vectors=False)[0].tobytes()
     for call in (lambda_min, _reference_lambda_min):
         with pytest.raises(EigFailure, match="overflows the double range"):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import momentkit as mk
 from momentkit import counters
 from momentkit import moments as moments_mod
+from momentkit import simplex
 
 from conftest import atomic_moments, reference_scaled_symmetric
 from test_acceptance import _known_measure
@@ -205,14 +206,14 @@ def test_grid_lp_gets_one_copy_of_each_power(moments, a, grid, coeffs):
     # multiplier; over the full rows the first witness would be
     # (0, -0.5, 0, 0, 0.5), as good a witness and another output.
     m = mk.MomentSequence(moments, mk.Support.interval(a, 1.0))
-    posed, real = [], moments_mod.solve_lp
+    posed, real = [], simplex.solve_lp
 
     def watched(c, a_ub, b_ub, **kw):
         posed.append(b_ub.size)
         return real(c, a_ub=a_ub, b_ub=b_ub, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moments_mod, "solve_lp", watched)
+        mp.setattr(simplex, "solve_lp", watched)
         ok, witness = mk.haviland_grid_check(m, grid, 1e-7)
     assert posed == [2 * len(grid)]  # of 10 rows: each distinct row once
     assert not ok and witness.coeffs == coeffs
@@ -304,13 +305,13 @@ def test_grid_check_is_scale_free():
 def test_grid_lp_starts_at_a_feasible_vertex(monkeypatch):
     # Every right-hand side lies in [0, 2], so the slack basis is feasible
     # and solve_lp needs no phase 1, at any scale and sign of the moments.
-    seen, solve = [], moments_mod.solve_lp
+    seen, solve = [], simplex.solve_lp
 
     def spy(c, a_ub=None, b_ub=None, **kwargs):
         seen.append(np.array(b_ub))
         return solve(c, a_ub=a_ub, b_ub=b_ub, **kwargs)
 
-    monkeypatch.setattr(moments_mod, "solve_lp", spy)
+    monkeypatch.setattr(simplex, "solve_lp", spy)
     grid = np.linspace(-1.0, 1.0, 200)
     cases = [*_full_grid_sequences(), seq(0, 0, 0, support=mk.Support.interval(-1, 1)),
              seq(-1, 0.5, -2, support=mk.Support.interval(-1, 1))]
