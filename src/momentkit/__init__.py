@@ -1,6 +1,8 @@
 """momentkit: positive-functional extension, finite measure construction,
 and 1-D truncated moment problems, all verifiable at desk scale."""
 
+import sys as _sys
+
 __version__ = "0.1.0"
 
 # Each public name by its defining module.  A name, or a module, is imported
@@ -62,7 +64,5 @@ def __dir__():
 # holds numpy loads the library's modules now, as an eager package would, so
 # that tools which find its functions through sys.modules (a tracer that
 # binds wrappers into every loaded module by name) see all of them.
-import sys as _sys  # noqa: E402
-
 if "numpy" in _sys.modules:
     from . import measure, moments  # measure loads extend, funcspace and simplex

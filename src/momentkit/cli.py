@@ -45,17 +45,23 @@ from .tolerances import BIN_PAD, GRID_TOL_FLOOR, VERDICT_TOL
 
 log = logging.getLogger("momentkit")
 
-# numpy, and the finite-space modules built on it, bound by _load_numpy() on
-# first use: of the moment verbs only interval check's grid needs numpy.
+# The finite-space modules, which import numpy, and numpy for interval
+# check's grid: bound on first use, so that the other moment verbs start
+# without numpy.
 np = extend = funcspace = measure = None
 
 
-def _load_numpy(finite_space: bool = False) -> None:
-    global np, extend, funcspace, measure
+def _load_numpy() -> None:
+    global np
     if np is None:
         import numpy as np
-    if finite_space and measure is None:
+
+
+def _load_finite_space() -> None:
+    global extend, funcspace, measure
+    if measure is None:
         from . import extend, funcspace, measure
+
 
 EXIT_CODES = {
     "schema-ok": 0,
@@ -210,7 +216,7 @@ def _run_extend_moments(cmd: Command, inp: MomentInput) -> RunResult:
 def _run_hb_extend(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
     if fs.functional is None:
         raise SchemaError("functional", "hb-extend requires functional values")
-    _load_numpy(finite_space=True)
+    _load_finite_space()
     current, trace = extend.hb_extend(fs.functional, [t for _, t in fs.targets], cmd.rule)
     step_names = [fs.targets[step.target_index][0] for step in trace.steps]
     names = list(fs.basis_names) + step_names
@@ -231,7 +237,7 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
         raise SchemaError("functional", "build-measure requires functional values")
     if fs.algebra is None:
         raise SchemaError("sigma_algebra", "build-measure requires a partition")
-    _load_numpy(finite_space=True)
+    _load_finite_space()
     opts = measure.RepresentOptions(
         rule=cmd.rule,
         tol=cmd.tol,
@@ -243,7 +249,7 @@ def _run_build_measure(cmd: Command, fs: FiniteSpaceInput) -> RunResult:
 
     binning = []
     if cmd.bins >= 1 and fs.domain.dim:
-        Lt_one = report.extended(funcspace.FunctionVec(fs.ground, np.ones(fs.ground.size)))
+        Lt_one = report.extended(funcspace.FunctionVec(fs.ground, [1.0] * fs.ground.size))
         for name, g in zip(fs.basis_names, fs.domain.basis):
             lo = float(g.values.min())
             hi = float(g.values.max())
@@ -297,7 +303,7 @@ def _run_verify(cmd: Command, inp) -> RunResult:
         if inp.functional is None or inp.algebra is None or inp.measure is None:
             raise SchemaError("measure",
                               "finite-space verify requires functional, sigma_algebra and measure")
-        _load_numpy(finite_space=True)
+        _load_finite_space()
         residuals = {name: measure.gap_T(inp.functional, inp.measure, inp.algebra, g)
                      for name, g in zip(inp.basis_names, inp.domain.basis)}
         worst = max((abs(r) for r in residuals.values()), default=0.0)

@@ -28,16 +28,14 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1"
 
-# numpy and the finite-space modules, bound by _load_finite_space() when the
-# first finite-space file is read: a moment file needs none of them.
-np = extend = funcspace = measure = None
+# The finite-space modules, which import numpy, bound by _load_finite_space()
+# when the first finite-space file is read: a moment file needs none of them.
+extend = funcspace = measure = None
 
 
 def _load_finite_space() -> None:
-    global np, extend, funcspace, measure
-    if np is None:
-        import numpy as np
-
+    global extend, funcspace, measure
+    if measure is None:
         from . import extend, funcspace, measure
 
 
@@ -302,7 +300,7 @@ def _parse_named_vectors(raw, ground: GroundSet, path: str):
         _require(len(vals) == ground.size, f"{path}.{name}",
                  f"expected {ground.size} values, got {len(vals)}")
         names.append(str(name))
-        vecs.append(funcspace.FunctionVec(ground, np.asarray(vals)))
+        vecs.append(funcspace.FunctionVec(ground, vals))
     return tuple(names), tuple(vecs)
 
 
@@ -329,7 +327,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         _require(set(raw) == set(basis_names), "functional",
                  "keys must match the basis names exactly")
         coeffs = [_number(raw[name], f"functional.{name}") for name in basis_names]
-        functional = extend.Functional(domain, np.asarray(coeffs))
+        functional = extend.Functional(domain, coeffs)
 
     algebra = None
     if "sigma_algebra" in doc:
@@ -390,7 +388,7 @@ def parse_finite_space_input(doc: dict) -> FiniteSpaceInput:
         _require(len(mass) == algebra.n_blocks, "measure.mass",
                  f"expected {algebra.n_blocks} masses")
         _require(all(v >= -MASS_DUST for v in mass), "measure.mass", "masses must be nonnegative")
-        mu = measure.Measure(algebra, np.asarray(mass))
+        mu = measure.Measure(algebra, mass)
 
     return FiniteSpaceInput(
         ground=ground,

@@ -966,6 +966,23 @@ def test_moment_verbs_run_without_numpy_in_a_fresh_interpreter(tmp_path):
     assert proc.returncode == 0 and proc.stdout == f"momentkit {mk.__version__}\n", proc.stderr
 
 
+def test_package_resolves_names_and_modules_on_first_access():
+    code = (
+        "import sys\n"
+        "import momentkit as mk\n"
+        "assert 'momentkit.moments' not in sys.modules\n"
+        "assert mk.Support.line().kind == 'line' and mk.eig.SIZE_CAP == 64\n"
+        "assert 'momentkit.moments' in sys.modules and 'numpy' not in sys.modules\n"
+        "assert not hasattr(mk, 'no_such_name')\n"
+        "assert set(mk.__all__) <= set(dir(mk)) and 'simplex' in dir(mk)\n"
+        "assert mk.solve_lp is mk.simplex.solve_lp and 'numpy' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verbs_that_need_numpy_import_it_on_use(tmp_path):
     # Interval check, represent, hb-extend and build-measure load numpy and
     # the finite-space modules when they first run, in a fresh interpreter.
