@@ -9,11 +9,12 @@ entries grow large, and a looser one would poison small eigenvalues).
 
 The wrapper and the kernel share one form, nested lists of Python floats:
 the checks, the exact power-of-two scaling, the symmetrization, the
-threshold and the return value are all lists, and numpy is imported only to
-read a matrix given in another form.  The sweep runs only where a spectrum is reported or a
-failure is worded: the moment support gate passes what it can from its
-Cholesky factors.  Each call counts itself and its sweeps in
-:mod:`momentkit.counters`, where the gate counts its factorizations.
+threshold and the return value all work on lists, and numpy is imported
+only to read a matrix given in another form.  The sweep runs only where a
+spectrum is reported or a failure is worded: the moment support gate passes
+what it can from its Cholesky factors.  Each call counts itself and its
+sweeps in :mod:`momentkit.counters`, where the gate counts its
+factorizations.
 """
 
 from __future__ import annotations

@@ -925,49 +925,65 @@ def test_start_up_imports_no_pool_and_no_dataclasses(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "representable"
 
 
-_NO_NUMPY_CHECK = (
+def _fresh_interpreter(code: str, stdin: str = "") -> str:
+    """Stdout of ``code`` run in a new interpreter on this checkout's momentkit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Runs each "VERB PATH EXIT NUMPY" line of stdin through main(), checking the
+# exit code and whether numpy is loaded after it ("numpy" or "-").
+_RUN_VERBS = (
     "import sys\n"
     "from momentkit.cli import main\n"
     "for line in sys.stdin.read().splitlines():\n"
-    "    verb, path, code = line.split()\n"
+    "    verb, path, code, numpy = line.split()\n"
     "    assert main([verb, path]) == int(code), line\n"
-    "    assert ('numpy' in sys.modules) == (verb not in {no_numpy!r}), line\n"
+    "    assert ('numpy' in sys.modules) == (numpy == 'numpy'), line\n"
 )
 
 
-def test_moment_verbs_run_without_numpy_in_a_fresh_interpreter(tmp_path):
+def test_moment_verbs_start_without_numpy(tmp_path):
     # extend-moments, and check on the line and the halfline, run on Python
-    # floats: a fresh interpreter running them never imports numpy.
+    # floats: one fresh interpreter runs them all, and --version, without
+    # importing numpy.  Interval check, represent, hb-extend and build-measure
+    # import it on use, each in an interpreter of its own.
     halfline = {"type": "halfline"}
-    runs = [
+    interval = {"type": "interval", "a": -1, "b": 1}
+    without = [
         ("extend-moments", {"moments": [1, 0, 1]}, 0),
         ("extend-moments", {"moments": [1, 1, 2], "support": halfline}, 0),
-        ("extend-moments", {"moments": [1, 0, 0.5],
-                            "support": {"type": "interval", "a": -1, "b": 1}}, 0),
+        ("extend-moments", {"moments": [1, 0, 0.5], "support": interval}, 0),
         ("check", {"moments": [1, 0, 1]}, 0),
         ("check", {"moments": [1, 0, 2e-9]}, 3),  # inconclusive: in the band
         ("check", {"moments": [1, 1, 2], "support": halfline}, 0),
         ("check", {"moments": [1, 1e-9, 2e-9], "support": halfline}, 3),
     ]
-    lines = [f"{verb} {write(tmp_path, f'{i}.json', doc)} {code}"
-             for i, (verb, doc, code) in enumerate(runs)]
-    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
-    code = _NO_NUMPY_CHECK.format(no_numpy={"extend-moments", "check"})
-    proc = subprocess.run([sys.executable, "-c", code], input="\n".join(lines), env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    verdicts = [json.loads(line)["verdict"] for line in proc.stdout.splitlines()]
+    lines = [f"{verb} {write(tmp_path, f'{i}.json', doc)} {code} -"
+             for i, (verb, doc, code) in enumerate(without)]
+    out = _fresh_interpreter(_RUN_VERBS, "\n".join(lines))
+    verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]
     assert verdicts == ["extended"] * 3 + ["representable", "inconclusive"] * 2
-    proc = subprocess.run([sys.executable, "-c", "import runpy, sys\n"
-                           "sys.argv = ['momentkit', '--version']\n"
-                           "try:\n    runpy.run_module('momentkit', run_name='__main__')\n"
-                           "finally:\n    assert 'numpy' not in sys.modules"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == f"momentkit {mk.__version__}\n", proc.stderr
+    version = _fresh_interpreter("import runpy, sys\n"
+                                 "sys.argv = ['momentkit', '--version']\n"
+                                 "try:\n    runpy.run_module('momentkit', run_name='__main__')\n"
+                                 "finally:\n    assert 'numpy' not in sys.modules\n")
+    assert version == f"momentkit {mk.__version__}\n"
+
+    fs = dict(FS_DOC, targets={"t0": [1, 0]})
+    with_numpy = [("check", {"moments": [1, 0, 0.25], "support": interval}),
+                  ("represent", {"moments": [1, 0, 1]}), ("hb-extend", fs), ("build-measure", fs)]
+    for i, (verb, doc) in enumerate(with_numpy):
+        path = write(tmp_path, f"n{i}.json", doc)
+        out = json.loads(_fresh_interpreter(_RUN_VERBS, f"{verb} {path} 0 numpy"))
+        assert out["verb"] == verb and out["exit_code"] == 0
 
 
 def test_package_resolves_names_and_modules_on_first_access():
-    code = (
+    _fresh_interpreter(
         "import sys\n"
         "import momentkit as mk\n"
         "assert 'momentkit.moments' not in sys.modules\n"
@@ -977,28 +993,6 @@ def test_package_resolves_names_and_modules_on_first_access():
         "assert set(mk.__all__) <= set(dir(mk)) and 'simplex' in dir(mk)\n"
         "assert mk.solve_lp is mk.simplex.solve_lp and 'numpy' in sys.modules\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_verbs_that_need_numpy_import_it_on_use(tmp_path):
-    # Interval check, represent, hb-extend and build-measure load numpy and
-    # the finite-space modules when they first run, in a fresh interpreter.
-    interval = {"moments": [1, 0, 0.25], "support": {"type": "interval", "a": -1, "b": 1}}
-    fs = dict(FS_DOC, targets={"t0": [1, 0]})
-    runs = [("check", interval, 0), ("represent", {"moments": [1, 0, 1]}, 0),
-            ("hb-extend", fs, 0), ("build-measure", fs, 0)]
-    env = {**os.environ, "PYTHONPATH": str(Path(mk.__file__).resolve().parents[1])}
-    code = _NO_NUMPY_CHECK.format(no_numpy=set())
-    for i, (verb, doc, exit_code) in enumerate(runs):
-        line = f"{verb} {write(tmp_path, f'{i}.json', doc)} {exit_code}"
-        proc = subprocess.run([sys.executable, "-c", code], input=line, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
-        assert out["exit_code"] == exit_code and out["verb"] == verb
 
 
 def test_jobs_capped_by_inputs_and_cores(tmp_path, monkeypatch):
